@@ -3,13 +3,11 @@ principal congruence subgroups: symbolic rational-function kernels,
 lattice hull chains, cyclotomic q-expansions, and an exact certifier for
 relations that hold modulo the Eisenstein subspace."""
 from .cyclotomic import (
-    ComplexApprox,
     Cyclotomic,
     Rational,
     cyclo_embed,
     cyclo_invert,
     cyclo_reduce,
-    default_digits,
 )
 from .ratfunc import (
     MultiPoly,

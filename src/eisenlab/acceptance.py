@@ -1,10 +1,10 @@
 """Acceptance suite: one callable per criterion, plus a selftest runner.
 
 Each criterion function returns (ok, detail) and is deliberately
-self-contained: the cross-checks recompute expected values through
-independent routes (trial-division divisor sums, a direct truncated
-lattice sum, a monotone-chain hull in sheared coordinates) rather than
-through the code under test.
+self-contained: the cross-checks recompute expected values through the
+independent routes of the oracles module (trial-division divisor sums, a
+direct truncated lattice sum, a monotone-chain hull in sheared
+coordinates) rather than through the code under test.
 """
 from __future__ import annotations
 
@@ -20,10 +20,12 @@ from pathlib import Path
 from .cyclotomic import Cyclotomic
 from .eisenstein import EisIndex
 from .hull import hull_chain, sublattice_points, verify_pair_bijection
+from .oracles import hull_oracle, lattice_value, sigma
 from .quasiforms import check_s_transform, eis_series, eval_at, quasi_mul
-from .ratfunc import check_kernel
+from .ratfunc import check_kernel, k33_grid
 from .verifiers import (
     INCONCLUSIVE,
+    PQ_SAMPLES,
     REFUTED,
     VERIFIED,
     LParams,
@@ -33,64 +35,6 @@ from .verifiers import (
     verify_three_term_w2,
     verify_two_term,
 )
-
-PQ_SAMPLES = (
-    (Fraction(1), Fraction(1)),
-    (Fraction(2), Fraction(-1)),
-    (Fraction(3), Fraction(5)),
-)
-
-
-# -- independent oracles ---------------------------------------------------
-
-
-def _sigma(n: int, power: int) -> int:
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d ** power
-            if d != n // d:
-                total += (n // d) ** power
-        d += 1
-    return total
-
-
-def _lattice_sum_weight4(box: int = 400) -> complex:
-    """Direct truncated sum of (m i + n)^{-4} over 0 < max(|m|,|n|),
-    |m|, |n| <= box, times 3!/(-2 pi i)^4.  The square-box tail decays
-    like box^{-2}, so one Richardson step over box/2 and box removes it."""
-    import math
-
-    def raw(b: int) -> complex:
-        total = 0j
-        for m in range(-b, b + 1):
-            for n in range(-b, b + 1):
-                if m == 0 and n == 0:
-                    continue
-                total += (m * 1j + n) ** -4
-        return total
-
-    coarse, fine = raw(box // 2), raw(box)
-    return (fine + (fine - coarse) / 3) * 6 / (16 * math.pi ** 4)
-
-
-def _hull_oracle(n: int, s: int) -> list[tuple[int, int]]:
-    """Monotone-chain hull in sheared coordinates (y - x, x + y); the
-    lower hull there is the lower-left boundary in the original plane.
-    The pop is strict so collinear boundary lattice points stay listed."""
-    pts = sorted((y - x, x + y, x, y) for x, y in sublattice_points(n, s))
-    hull: list[tuple[int, int, int, int]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross < 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return [(x, y) for _, _, x, y in hull]
 
 
 # -- criteria --------------------------------------------------------------
@@ -105,9 +49,7 @@ def criterion_01_symbolic() -> tuple[bool, str]:
             ok, witness = check_kernel(ident, k=k)
             if not ok:
                 return False, f"{ident} failed at k={k}: {witness}"
-    from .cli import _k33_grid
-
-    ok, witness, quad = _k33_grid(200)
+    ok, witness, quad = k33_grid(200)
     if not ok:
         return False, f"K33 failed at {quad}: {witness}"
     chains = 0
@@ -141,7 +83,7 @@ def criterion_02_hull() -> tuple[bool, str]:
             if gcd(s, n) != 1:
                 continue
             got = list(hull_chain(n, s).vectors)
-            want = _hull_oracle(n, s)
+            want = hull_oracle(sublattice_points(n, s))
             if got != want:
                 return False, f"oracle mismatch at (N,S)=({n},{s}): {got} != {want}"
             count += 1
@@ -176,11 +118,11 @@ def criterion_04_expansion() -> tuple[bool, str]:
         if series.coeff(0) != Cyclotomic.from_rational(1, const):
             return False, f"weight-{k} constant term {series.coeff(0).to_string()}"
         for n in range(1, 61):
-            want = Cyclotomic.from_rational(1, 2 * _sigma(n, k - 1))
+            want = Cyclotomic.from_rational(1, 2 * sigma(n, k - 1))
             if series.coeff(n) != want:
                 return False, f"weight-{k} coefficient mismatch at q^{n}"
     value = eval_at(eis_series(EisIndex(4, 1, 0, 0), 60), 1j, 60)
-    oracle = _lattice_sum_weight4(400)
+    oracle = lattice_value(4, 1, 0, 0, 1j, 400)
     err = abs(complex(value) - oracle)
     if err > 1e-8:
         return False, f"lattice-sum oracle error {err:.3e}"

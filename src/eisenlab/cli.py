@@ -15,9 +15,10 @@ from math import gcd, lcm
 from .eisenstein import EisIndex, InvalidIndex, NotDivisible
 from .hull import HullChain, NonCoprimeShear, hull_chain, sublattice_points
 from .quasiforms import QuasiForm, eis_basis, eis_series
-from .ratfunc import RatFunc, check_kernel, k33_identity
+from .ratfunc import check_kernel, k33_grid
 from .verifiers import (
     INCONCLUSIVE,
+    PQ_SAMPLES,
     REFUTED,
     VERIFIED,
     LParams,
@@ -27,14 +28,6 @@ from .verifiers import (
     verify_prop21,
     verify_three_term_w2,
     verify_two_term,
-)
-
-# default (p,q) samples: three points certify the polynomial identity in
-# (p,q) degree-wise for every weight handled at desk scale
-PQ_SAMPLES = (
-    (Fraction(1), Fraction(1)),
-    (Fraction(2), Fraction(-1)),
-    (Fraction(3), Fraction(5)),
 )
 
 KERNEL_IDS = ("K16", "K23", "K24", "K32", "K33", "K34")
@@ -53,7 +46,6 @@ class CliConfig:
     q: Fraction | None = None
     identity: str | None = None
     prec: int | None = None
-    digits: int | None = None
     out: str | None = None
     figure: str | None = None
 
@@ -230,24 +222,6 @@ def expand_csv(idx: EisIndex, truncation: int | None = None) -> str:
 # -- subcommand handlers ---------------------------------------------------
 
 
-def _k33_grid(samples: int = 200) -> tuple[bool, RatFunc | None, tuple | None]:
-    """Deterministic (a,b,c,d) sample grid for the partial-fraction split."""
-    import random
-
-    rng = random.Random(3300)
-    done = 0
-    while done < samples:
-        quad = tuple(rng.randint(-9, 9) for _ in range(4))
-        a, b, c, d = quad
-        if a * d - b * c == 0 or (a == 0 and b == 0) or (c == 0 and d == 0):
-            continue
-        ok, witness = k33_identity(a, b, c, d)
-        if not ok:
-            return False, witness, quad
-        done += 1
-    return True, None, None
-
-
 def cmd_symbolic(cfg: CliConfig) -> int:
     ident = cfg.identity
     checked = 0
@@ -269,7 +243,7 @@ def cmd_symbolic(cfg: CliConfig) -> int:
                 return fail(f"k={k}", witness)
             checked += 1
     elif ident == "K33" and cfg.sub_level is None:
-        ok, witness, quad = _k33_grid()
+        ok, witness, quad = k33_grid()
         if not ok:
             return fail(f"(a,b,c,d)={quad}", witness)
         checked = 200
@@ -404,22 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of Eisenstein-product identities.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, *, out=True, prec=True):
+    def common(sp, *, prec=True):
         if prec:
             sp.add_argument("--prec", type=int, default=None,
                             help="truncation override (q_N exponent bound)")
-        if out:
-            sp.add_argument("--out", default=None,
-                            help="write the JSON report here")
-        sp.add_argument("--digits", type=int, default=None,
-                        help="working float precision in digits")
+        sp.add_argument("--out", default=None,
+                        help="write the JSON report here")
 
     sp = sub.add_parser("symbolic", help="prove a rational-function kernel")
     sp.add_argument("--identity", required=True, choices=KERNEL_IDS)
     sp.add_argument("--weight", type=int, default=None)
     sp.add_argument("--sub-level", dest="sub_level", type=int, default=None)
     sp.add_argument("--shear", type=int, default=None)
-    common(sp, out=False, prec=False)
 
     sp = sub.add_parser("hull", help="print a sublattice hull chain")
     sp.add_argument("--sub-level", dest="sub_level", type=int, required=True)
@@ -465,15 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=parse_rational, default=None)
     common(sp)
 
-    sp = sub.add_parser("selftest", help="run the acceptance suite")
-    common(sp, out=False, prec=False)
+    sub.add_parser("selftest", help="run the acceptance suite")
 
     return parser
 
 
 def config_from(ns: argparse.Namespace) -> CliConfig:
     fields = ("level", "sub_level", "shear", "weight", "lam", "mu", "p", "q",
-              "identity", "prec", "digits", "out", "figure")
+              "identity", "prec", "out", "figure")
     kwargs = {f: getattr(ns, f, None) for f in fields}
     return CliConfig(subcommand=ns.subcommand, **kwargs)
 
@@ -487,10 +456,6 @@ def run_cli(argv: list[str] | None = None) -> int:
         # latter into this tool's usage-error code
         return 0 if exc.code in (0, None) else 1
     cfg = config_from(ns)
-    if cfg.digits is not None:
-        import os
-
-        os.environ["EISENLAB_DIGITS"] = str(cfg.digits)
     try:
         return DISPATCH[cfg.subcommand](cfg)
     except (NonCoprimeShear, NotDivisible, InvalidIndex, ValueError) as exc:

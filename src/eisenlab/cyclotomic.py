@@ -7,7 +7,6 @@ throughout; two elements are equal iff their coefficient vectors are.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,11 +17,6 @@ import mpmath
 Rational = Fraction
 
 Scalar = Union[int, Fraction]
-
-
-def default_digits() -> int:
-    """Float precision in decimal digits; EISENLAB_DIGITS overrides."""
-    return int(os.environ.get("EISENLAB_DIGITS", "60"))
 
 
 def euler_phi(n: int) -> int:
@@ -270,23 +264,6 @@ class Cyclotomic:
         raw = {j * step: c for j, c in enumerate(self.coeffs)}
         return cyclo_reduce(conductor, raw)
 
-    def restrict_to(self, conductor: int) -> Cyclotomic:
-        """Preimage in Q(zeta_conductor); raises if the element is not there."""
-        if self.conductor % conductor:
-            raise ValueError(
-                f"target conductor {conductor} does not divide {self.conductor}"
-            )
-        if conductor == self.conductor:
-            return self
-        cols = [
-            list(Cyclotomic.zeta(conductor, j).embed_to(self.conductor).coeffs)
-            for j in range(euler_phi(conductor))
-        ]
-        sol = _solve_columns(cols, list(self.coeffs))
-        if sol is None:
-            raise ValueError(f"element does not lie in Q(zeta_{conductor})")
-        return cyclo_reduce(conductor, sol)
-
     # -- display -----------------------------------------------------------
 
     def to_string(self) -> str:
@@ -380,95 +357,15 @@ def cyclo_invert(x: Cyclotomic) -> Cyclotomic:
     return cyclo_reduce(x.conductor, [c * scale for c in s0])
 
 
-def _solve_columns(cols: list[list[Fraction]], target: list[Fraction]):
-    """Solve sum_j c_j cols[j] = target over Q, or None if inconsistent."""
-    rows = len(target)
-    ncols = len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][ncols]
-    return sol
-
-
 # -- numeric embedding -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplexApprox:
-    """A complex number carried at a stated decimal precision."""
-
-    real: mpmath.mpf
-    imag: mpmath.mpf
-    precision_digits: int
-
-    def _ctx(self):
-        return mpmath.workdps(self.precision_digits + 10)
-
-    def __add__(self, other: ComplexApprox) -> ComplexApprox:
-        d = min(self.precision_digits, other.precision_digits)
-        with mpmath.workdps(d + 10):
-            return ComplexApprox(self.real + other.real, self.imag + other.imag, d)
-
-    def __sub__(self, other: ComplexApprox) -> ComplexApprox:
-        d = min(self.precision_digits, other.precision_digits)
-        with mpmath.workdps(d + 10):
-            return ComplexApprox(self.real - other.real, self.imag - other.imag, d)
-
-    def __mul__(self, other: ComplexApprox) -> ComplexApprox:
-        d = min(self.precision_digits, other.precision_digits)
-        with mpmath.workdps(d + 10):
-            re = self.real * other.real - self.imag * other.imag
-            im = self.real * other.imag + self.imag * other.real
-            return ComplexApprox(re, im, d)
-
-    def __truediv__(self, other: ComplexApprox) -> ComplexApprox:
-        d = min(self.precision_digits, other.precision_digits)
-        with mpmath.workdps(d + 10):
-            den = other.real * other.real + other.imag * other.imag
-            re = (self.real * other.real + self.imag * other.imag) / den
-            im = (self.imag * other.real - self.real * other.imag) / den
-            return ComplexApprox(re, im, d)
-
-    def magnitude(self) -> mpmath.mpf:
-        with self._ctx():
-            return mpmath.sqrt(self.real * self.real + self.imag * self.imag)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.real), float(self.imag))
-
-    @staticmethod
-    def from_mpc(value, precision_digits: int) -> ComplexApprox:
-        return ComplexApprox(
-            mpmath.mpf(value.real), mpmath.mpf(value.imag), precision_digits
-        )
-
-
-def cyclo_embed(x: Cyclotomic, precision_digits: int = 60) -> ComplexApprox:
+def cyclo_embed(x: Cyclotomic, precision_digits: int = 60) -> mpmath.mpc:
     """Numeric image of x under zeta_N -> e^{2 pi i/N}.
 
-    precision_digits must be at least 15; default work precision carries a
-    10-digit guard on top of the request.
+    precision_digits must be at least 15; the value is computed and kept
+    with a 10-digit guard on top of the request.  mpmath rounds arithmetic
+    to its working precision, so combine values inside mpmath.workdps.
     """
     if precision_digits < 15:
         raise ValueError("precision_digits must be >= 15")
@@ -478,4 +375,4 @@ def cyclo_embed(x: Cyclotomic, precision_digits: int = 60) -> ComplexApprox:
             if c:
                 term = mpmath.exp(2j * mpmath.pi * j / x.conductor)
                 total += mpmath.mpf(c.numerator) / c.denominator * term
-        return ComplexApprox.from_mpc(total, precision_digits)
+        return total

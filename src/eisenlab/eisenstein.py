@@ -10,21 +10,23 @@ Row contributions, with zeta = zeta_N:
   a > 0, a = (c1 + jN)/N:   sum_m m^{k-1} zeta^{m c2}   at exponent m(c1+jN)
   a < 0, |a| = ((j+1)N-c1)/N: (-1)^k sum_m m^{k-1} zeta^{-m c2}
                                               at exponent m((j+1)N-c1)
-Constant term, by cases on (c1, c2) mod N:
-  c1 = 0, c2 != 0: (-1)^{k-1} P_{k-1}(t) / (-2i)^k with t = cot(pi c2/N),
-      P_0 = t, P_{n+1} = -(1+t^2) P_n'; computed in Q(zeta_lcm(4,N)) and
-      restricted back down.
-  c1 = 0, c2 = 0: -B_k/k for even k >= 2, else 0.
-  c1 != 0: 0 for k >= 2, and 1/2 - c1/N for k = 1.
+Constant term, with Bbar_k(x) = B_k(x - floor(x)) the periodic Bernoulli
+function (Bbar_1 = 0 at the integers):
+  c1 = 0:  -(-1)^k N^{k-1}/k * sum_{a mod N} zeta^{-a c2} Bbar_k(a/N),
+      because Bbar_k(x) = -k!/(2 pi i)^k sum_{m != 0} e^{2 pi i m x}/m^k, so
+      the sum over a picks out the row sum over m = c2 mod N of m^{-k};
+      at c2 = 0 this is -B_k/k for even k and 0 for odd k.
+  c1 != 0: 0 for k >= 2, and -Bbar_1(c1/N) = 1/2 - c1/N for k = 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, floor
 
-from .cyclotomic import Cyclotomic, cyclo_reduce, euler_phi
+from .cyclotomic import Cyclotomic, cyclo_reduce
+
 
 class InvalidIndex(ValueError):
     """Torsion index outside its level, or a weight below 1."""
@@ -207,18 +209,17 @@ def bernoulli(k: int) -> Fraction:
     return -total / (k + 1)
 
 
-@lru_cache(maxsize=None)
-def cot_derivative_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of P_n, P_0 = t, P_{n+1} = -(1+t^2) P_n'."""
-    if n == 0:
-        return (0, 1)
-    prev = cot_derivative_poly(n - 1)
-    deriv = tuple(j * prev[j] for j in range(1, len(prev)))
-    padded = list(deriv) + [0, 0]
-    out = [-(padded[j]) for j in range(len(deriv) + 2)]
-    for j, c in enumerate(deriv):
-        out[j + 2] -= c
-    return tuple(out)
+def periodic_bernoulli(k: int, x: Fraction) -> Fraction:
+    """Bbar_k(x) = B_k(x - floor(x)), taking Bbar_1 = 0 at the integers.
+
+    >>> periodic_bernoulli(2, Fraction(4, 3)), periodic_bernoulli(1, Fraction(0))
+    (Fraction(-1, 18), Fraction(0, 1))
+    """
+    x -= floor(x)
+    if k == 1 and x == 0:
+        return Fraction(0)
+    return sum((comb(k, j) * bernoulli(j) * x ** (k - j) for j in range(k + 1)),
+               Fraction(0))
 
 
 def index_mu(n: int) -> int:
@@ -247,27 +248,22 @@ def sturm_truncation(k: int, n: int) -> int:
 
 
 def constant_term(idx: EisIndex) -> Cyclotomic:
-    """Constant Fourier coefficient of the normalized series, in Q(zeta_N)."""
+    """Constant Fourier coefficient of the normalized series, in Q(zeta_N).
+
+    For c1 = 0 it is -(-1)^k N^{k-1}/k sum_{a mod N} zeta^{-a c2} Bbar_k(a/N):
+    the Fourier series Bbar_k(x) = -k!/(2 pi i)^k sum_{m != 0} e^{2 pi i m x}/m^k
+    turns the horizontal row sum over m = c2 mod N of m^{-k}, times the
+    normalization (k-1)! (-2 pi i)^{-k}, into this finite sum.
+    """
     k, n, c1, c2 = idx.weight, idx.level, idx.c1, idx.c2
     if c1 != 0:
         if k == 1:
-            return Cyclotomic.from_rational(n, Fraction(1, 2) - Fraction(c1, n))
+            return Cyclotomic.from_rational(n, -periodic_bernoulli(1, Fraction(c1, n)))
         return Cyclotomic.zero(n)
-    if c2 == 0:
-        if k >= 2 and k % 2 == 0:
-            return Cyclotomic.from_rational(n, -bernoulli(k) / k)
-        return Cyclotomic.zero(n)
-    # c1 = 0, c2 != 0: cotangent branch, computed upstairs where i lives.
-    big = lcm(4, n)
-    i_unit = Cyclotomic.zeta(big, big // 4)
-    z = Cyclotomic.zeta(big, (big // n) * c2)
-    t = i_unit * (z + 1) / (z - 1)
-    poly = cot_derivative_poly(k - 1)
-    value = Cyclotomic.zero(big)
-    for c in reversed(poly):
-        value = value * t + c
-    value = value * (-1) ** (k - 1) / (Cyclotomic.from_rational(big, -2) * i_unit) ** k
-    return value.restrict_to(n)
+    raw = [Fraction(0)] * n
+    for a in range(n):
+        raw[-a * c2 % n] += periodic_bernoulli(k, Fraction(a, n))
+    return cyclo_reduce(n, raw) * Fraction(-(-1) ** k * n ** (k - 1), k)
 
 
 def eis_qseries(idx: EisIndex, truncation: int) -> QSeries:

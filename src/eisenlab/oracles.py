@@ -1,4 +1,5 @@
-"""Independent recomputation routes used by the unit tests.
+"""Independent recomputation routes for the unit tests and the acceptance
+suite.
 
 Everything here deliberately avoids the code paths under test: Bernoulli
 numbers come from the Akiyama-Tanigawa triangle instead of the package's

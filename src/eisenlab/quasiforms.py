@@ -17,10 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import ComplexApprox, Cyclotomic, cyclo_embed, default_digits
+import mpmath
+
+from .cyclotomic import Cyclotomic, cyclo_embed
 from .eisenstein import EisIndex, QSeries, eis_qseries, sturm_truncation
 
 MAX_DEPTH = 2
+
+# decimal digits of the numeric cross-checks; the certifier itself is exact
+EVAL_DIGITS = 60
 
 
 class DepthOverflow(ArithmeticError):
@@ -400,12 +405,8 @@ def certify_orthogonal(f: QuasiForm):
 # -- numerics --------------------------------------------------------------
 
 
-def eval_at(f: QuasiForm, z, digits: int | None = None) -> ComplexApprox:
+def eval_at(f: QuasiForm, z, digits: int = EVAL_DIGITS) -> mpmath.mpc:
     """Evaluate at a point of the upper half plane by direct summation."""
-    import mpmath
-
-    if digits is None:
-        digits = default_digits()
     with mpmath.workdps(digits + 10):
         zz = mpmath.mpc(z)
         if mpmath.im(zz) <= 0:
@@ -416,10 +417,9 @@ def eval_at(f: QuasiForm, z, digits: int | None = None) -> ComplexApprox:
         for j, h in enumerate(f.components):
             part = mpmath.mpc(0)
             for n in h.nonzero_exponents():
-                c = cyclo_embed(h.coeffs[n], digits + 10)
-                part += mpmath.mpc(c.real, c.imag) * qn ** n
+                part += cyclo_embed(h.coeffs[n], digits + 10) * qn ** n
             total += part * y_val ** j
-        return ComplexApprox.from_mpc(total, digits)
+        return total
 
 
 def check_s_transform(idx: EisIndex, truncation: int | None = None,
@@ -427,14 +427,10 @@ def check_s_transform(idx: EisIndex, truncation: int | None = None,
     """Numeric consistency check at the fixed point i of z -> -1/z:
     the series at (c1, c2) must equal i^weight times the series at
     (c2, -c1) there.  Returns (within_tol, absolute_error)."""
-    import mpmath
-
     b = 40 * idx.level if truncation is None else truncation
-    digits = max(default_digits(), 60)
-    left = eval_at(eis_series(idx, b), 1j, digits)
-    right = eval_at(eis_series(idx.s_transform(), b), 1j, digits)
-    with mpmath.workdps(digits):
-        lhs = mpmath.mpc(left.real, left.imag)
-        rhs = mpmath.mpc(1j) ** idx.weight * mpmath.mpc(right.real, right.imag)
-        err = float(abs(lhs - rhs))
+    left = eval_at(eis_series(idx, b), 1j)
+    right = eval_at(eis_series(idx.s_transform(), b), 1j)
+    with mpmath.workdps(EVAL_DIGITS):
+        # unary plus rounds the guarded value to EVAL_DIGITS
+        err = float(abs(+left - mpmath.mpc(1j) ** idx.weight * right))
     return err <= tol, err

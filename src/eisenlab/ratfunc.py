@@ -10,6 +10,7 @@ positive.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Iterable, Mapping, Union
@@ -68,9 +69,6 @@ class MultiPoly:
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
-
-    def constant_value(self) -> Fraction:
-        return self.terms.get(_ZERO_EXP, Fraction(0))
 
     def __bool__(self):
         return bool(self.terms)
@@ -281,16 +279,6 @@ def divide_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 def _univar_parts(p: MultiPoly, var: int) -> list[MultiPoly]:
     """Coefficients of p as a polynomial in var, low degree first."""
     return [p.coeff_in(var, d) for d in range(p.degree(var) + 1)]
-
-
-def _from_univar(parts: list[MultiPoly], var: int) -> MultiPoly:
-    total = MultiPoly()
-    for d, coeff in enumerate(parts):
-        if not coeff.is_zero():
-            shift = [0, 0, 0, 0]
-            shift[var] = d
-            total = total + coeff * MultiPoly({tuple(shift): Fraction(1)})
-    return total
 
 
 def _pseudo_rem(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
@@ -583,6 +571,22 @@ def k33_identity(a: int, b: int, c: int, d: int) -> tuple[bool, RatFunc]:
     rhs = (Fraction(a, det) / B) / da - (Fraction(c, det) / B) / db
     w = lhs - rhs
     return w.is_zero(), w
+
+
+def k33_grid(samples: int = 200) -> tuple[bool, RatFunc | None, tuple | None]:
+    """Deterministic (a,b,c,d) sample grid for the partial-fraction split."""
+    rng = random.Random(3300)
+    done = 0
+    while done < samples:
+        quad = tuple(rng.randint(-9, 9) for _ in range(4))
+        a, b, c, d = quad
+        if a * d - b * c == 0 or (a == 0 and b == 0) or (c == 0 and d == 0):
+            continue
+        ok, witness = k33_identity(a, b, c, d)
+        if not ok:
+            return False, witness, quad
+        done += 1
+    return True, None, None
 
 
 def _chain_pairs(chain) -> list[tuple[tuple[int, int], tuple[int, int]]]:

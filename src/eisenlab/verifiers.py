@@ -32,6 +32,15 @@ VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
+# default (p, q) samples.  Both sides of a prop21 or hecke claim are
+# homogeneous of degree k - 2 in (p, q), so three samples determine them
+# only for k <= 4; each sample is verified on its own.
+PQ_SAMPLES = (
+    (Fraction(1), Fraction(1)),
+    (Fraction(2), Fraction(-1)),
+    (Fraction(3), Fraction(5)),
+)
+
 
 @dataclass(frozen=True)
 class TorsionPoint:

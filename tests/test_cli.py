@@ -1,7 +1,6 @@
 """End-to-end command-line flows, exercised in process through run_cli."""
 import argparse
 import json
-import os
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -197,20 +196,6 @@ def test_symbolic_chain_kernel_single(capsys):
     assert run_cli(["symbolic", "--identity", "K32", "--sub-level", "5",
                     "--shear", "3"]) == 0
     assert capsys.readouterr().out == "K32: PASS (1 instance)\n"
-
-
-def test_digits_flag_sets_env(capsys):
-    prior = os.environ.get("EISENLAB_DIGITS")
-    try:
-        assert run_cli(["hull", "--sub-level", "2", "--shear", "1",
-                        "--digits", "33"]) == 0
-        assert os.environ["EISENLAB_DIGITS"] == "33"
-    finally:
-        if prior is None:
-            os.environ.pop("EISENLAB_DIGITS", None)
-        else:
-            os.environ["EISENLAB_DIGITS"] = prior
-    capsys.readouterr()
 
 
 # -- report files ----------------------------------------------------------

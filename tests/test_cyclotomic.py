@@ -2,18 +2,17 @@
 string round-trips, and the numeric image."""
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from eisenlab.cyclotomic import (
-    ComplexApprox,
     Cyclotomic,
     cyclo_embed,
     cyclo_invert,
     cyclo_reduce,
     cyclotomic_poly,
-    default_digits,
     euler_phi,
 )
 
@@ -120,18 +119,12 @@ def test_inverse(a):
 
 @given(elements(), st.sampled_from((2, 3, 4)))
 def test_embed_restrict_round_trip(a, times):
+    # zeta_N -> zeta_M^{M/N} must not move the numeric image
     big = a.conductor * times
     up = a.embed_to(big)
     assert up.conductor == big
-    assert up.restrict_to(a.conductor) == a
-
-
-def test_restrict_refuses_outside_elements():
-    with pytest.raises(ValueError):
-        Cyclotomic.zeta(5).restrict_to(1)
-    # zeta_12^3 = i does live in Q(zeta_4)
-    i_elem = Cyclotomic.zeta(12, 3).restrict_to(4)
-    assert i_elem == Cyclotomic.zeta(4)
+    with mpmath.workdps(40):
+        assert abs(cyclo_embed(up, 30) - cyclo_embed(a, 30)) < mpmath.mpf("1e-25")
 
 
 def test_conductor_mismatch_rejected():
@@ -161,9 +154,10 @@ def test_string_format():
 @given(element_triples())
 def test_numeric_embedding_is_multiplicative(triple):
     a, b, _ = triple
-    lhs = cyclo_embed(a * b, 30)
-    rhs = cyclo_embed(a, 30) * cyclo_embed(b, 30)
-    assert float((lhs - rhs).magnitude()) < 1e-25
+    with mpmath.workdps(40):
+        lhs = cyclo_embed(a * b, 30)
+        rhs = cyclo_embed(a, 30) * cyclo_embed(b, 30)
+        assert abs(lhs - rhs) < mpmath.mpf("1e-25")
 
 
 def test_numeric_embedding_known_value():
@@ -175,25 +169,3 @@ def test_numeric_embedding_known_value():
 def test_embed_precision_floor():
     with pytest.raises(ValueError):
         cyclo_embed(Cyclotomic.one(3), 10)
-
-
-def test_complex_approx_arithmetic():
-    import mpmath
-
-    a = ComplexApprox(mpmath.mpf(1), mpmath.mpf(2), 30)
-    b = ComplexApprox(mpmath.mpf(3), mpmath.mpf(-1), 40)
-    prod = a * b
-    assert prod.precision_digits == 30
-    assert abs(float(prod.real) - 5.0) < 1e-15
-    assert abs(float(prod.imag) - 5.0) < 1e-15
-    back = prod / b
-    assert abs(float(back.real) - 1.0) < 1e-15
-    assert abs(float(back.imag) - 2.0) < 1e-15
-    assert abs(complex(a) - (1 + 2j)) < 1e-15
-
-
-def test_default_digits_env(monkeypatch):
-    monkeypatch.delenv("EISENLAB_DIGITS", raising=False)
-    assert default_digits() == 60
-    monkeypatch.setenv("EISENLAB_DIGITS", "25")
-    assert default_digits() == 25

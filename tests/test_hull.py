@@ -12,7 +12,7 @@ from eisenlab.hull import (
     sublattice_points,
     verify_pair_bijection,
 )
-from oracles import hull_oracle
+from eisenlab.oracles import hull_oracle
 
 
 @st.composite

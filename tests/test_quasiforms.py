@@ -121,11 +121,8 @@ def test_theta_is_the_normalized_derivative():
         h = mpmath.mpf("1e-15")
         up = eval_at(f, z + h, 40)
         down = eval_at(f, z - h, 40)
-        diff = (mpmath.mpc(up.real, up.imag)
-                - mpmath.mpc(down.real, down.imag)) / (2 * h)
-        want = diff / (2j * mpmath.pi)
-        got_c = eval_at(tf, z, 40)
-        got = mpmath.mpc(got_c.real, got_c.imag)
+        want = (up - down) / (2 * h) / (2j * mpmath.pi)
+        got = eval_at(tf, z, 40)
         assert abs(got - want) < mpmath.mpf("1e-20")
 
 
@@ -302,7 +299,7 @@ def test_eval_at_y_powers():
     got = eval_at(f, 1j, 30)
     with mpmath.workdps(40):
         want = 1 + 2 / (4 * mpmath.pi)
-        assert abs(mpmath.mpc(got.real, got.imag) - want) < mpmath.mpf("1e-25")
+        assert abs(got - want) < mpmath.mpf("1e-25")
 
 
 @pytest.mark.parametrize("idx", [
