@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the flagship verifications end to end and print their reports.
 
-The default set finishes in about a minute on a laptop.  --full adds the
+The default set finishes in about a second on a laptop.  --full adds the
 level-10 trace instance, which takes a couple of minutes on its own.
 """
 from __future__ import annotations

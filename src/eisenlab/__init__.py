@@ -16,7 +16,6 @@ from .ratfunc import (
     ZeroDenominator,
     check_kernel,
     k33_identity,
-    ratfunc_normalize,
 )
 from .hull import (
     HullChain,
@@ -32,7 +31,6 @@ from .eisenstein import (
     NotDivisible,
     QSeries,
     bernoulli,
-    rescale_level,
     sturm_truncation,
 )
 from .quasiforms import (

@@ -8,13 +8,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .eisenstein import EisIndex, InvalidIndex, NotDivisible
 from .hull import HullChain, NonCoprimeShear, hull_chain, sublattice_points
-from .quasiforms import QuasiForm, eis_basis, eis_series
+from .quasiforms import QuasiForm, eis_series
 from .ratfunc import check_kernel, k33_grid
 from .verifiers import (
     INCONCLUSIVE,
@@ -31,23 +30,6 @@ from .verifiers import (
 )
 
 KERNEL_IDS = ("K16", "K23", "K24", "K32", "K33", "K34")
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    level: int | None = None
-    sub_level: int | None = None
-    shear: int | None = None
-    weight: int | None = None
-    lam: TorsionPoint | None = None
-    mu: TorsionPoint | None = None
-    p: Fraction | None = None
-    q: Fraction | None = None
-    identity: str | None = None
-    prec: int | None = None
-    out: str | None = None
-    figure: str | None = None
 
 
 def parse_torsion(text: str) -> TorsionPoint:
@@ -80,14 +62,6 @@ def status_exit(status: str) -> int:
 # -- report serialization --------------------------------------------------
 
 
-def _generator_index(gen: QuasiForm) -> EisIndex:
-    basis = eis_basis(gen.weight, gen.level, gen.truncation)
-    for idx, member in basis.elements():
-        if member == gen:
-            return idx
-    raise ValueError("certificate generator is not a basis member")
-
-
 def _residual_exponents(residual: QuasiForm) -> list[list[int]]:
     out = []
     for j, comp in enumerate(residual.components):
@@ -102,12 +76,11 @@ def report_payload(report: VerificationReport) -> dict:
          "value": value.to_string()}
         for idx, value in report.defect.coefficients.items()
     ]
-    certificate = []
-    for gen, scale in report.certificate:
-        idx = _generator_index(gen)
-        certificate.append(
-            {"weight": idx.weight, "c1": idx.c1, "c2": idx.c2,
-             "scale": scale.to_string()})
+    certificate = [
+        {"weight": idx.weight, "c1": idx.c1, "c2": idx.c2,
+         "scale": scale.to_string()}
+        for idx, scale in report.certificate
+    ]
     return {
         "claim_id": report.claim_id,
         "parameters": report.parameters,
@@ -222,7 +195,7 @@ def expand_csv(idx: EisIndex, truncation: int | None = None) -> str:
 # -- subcommand handlers ---------------------------------------------------
 
 
-def cmd_symbolic(cfg: CliConfig) -> int:
+def cmd_symbolic(cfg: argparse.Namespace) -> int:
     ident = cfg.identity
     checked = 0
 
@@ -267,7 +240,7 @@ def cmd_symbolic(cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_hull(cfg: CliConfig) -> int:
+def cmd_hull(cfg: argparse.Namespace) -> int:
     chain = hull_chain(cfg.sub_level, cfg.shear)
     print("[" + ",".join(f"({x},{y})" for x, y in chain.vectors) + "]")
     if cfg.out:
@@ -278,7 +251,7 @@ def cmd_hull(cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_expand(cfg: CliConfig) -> int:
+def cmd_expand(cfg: argparse.Namespace) -> int:
     idx = EisIndex(cfg.weight, cfg.lam.denominator, cfg.lam.c1, cfg.lam.c2)
     text = expand_csv(idx, cfg.prec)
     if cfg.out:
@@ -289,25 +262,26 @@ def cmd_expand(cfg: CliConfig) -> int:
     return 0
 
 
-def _finish(report: VerificationReport, cfg: CliConfig) -> int:
+def _finish(report: VerificationReport, cfg: argparse.Namespace) -> int:
     _print_report(report)
     if cfg.out:
         emit_report(report, cfg.out)
     return status_exit(report.status)
 
 
-def cmd_two_term(cfg: CliConfig) -> int:
+def cmd_two_term(cfg: argparse.Namespace) -> int:
     n_work = cfg.level or lcm(cfg.lam.denominator, cfg.mu.denominator)
     return _finish(verify_two_term(cfg.lam, cfg.mu, n_work, cfg.prec), cfg)
 
 
-def cmd_three_term(cfg: CliConfig) -> int:
+def cmd_three_term(cfg: argparse.Namespace) -> int:
     n_work = cfg.level or lcm(cfg.lam.denominator, cfg.mu.denominator)
     return _finish(verify_three_term_w2(cfg.lam, cfg.mu, n_work, cfg.prec),
                    cfg)
 
 
-def _pq_list(cfg: CliConfig) -> list[tuple[Fraction, Fraction]] | None:
+def _pq_list(
+        cfg: argparse.Namespace) -> list[tuple[Fraction, Fraction]] | None:
     if (cfg.p is None) != (cfg.q is None):
         print("error: provide both --p and --q, or neither", file=sys.stderr)
         return None
@@ -327,7 +301,7 @@ def _combine(codes: list[int]) -> int:
     return 0
 
 
-def cmd_prop21(cfg: CliConfig) -> int:
+def cmd_prop21(cfg: argparse.Namespace) -> int:
     pq = _pq_list(cfg)
     if pq is None:
         return 1
@@ -339,7 +313,7 @@ def cmd_prop21(cfg: CliConfig) -> int:
     return _combine(codes)
 
 
-def cmd_hecke(cfg: CliConfig) -> int:
+def cmd_hecke(cfg: argparse.Namespace) -> int:
     pq = _pq_list(cfg)
     if pq is None:
         return 1
@@ -354,7 +328,7 @@ def cmd_hecke(cfg: CliConfig) -> int:
     return _combine(codes)
 
 
-def cmd_selftest(cfg: CliConfig) -> int:
+def cmd_selftest(cfg: argparse.Namespace) -> int:
     from .acceptance import run_all
 
     return 0 if run_all() else 2
@@ -440,13 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from(ns: argparse.Namespace) -> CliConfig:
-    fields = ("level", "sub_level", "shear", "weight", "lam", "mu", "p", "q",
-              "identity", "prec", "out", "figure")
-    kwargs = {f: getattr(ns, f, None) for f in fields}
-    return CliConfig(subcommand=ns.subcommand, **kwargs)
-
-
 def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -455,9 +422,8 @@ def run_cli(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help, 2 for usage errors; fold the
         # latter into this tool's usage-error code
         return 0 if exc.code in (0, None) else 1
-    cfg = config_from(ns)
     try:
-        return DISPATCH[cfg.subcommand](cfg)
+        return DISPATCH[ns.subcommand](ns)
     except (NonCoprimeShear, NotDivisible, InvalidIndex, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,8 +40,8 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, low degree first, computed by dividing
-    x^n - 1 by Phi_d over all proper divisors d | n.
+    """Coefficients of Phi_n as ints, low degree first, computed by
+    dividing x^n - 1 by Phi_d over all proper divisors d | n.
 
     >>> cyclotomic_poly(4)
     (1, 0, 1)
@@ -51,23 +51,11 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly = _exact_int_div(poly, list(cyclotomic_poly(d)))
-    return tuple(poly)
-
-
-def _exact_int_div(num: list[int], den: list[int]) -> list[int]:
-    # den is monic; division is exact for our inputs.
-    out = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for i in range(len(out) - 1, -1, -1):
-        c = rem[i + len(den) - 1]
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                rem[i + j] -= c * dj
-    if any(rem):
-        raise ArithmeticError("non-exact cyclotomic division")
-    return out
+            poly, rem = _poly_divmod(poly, cyclotomic_poly(d))
+            if rem:
+                raise ArithmeticError("non-exact cyclotomic division")
+    # each Phi_d is monic, so the quotients stay integral
+    return tuple(int(c) for c in poly)
 
 
 @lru_cache(maxsize=None)
@@ -149,11 +137,6 @@ class Cyclotomic:
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
 
     # -- ring operations ---------------------------------------------------
 
@@ -251,18 +234,6 @@ class Cyclotomic:
 
     def __hash__(self):
         return hash((self.conductor, self.coeffs))
-
-    # -- field moves -------------------------------------------------------
-
-    def embed_to(self, conductor: int) -> Cyclotomic:
-        """Image under zeta_N -> zeta_M^{M/N}; requires N | M."""
-        if conductor % self.conductor:
-            raise ValueError(
-                f"{self.conductor} does not divide target conductor {conductor}"
-            )
-        step = conductor // self.conductor
-        raw = {j * step: c for j, c in enumerate(self.coeffs)}
-        return cyclo_reduce(conductor, raw)
 
     # -- display -----------------------------------------------------------
 

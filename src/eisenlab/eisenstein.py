@@ -33,7 +33,7 @@ class InvalidIndex(ValueError):
 
 
 class NotDivisible(ValueError):
-    """rescale_level target is not a multiple of the current level."""
+    """A rescale target is not a multiple of the current denominator."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,7 @@ class QSeries:
                 if n > truncation or c.is_zero():
                     continue
                 if c.conductor != level:
-                    c = c.embed_to(level) if level % c.conductor == 0 else c
-                    if c.conductor != level:
-                        raise ValueError("coefficient conductor must divide level")
+                    raise ValueError("coefficient conductor must equal level")
                 clean[n] = c
         self.coeffs = clean
 
@@ -137,10 +135,9 @@ class QSeries:
         return self + (-other)
 
     def scale(self, factor) -> QSeries:
-        if isinstance(factor, Cyclotomic):
-            f = factor if factor.conductor == self.level else factor.embed_to(self.level)
-        else:
-            f = Fraction(factor)
+        if isinstance(factor, Cyclotomic) and factor.conductor != self.level:
+            raise ValueError("scale conductor must equal level")
+        f = factor if isinstance(factor, Cyclotomic) else Fraction(factor)
         if not f:
             return QSeries.zero(self.level, self.truncation)
         return QSeries(
@@ -290,15 +287,3 @@ def eis_qseries(idx: EisIndex, truncation: int) -> QSeries:
         coeffs[0] = c0
     return QSeries(n, truncation, coeffs)
 
-
-def rescale_level(series: QSeries, new_level: int) -> QSeries:
-    """Reinterpret a level-N expansion at a multiple level: exponents and
-    the truncation scale by new_level/N, coefficients embed upward."""
-    if new_level % series.level:
-        raise NotDivisible(f"{series.level} does not divide {new_level}")
-    t = new_level // series.level
-    return QSeries(
-        new_level,
-        series.truncation * t,
-        {n * t: c.embed_to(new_level) for n, c in series.coeffs.items()},
-    )

@@ -43,12 +43,13 @@ def bernoulli_akiyama(n: int) -> Fraction:
     return row[0]
 
 
-def row_constant(k: int, n: int, c2: int) -> complex:
+def row_constant(k: int, n: int, c2: int) -> mpmath.mpc:
     """Constant term contributed by the horizontal lattice row.
 
     Sums b^{-k} over b in c2/n + Z symmetrically (paired terms make the
     k = 1 case absolutely convergent), then applies the completed-series
-    normalization (k-1)! (-2 pi i)^{-k}.  Requires c2 != 0 mod n.
+    normalization (k-1)! (-2 pi i)^{-k}.  Requires c2 != 0 mod n.  The
+    value is computed and returned at 40 digits.
     """
     if c2 % n == 0:
         raise ValueError("row sum oracle needs a puncture-free row")
@@ -60,9 +61,7 @@ def row_constant(k: int, n: int, c2: int) -> complex:
 
         total = mpmath.mpf(c2) ** (-k) + mpmath.nsum(paired, [1, mpmath.inf])
         total *= mpmath.mpf(n) ** k
-        scaled = total * mpmath.factorial(k - 1) * \
-            (-2j * mpmath.pi) ** (-k)
-        return complex(scaled)
+        return total * mpmath.factorial(k - 1) * (-2j * mpmath.pi) ** (-k)
 
 
 def lattice_value(k: int, n: int, c1: int, c2: int, z: complex,

@@ -208,9 +208,6 @@ class EisBasis:
     def __len__(self):
         return len(self.members)
 
-    def elements(self):
-        return zip(self.indices, self.members)
-
     def rref(self):
         if self._rref is None:
             self._rref = _build_rref(self.members)
@@ -332,18 +329,19 @@ def span_solve(target: QuasiForm, basis: EisBasis) -> SpanSolution:
 # -- peeling nonholomorphic components -------------------------------------
 
 
-def peel(f: QuasiForm) -> tuple[QSeries, list[tuple[QuasiForm, Cyclotomic]]]:
+def peel(f: QuasiForm) -> tuple[QSeries, list[tuple[EisIndex, Cyclotomic]]]:
     """Strip the positive Y-components of f as images of delta.
 
     Returns (remainder, certificate) with
-        f = remainder + sum(scale * delta(generator) for each entry),
-    the remainder purely holomorphic.  Each generator is an Eisenstein
-    form of weight f.weight - 2 recorded at f's truncation.  Raises
+        f = remainder + sum(scale * delta(eis_series(idx, B)) for each
+                            (idx, scale) entry),
+    B being f's truncation and the remainder purely holomorphic.  Each
+    idx indexes an Eisenstein series of weight f.weight - 2.  Raises
     TopComponentNotEisenstein when a Y-component is not expressible and
     UnsupportedWeight when no delta of the needed source weight exists.
     """
     level, b, k = f.level, f.truncation, f.weight
-    cert: list[tuple[QuasiForm, Cyclotomic]] = []
+    cert: list[tuple[EisIndex, Cyclotomic]] = []
     current = f
 
     if current.depth == 2:
@@ -358,10 +356,10 @@ def peel(f: QuasiForm) -> tuple[QSeries, list[tuple[QuasiForm, Cyclotomic]]]:
             raise TopComponentNotEisenstein(
                 "Y^2 component is not a constant series")
         c = top.coeff(0)
-        gen = eis_basis(2, level, b).members[0]
+        basis2 = eis_basis(2, level, b)
         scale = -c
-        current = current - delta(gen).scale(scale)
-        cert.append((gen, scale))
+        current = current - delta(basis2.members[0]).scale(scale)
+        cert.append((basis2.indices[0], scale))
 
     if current.depth == 1:
         if k < 3:
@@ -378,14 +376,15 @@ def peel(f: QuasiForm) -> tuple[QSeries, list[tuple[QuasiForm, Cyclotomic]]]:
             member = basis.by_index[idx]
             scale = -(coeff / w)
             current = current - delta(member).scale(scale)
-            cert.append((member, scale))
+            cert.append((idx, scale))
 
     if current.depth != 0:
         raise TopComponentNotEisenstein("peel left a nonholomorphic part")
     return current.component(0), cert
 
 
-def certify_orthogonal(f: QuasiForm):
+def certify_orthogonal(
+        f: QuasiForm) -> tuple[SpanSolution, list[tuple[EisIndex, Cyclotomic]]]:
     """Peel Y-components, then project the remainder onto the Eisenstein
     space of f's weight.  Returns (solution, certificate); the claim
     behind f holds modulo Eisenstein series iff solution.residual is 0.

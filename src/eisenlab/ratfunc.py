@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Mapping, Union
+from typing import Mapping
 
 VARS = ("p", "q", "A", "B")
 _NVARS = 4
@@ -494,64 +494,15 @@ class RatFunc:
 
 
 def constrained_vars() -> dict[str, RatFunc]:
-    """Atoms for p, q, r, A, B, C with r = -p-q and C = -A-B eliminated."""
+    """Atoms for p, q, r, A, B, C with r = -p-q and C = -A-B eliminated.
+
+    >>> v = constrained_vars()
+    >>> str(v["A"] + v["B"] + v["C"])
+    '0'
+    """
     p, q = RatFunc.var("p"), RatFunc.var("q")
     a, b = RatFunc.var("A"), RatFunc.var("B")
     return {"p": p, "q": q, "r": -p - q, "A": a, "B": b, "C": -a - b}
-
-
-Expr = Union[int, Fraction, str, RatFunc, tuple]
-
-
-def ratfunc_normalize(expr: Expr) -> RatFunc:
-    """Normalize a formal sum/product/power tree.
-
-    Trees are nested tuples ("+", ...), ("*", ...), ("-", x),
-    ("/", num, den), ("^", base, n); leaves are variable names among
-    p, q, r, A, B, C, Rational scalars, or RatFunc values.
-
-    >>> str(ratfunc_normalize(("+", "A", "B", "C")))
-    '0'
-    """
-    atoms = constrained_vars()
-
-    def walk(node: Expr) -> RatFunc:
-        if isinstance(node, RatFunc):
-            return node
-        if isinstance(node, (int, Fraction)):
-            return RatFunc.constant(node)
-        if isinstance(node, str):
-            try:
-                return atoms[node]
-            except KeyError:
-                raise ValueError(f"unknown variable {node!r}") from None
-        if isinstance(node, tuple) and node:
-            op, *args = node
-            if op == "+":
-                total = RatFunc.constant(0)
-                for a in args:
-                    total = total + walk(a)
-                return total
-            if op == "*":
-                total = RatFunc.constant(1)
-                for a in args:
-                    total = total * walk(a)
-                return total
-            if op == "-":
-                (a,) = args
-                return -walk(a)
-            if op == "/":
-                num, den = args
-                d = walk(den)
-                if d.is_zero():
-                    raise ZeroDenominator("denominator subtree normalized to zero")
-                return walk(num) / d
-            if op == "^":
-                base, n = args
-                return walk(base) ** int(n)
-        raise ValueError(f"malformed expression node {node!r}")
-
-    return walk(expr)
 
 
 # -- kernel identities -----------------------------------------------------

@@ -109,18 +109,18 @@ class LParams:
 
 @dataclass
 class VerificationReport:
+    """Outcome of one claim.  Each certificate entry (idx, scale) says that
+    scale * delta(eis_series(idx, truncation)) was peeled off the claim's
+    form before its holomorphic remainder was solved as the defect."""
+
     claim_id: str
     parameters: dict
     status: str
     defect: SpanSolution
-    certificate: list[tuple[QuasiForm, Cyclotomic]]
+    certificate: list[tuple[EisIndex, Cyclotomic]]
     truncation: int
     level: int
     elapsed_ms: float
-
-    @property
-    def verified(self) -> bool:
-        return self.status == VERIFIED
 
 
 def build_L(params: LParams, n_work: int, truncation: int | None = None) -> QuasiForm:
@@ -196,12 +196,10 @@ def verify_three_term_w2(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
     mu_w = mu.rescale(n_work)
     nu_w = -(lam_w + mu_w)
     params = {"lam": lam.label(), "mu": mu.label(), "n_work": n_work}
-
-    total = None
-    for a, bb in ((lam_w, mu_w), (mu_w, nu_w), (nu_w, lam_w)):
-        term = quasi_mul(eis_series(a.to_index(1), b),
-                         eis_series(bb.to_index(1), b))
-        total = term if total is None else total + term
+    # at weight 2, L(lam, mu, p, q) is the bare product E_{1,lam} E_{1,mu}
+    total = (build_L(LParams(lam_w, mu_w, 1, 1, 2), n_work, b)
+             + build_L(LParams(mu_w, nu_w, 1, 1, 2), n_work, b)
+             + build_L(LParams(nu_w, lam_w, 1, 1, 2), n_work, b))
 
     if lam_w.is_zero() or mu_w.is_zero() or nu_w.is_zero():
         # a vanishing torsion point collapses the claim to a statement

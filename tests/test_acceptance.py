@@ -33,3 +33,10 @@ def test_criterion(cid, label, fn):
     assert ok, f"{cid} {label}: {detail}"
     assert elapsed < BUDGETS_S[cid], (
         f"{cid} took {elapsed:.1f}s, budget {BUDGETS_S[cid]}s")
+
+
+def test_criterion_10_keeps_stderr_quiet(capsys):
+    # its deliberate usage error must not leak an error line
+    ok, detail = acceptance.criterion_10_determinism()
+    assert ok, detail
+    assert capsys.readouterr().err == ""

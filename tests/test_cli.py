@@ -117,8 +117,8 @@ def test_expand_csv_level_one(capsys):
     assert sorted(rows) == list(series.nonzero_exponents())
     for n, value in rows.items():
         assert value == series.coeffs[n]
-    assert rows[0].rational_value() == Fraction(-1, 12)
-    assert rows[1].rational_value() == Fraction(2)
+    assert rows[0] == Fraction(-1, 12)
+    assert rows[1] == Fraction(2)
 
 
 def test_expand_out_file_matches_stdout(tmp_path, capsys):

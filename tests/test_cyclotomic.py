@@ -22,7 +22,7 @@ small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 @st.composite
-def elements(draw, conductors=CONDUCTORS):
+def field_elements(draw, conductors=CONDUCTORS):
     n = draw(st.sampled_from(conductors))
     deg = euler_phi(n)
     coeffs = draw(st.lists(small_fracs, min_size=deg, max_size=deg))
@@ -86,8 +86,8 @@ def test_zeta_relations():
             total = total + Cyclotomic.zeta(n, j)
         assert total.is_zero()
     assert Cyclotomic.zeta(4) ** 2 == Cyclotomic.from_rational(4, -1)
-    # zeta_6 = 1 + zeta_3
-    assert Cyclotomic.zeta(3).embed_to(6) + 1 == Cyclotomic.zeta(6)
+    # zeta_6 = 1 + zeta_6^2, zeta_6^2 being zeta_3
+    assert Cyclotomic.zeta(6, 2) + 1 == Cyclotomic.zeta(6)
 
 
 def test_sparse_reduce_wraps_exponents():
@@ -106,7 +106,7 @@ def test_ring_axioms(triple):
     assert a - a == Cyclotomic.zero(a.conductor)
 
 
-@given(elements())
+@given(field_elements())
 def test_inverse(a):
     if a.is_zero():
         with pytest.raises(ZeroDivisionError):
@@ -117,16 +117,6 @@ def test_inverse(a):
     assert a ** -1 == cyclo_invert(a)
 
 
-@given(elements(), st.sampled_from((2, 3, 4)))
-def test_embed_restrict_round_trip(a, times):
-    # zeta_N -> zeta_M^{M/N} must not move the numeric image
-    big = a.conductor * times
-    up = a.embed_to(big)
-    assert up.conductor == big
-    with mpmath.workdps(40):
-        assert abs(cyclo_embed(up, 30) - cyclo_embed(a, 30)) < mpmath.mpf("1e-25")
-
-
 def test_conductor_mismatch_rejected():
     with pytest.raises(ValueError):
         Cyclotomic.zeta(3) + Cyclotomic.zeta(4)
@@ -135,13 +125,11 @@ def test_conductor_mismatch_rejected():
 def test_rational_detection():
     x = Cyclotomic.from_rational(5, Fraction(7, 3))
     assert x.is_rational()
-    assert x.rational_value() == Fraction(7, 3)
     assert x == Fraction(7, 3)
-    with pytest.raises(ValueError):
-        Cyclotomic.zeta(3).rational_value()
+    assert not Cyclotomic.zeta(3).is_rational()
 
 
-@given(elements())
+@given(field_elements())
 def test_string_round_trip(a):
     assert Cyclotomic.from_string(a.to_string()) == a
 

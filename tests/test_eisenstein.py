@@ -1,5 +1,5 @@
-"""Fourier expansions: constants, rows, parity, Sturm depths, and the
-level-rescaling map, cross-checked against direct lattice sums."""
+"""Fourier expansions: constants, rows, parity, Sturm depths, and
+rescaled torsion indices, cross-checked against direct lattice sums."""
 from fractions import Fraction
 
 import mpmath
@@ -11,13 +11,11 @@ from eisenlab.cyclotomic import Cyclotomic, cyclo_embed, cyclo_reduce
 from eisenlab.eisenstein import (
     EisIndex,
     InvalidIndex,
-    NotDivisible,
     QSeries,
     bernoulli,
     constant_term,
     eis_qseries,
     index_mu,
-    rescale_level,
     sturm_truncation,
 )
 from eisenlab.oracles import (
@@ -97,11 +95,16 @@ def test_qseries_arithmetic_needs_matching_frames():
         f + qs(4, 10, {1: 1})
     with pytest.raises(ValueError):
         f + qs(2, 12, {1: 1})
-    # coefficient conductors below the level embed upward on construction
-    g = QSeries(4, 10, {1: Cyclotomic.from_rational(2, 3)})
-    assert g.coeff(1).conductor == 4
+    # coefficients live in Q(zeta_level) itself: another conductor raises,
+    # also one that divides the level
+    with pytest.raises(ValueError):
+        QSeries(4, 10, {1: Cyclotomic.from_rational(2, 3)})
     with pytest.raises(ValueError):
         QSeries(4, 10, {1: Cyclotomic.from_rational(3, 1)})
+    with pytest.raises(ValueError):
+        f.scale(Cyclotomic.zeta(4))
+    with pytest.raises(ValueError):
+        f.scale(Cyclotomic.zero(4))
 
 
 series_entries = st.dictionaries(
@@ -165,7 +168,8 @@ def test_constant_known_cotangent_value():
 def test_constant_cotangent_vs_row_sum(k, n, c2):
     got = cyclo_embed(constant_term(EisIndex(k, n, 0, c2)), 40)
     want = row_constant(k, n, c2)
-    assert abs(complex(got) - want) < 1e-30
+    with mpmath.workdps(40):
+        assert abs(got - want) < mpmath.mpf("1e-30")
 
 
 def test_constants_live_in_the_right_field():
@@ -230,33 +234,26 @@ def test_expansion_against_lattice_sum(k, n, c1, c2, z):
     assert abs(got - want) < 1e-8
 
 
-# -- level rescaling -------------------------------------------------------
+# -- rescaled torsion indices ---------------------------------------------
 
 
-def test_rescale_exponent_map():
-    f = eis_qseries(EisIndex(4, 1, 0, 0), 8)
-    up = rescale_level(f, 5)
-    assert up.level == 5 and up.truncation == 40
-    assert up.nonzero_exponents() == [5 * n for n in f.nonzero_exponents()]
-    for n in f.nonzero_exponents():
-        assert up.coeff(5 * n) == f.coeff(n).embed_to(5)
-    assert rescale_level(f, 1) == f
-
-
-def test_rescale_rejects_nondivisor():
-    with pytest.raises(NotDivisible):
-        rescale_level(eis_qseries(EisIndex(2, 5, 0, 0), 10), 3)
-
-
-def test_rescale_numeric_consistency():
-    # the same function read at level 3 and at level 15 evaluates equally
+@pytest.mark.parametrize("k,n,c1,c2,t", [
+    (3, 3, 1, 2, 5),
+    (1, 3, 1, 0, 2),
+    (2, 2, 1, 1, 3),
+    (4, 1, 0, 0, 5),
+    (1, 5, 2, 3, 2),
+])
+def test_rescaled_index_is_the_same_function(k, n, c1, c2, t):
+    # the verifiers move torsion points to their working level; the series
+    # at (k, N t, c1 t, c2 t) must be the series at (k, N, c1, c2)
     from eisenlab.quasiforms import QuasiForm, eval_at
 
-    idx = EisIndex(3, 3, 1, 2)
-    f = eis_qseries(idx, 24)
-    up = rescale_level(f, 15)
-    z = 2j
-    a = eval_at(QuasiForm(3, 3, 24, (f,)), z, 60)
-    b = eval_at(QuasiForm(3, 15, 120, (up,)), z, 60)
+    b = 8 * n
+    f = eis_qseries(EisIndex(k, n, c1, c2), b)
+    up = eis_qseries(EisIndex(k, n * t, c1 * t, c2 * t), b * t)
+    assert all(e % t == 0 for e in up.nonzero_exponents())
+    a = eval_at(QuasiForm(k, n, b, (f,)), 2j)
+    c = eval_at(QuasiForm(k, n * t, b * t, (up,)), 2j)
     with mpmath.workdps(70):
-        assert abs(a - b) < mpmath.mpf("1e-50")
+        assert abs(a - c) < mpmath.mpf("1e-50")

@@ -17,7 +17,6 @@ from eisenlab.ratfunc import (
     divide_exact,
     k33_identity,
     poly_gcd,
-    ratfunc_normalize,
 )
 
 P = MultiPoly.variable("p")
@@ -115,19 +114,15 @@ def test_ratfunc_arithmetic():
 
 
 def test_normalize_tree():
-    assert str(ratfunc_normalize(("+", "A", "B", "C"))) == "0"
-    f = ratfunc_normalize(("/", 1, ("*", "A", "B")))
+    v = constrained_vars()
+    assert str(v["A"] + v["B"] + v["C"]) == "0"
+    assert (v["p"] + v["q"] + v["r"]).is_zero()
+    f = 1 / (v["A"] * v["B"])
     values = {"p": Fraction(0), "q": Fraction(0),
               "A": Fraction(2), "B": Fraction(3)}
     assert f.substitute(values) == Fraction(1, 6)
-    assert ratfunc_normalize(("^", "p", 3)) == RatFunc.var("p") ** 3
-    assert ratfunc_normalize(("-", "q")) == -RatFunc.var("q")
     with pytest.raises(ZeroDenominator):
-        ratfunc_normalize(("/", 1, ("+", "A", "B", "C")))
-    with pytest.raises(ValueError):
-        ratfunc_normalize(("+", "x"))
-    with pytest.raises(ValueError):
-        ratfunc_normalize(("%", "A"))
+        1 / (v["A"] + v["B"] + v["C"])
 
 
 def test_k16():

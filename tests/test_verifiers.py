@@ -145,7 +145,7 @@ def test_two_term_report_shape():
     assert report.parameters == {"lam": "1,2@3", "mu": "2,0@3", "n_work": 3}
     assert report.level == 3
     assert report.truncation == sturm_truncation(2, 3)
-    assert report.verified
+    assert report.status == VERIFIED
     assert report.elapsed_ms >= 0.0
 
 
