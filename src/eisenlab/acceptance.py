@@ -22,7 +22,7 @@ from .eisenstein import EisIndex
 from .hull import hull_chain, sublattice_points, verify_pair_bijection
 from .oracles import hull_oracle, lattice_value, sigma
 from .quasiforms import check_s_transform, eis_series, eval_at, quasi_mul
-from .ratfunc import check_kernel, k33_grid
+from .ratfunc import KERNEL_IDS, kernel_scope
 from .verifiers import (
     INCONCLUSIVE,
     PQ_SAMPLES,
@@ -41,32 +41,15 @@ from .verifiers import (
 
 
 def criterion_01_symbolic() -> tuple[bool, str]:
-    ok, witness = check_kernel("K16")
-    if not ok:
-        return False, f"K16 failed: {witness}"
-    for ident in ("K23", "K24"):
-        for k in range(2, 13):
-            ok, witness = check_kernel(ident, k=k)
+    counts = []
+    for ident in KERNEL_IDS:
+        scope = kernel_scope(ident)
+        for label, proof in scope:
+            ok, witness = proof()
             if not ok:
-                return False, f"{ident} failed at k={k}: {witness}"
-    ok, witness, quad = k33_grid(200)
-    if not ok:
-        return False, f"K33 failed at {quad}: {witness}"
-    chains = 0
-    for n in range(1, 13):
-        for s in range(n):
-            if gcd(s, n) != 1:
-                continue
-            chain = hull_chain(n, s)
-            ok, witness = check_kernel("K32", chain=chain)
-            if not ok:
-                return False, f"K32 failed at (N,S)=({n},{s}): {witness}"
-            ok, witness = check_kernel("K34", k=3, chain=chain)
-            if not ok:
-                return False, f"K34 failed at (N,S)=({n},{s}): {witness}"
-            chains += 1
-    return True, (f"K16, K23/K24 for k=2..12, K33 on 200 samples, "
-                  f"K32/K34 on {chains} chains")
+                return False, f"{ident} failed at {label}: {witness}"
+        counts.append(f"{ident} {len(scope)}")
+    return True, "instances proved: " + ", ".join(counts)
 
 
 def criterion_02_hull() -> tuple[bool, str]:
@@ -259,10 +242,8 @@ def criterion_10_determinism() -> tuple[bool, str]:
     # captured along with the reports' stdout
     with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
         codes = (
-            run_cli(["two-term", "--level", "5", "--lam", "1,2@5",
-                     "--mu", "2,1@5"]),
-            run_cli(["three-term", "--level", "5", "--lam", "0,0@5",
-                     "--mu", "0,1@5"]),
+            run_cli(["two-term", "--lam", "1,2@5", "--mu", "2,1@5"]),
+            run_cli(["three-term", "--lam", "0,0@5", "--mu", "0,1@5"]),
             run_cli(["hull", "--sub-level", "4", "--shear", "2"]),
         )
     expected = (0, 3, 1)

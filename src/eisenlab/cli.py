@@ -9,12 +9,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .eisenstein import EisIndex, InvalidIndex, NotDivisible
-from .hull import HullChain, NonCoprimeShear, hull_chain, sublattice_points
+from .eisenstein import EisIndex
+from .hull import HullChain, hull_chain, sublattice_points
 from .quasiforms import QuasiForm, eis_series
-from .ratfunc import check_kernel, k33_grid
+from .ratfunc import KERNEL_IDS, kernel_scope
 from .verifiers import (
     INCONCLUSIVE,
     PQ_SAMPLES,
@@ -28,8 +28,6 @@ from .verifiers import (
     verify_three_term_w2,
     verify_two_term,
 )
-
-KERNEL_IDS = ("K16", "K23", "K24", "K32", "K33", "K34")
 
 
 def parse_torsion(text: str) -> TorsionPoint:
@@ -99,13 +97,17 @@ def report_payload(report: VerificationReport) -> dict:
     }
 
 
-def emit_report(report: VerificationReport, path: str) -> None:
-    text = json.dumps(report_payload(report), indent=2, ensure_ascii=False)
+def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def emit_report(report: VerificationReport, path: str) -> None:
+    _write(path, json.dumps(report_payload(report), indent=2,
+                            ensure_ascii=False) + "\n")
 
 
 def _print_report(report: VerificationReport) -> None:
@@ -169,11 +171,7 @@ def emit_hull_svg(chain: HullChain, path: str) -> None:
             f'<circle cx="{x_of(px):.2f}" cy="{y_of(py):.2f}" r="4" '
             f'fill="crimson"/>')
     parts.append("</svg>")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write figure to {path}: {exc}") from exc
+    _write(path, "\n".join(parts) + "\n")
 
 
 # -- expansion dump --------------------------------------------------------
@@ -196,47 +194,18 @@ def expand_csv(idx: EisIndex, truncation: int | None = None) -> str:
 
 
 def cmd_symbolic(cfg: argparse.Namespace) -> int:
-    ident = cfg.identity
-    checked = 0
-
-    def fail(label: str, witness) -> int:
-        print(f"{ident}: FAIL at {label}; witness = {witness}")
-        return 2
-
-    if ident == "K16":
-        ok, witness = check_kernel("K16")
+    chain = None
+    if cfg.sub_level is not None:
+        chain = hull_chain(cfg.sub_level,
+                           cfg.shear if cfg.shear is not None else 1)
+    scope = kernel_scope(cfg.identity, cfg.weight, chain)
+    for label, proof in scope:
+        ok, witness = proof()
         if not ok:
-            return fail("K16", witness)
-        checked = 1
-    elif ident in ("K23", "K24"):
-        weights = [cfg.weight] if cfg.weight else list(range(2, 13))
-        for k in weights:
-            ok, witness = check_kernel(ident, k=k)
-            if not ok:
-                return fail(f"k={k}", witness)
-            checked += 1
-    elif ident == "K33" and cfg.sub_level is None:
-        ok, witness, quad = k33_grid()
-        if not ok:
-            return fail(f"(a,b,c,d)={quad}", witness)
-        checked = 200
-    else:  # chain-based: K32, K34, or K33 on one chain
-        if cfg.sub_level is not None:
-            chains = [hull_chain(cfg.sub_level,
-                                 cfg.shear if cfg.shear is not None else 1)]
-        else:
-            chains = [hull_chain(n, s) for n in range(1, 13)
-                      for s in range(n) if gcd(s, n) == 1]
-        k = cfg.weight if cfg.weight else 3
-        for chain in chains:
-            kwargs = {"chain": chain}
-            if ident == "K34":
-                kwargs["k"] = k
-            ok, witness = check_kernel(ident, **kwargs)
-            if not ok:
-                return fail(f"(N,S)=({chain.level},{chain.shear})", witness)
-            checked += 1
-    print(f"{ident}: PASS ({checked} instance{'s' if checked != 1 else ''})")
+            print(f"{cfg.identity}: FAIL at {label}; witness = {witness}")
+            return 2
+    n = len(scope)
+    print(f"{cfg.identity}: PASS ({n} instance{'s' if n != 1 else ''})")
     return 0
 
 
@@ -244,8 +213,7 @@ def cmd_hull(cfg: argparse.Namespace) -> int:
     chain = hull_chain(cfg.sub_level, cfg.shear)
     print("[" + ",".join(f"({x},{y})" for x, y in chain.vectors) + "]")
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps([[x, y] for x, y in chain.vectors]) + "\n")
+        _write(cfg.out, json.dumps([[x, y] for x, y in chain.vectors]) + "\n")
     if cfg.figure:
         emit_hull_svg(chain, cfg.figure)
     return 0
@@ -255,8 +223,7 @@ def cmd_expand(cfg: argparse.Namespace) -> int:
     idx = EisIndex(cfg.weight, cfg.lam.denominator, cfg.lam.c1, cfg.lam.c2)
     text = expand_csv(idx, cfg.prec)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(cfg.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -269,63 +236,47 @@ def _finish(report: VerificationReport, cfg: argparse.Namespace) -> int:
     return status_exit(report.status)
 
 
+def _level(cfg: argparse.Namespace) -> int:
+    """A claim's working level: the lcm of its points' denominators."""
+    return lcm(cfg.lam.denominator, cfg.mu.denominator)
+
+
 def cmd_two_term(cfg: argparse.Namespace) -> int:
-    n_work = cfg.level or lcm(cfg.lam.denominator, cfg.mu.denominator)
-    return _finish(verify_two_term(cfg.lam, cfg.mu, n_work, cfg.prec), cfg)
-
-
-def cmd_three_term(cfg: argparse.Namespace) -> int:
-    n_work = cfg.level or lcm(cfg.lam.denominator, cfg.mu.denominator)
-    return _finish(verify_three_term_w2(cfg.lam, cfg.mu, n_work, cfg.prec),
+    return _finish(verify_two_term(cfg.lam, cfg.mu, _level(cfg), cfg.prec),
                    cfg)
 
 
-def _pq_list(
-        cfg: argparse.Namespace) -> list[tuple[Fraction, Fraction]] | None:
+def cmd_three_term(cfg: argparse.Namespace) -> int:
+    return _finish(
+        verify_three_term_w2(cfg.lam, cfg.mu, _level(cfg), cfg.prec), cfg)
+
+
+def _run_claims(cfg: argparse.Namespace, verify) -> int:
+    """Run verify(p, q) on the --p/--q pair, or on each default sample.
+    The worst verdict sets the exit code: REFUTED (2) beats INCONCLUSIVE
+    (3), which beats VERIFIED (0)."""
     if (cfg.p is None) != (cfg.q is None):
         print("error: provide both --p and --q, or neither", file=sys.stderr)
-        return None
-    if cfg.p is not None:
-        return [(cfg.p, cfg.q)]
-    if cfg.out:
+        return 1
+    if cfg.p is None and cfg.out:
         print("error: --out needs an explicit --p/--q pair", file=sys.stderr)
-        return None
-    return list(PQ_SAMPLES)
-
-
-def _combine(codes: list[int]) -> int:
-    if 2 in codes:
-        return 2
-    if 3 in codes:
-        return 3
-    return 0
+        return 1
+    pairs = PQ_SAMPLES if cfg.p is None else [(cfg.p, cfg.q)]
+    codes = [_finish(verify(p, q), cfg) for p, q in pairs]
+    return max(codes, key=(0, 3, 2).index)
 
 
 def cmd_prop21(cfg: argparse.Namespace) -> int:
-    pq = _pq_list(cfg)
-    if pq is None:
-        return 1
-    n_work = cfg.level or lcm(cfg.lam.denominator, cfg.mu.denominator)
-    codes = []
-    for p, q in pq:
-        params = LParams(cfg.lam, cfg.mu, p, q, cfg.weight)
-        codes.append(_finish(verify_prop21(params, n_work, cfg.prec), cfg))
-    return _combine(codes)
+    n_work = _level(cfg)
+    return _run_claims(cfg, lambda p, q: verify_prop21(
+        LParams(cfg.lam, cfg.mu, p, q, cfg.weight), n_work, cfg.prec))
 
 
 def cmd_hecke(cfg: argparse.Namespace) -> int:
-    pq = _pq_list(cfg)
-    if pq is None:
-        return 1
-    m = lcm(cfg.lam.denominator, cfg.mu.denominator)
-    lam = cfg.lam.rescale(m)
-    mu = cfg.mu.rescale(m)
-    codes = []
-    for p, q in pq:
-        report = verify_hecke_trace(cfg.sub_level, cfg.shear, lam, mu,
-                                    cfg.weight, p, q, cfg.prec)
-        codes.append(_finish(report, cfg))
-    return _combine(codes)
+    m = _level(cfg)
+    lam, mu = cfg.lam.rescale(m), cfg.mu.rescale(m)
+    return _run_claims(cfg, lambda p, q: verify_hecke_trace(
+        cfg.sub_level, cfg.shear, lam, mu, cfg.weight, p, q, cfg.prec))
 
 
 def cmd_selftest(cfg: argparse.Namespace) -> int:
@@ -379,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("two-term", "three-term"):
         sp = sub.add_parser(name, help=f"verify the {name} relation")
-        sp.add_argument("--level", type=int, default=None)
         sp.add_argument("--lam", type=parse_torsion, required=True,
                         metavar="c1,c2@M")
         sp.add_argument("--mu", type=parse_torsion, required=True,
@@ -388,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("prop21", help="verify the cyclic weighted sum")
     sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--level", type=int, default=None)
     sp.add_argument("--lam", type=parse_torsion, required=True,
                     metavar="c1,c2@M")
     sp.add_argument("--mu", type=parse_torsion, required=True,
@@ -424,10 +373,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return DISPATCH[ns.subcommand](ns)
-    except (NonCoprimeShear, NotDivisible, InvalidIndex, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .cyclotomic import Cyclotomic, cyclo_embed
+from .cyclotomic import Cyclotomic, cyclo_embed, cyclo_invert
 from .eisenstein import EisIndex, QSeries, eis_qseries, sturm_truncation
 
 MAX_DEPTH = 2
@@ -273,9 +273,9 @@ def _build_rref(members):
         if not vec:
             continue
         pivot = min(vec)
-        inv = vec[pivot]
-        vec = {k: c / inv for k, c in vec.items()}
-        track = {k: c / inv for k, c in track.items()}
+        inv = cyclo_invert(vec[pivot])
+        vec = {k: c * inv for k, c in vec.items()}
+        track = {k: c * inv for k, c in track.items()}
         for _, rvec, rtrack in rows:
             c = rvec.get(pivot)
             if c is not None:

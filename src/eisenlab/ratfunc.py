@@ -13,8 +13,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Mapping
+from typing import Callable, Mapping
 
+from .hull import HullChain, hull_chain
+
+KERNEL_IDS = ("K16", "K23", "K24", "K32", "K33", "K34")
 VARS = ("p", "q", "A", "B")
 _NVARS = 4
 _ZERO_EXP = (0, 0, 0, 0)
@@ -524,28 +527,8 @@ def k33_identity(a: int, b: int, c: int, d: int) -> tuple[bool, RatFunc]:
     return w.is_zero(), w
 
 
-def k33_grid(samples: int = 200) -> tuple[bool, RatFunc | None, tuple | None]:
-    """Deterministic (a,b,c,d) sample grid for the partial-fraction split."""
-    rng = random.Random(3300)
-    done = 0
-    while done < samples:
-        quad = tuple(rng.randint(-9, 9) for _ in range(4))
-        a, b, c, d = quad
-        if a * d - b * c == 0 or (a == 0 and b == 0) or (c == 0 and d == 0):
-            continue
-        ok, witness = k33_identity(a, b, c, d)
-        if not ok:
-            return False, witness, quad
-        done += 1
-    return True, None, None
-
-
-def _chain_pairs(chain) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    vecs = list(chain.vectors)
-    return list(zip(vecs, vecs[1:]))
-
-
-def check_kernel(identity_id: str, k: int | None = None, chain=None) -> tuple[bool, RatFunc]:
+def check_kernel(identity_id: str, k: int | None = None,
+                 chain: HullChain | None = None) -> tuple[bool, RatFunc]:
     """Prove one of the kernel identities by exact normalization.
 
     Returns (holds, witness); the witness is the normalized difference,
@@ -581,7 +564,7 @@ def check_kernel(identity_id: str, k: int | None = None, chain=None) -> tuple[bo
     if identity_id in ("K32", "K33", "K34"):
         if chain is None:
             raise ValueError(f"{identity_id} needs a hull chain")
-        pairs = _chain_pairs(chain)
+        pairs = chain.pairs()
         n = chain.level
 
         if identity_id == "K32":
@@ -632,3 +615,41 @@ def check_kernel(identity_id: str, k: int | None = None, chain=None) -> tuple[bo
         return w.is_zero(), w
 
     raise UnknownIdentity(f"unknown kernel identity {identity_id!r}")
+
+
+def kernel_scope(identity_id: str, k: int | None = None,
+                 chain: HullChain | None = None) -> list[tuple[str, Callable]]:
+    """The instances `eisenlab symbolic` and the release gate prove.
+
+    One (label, proof) pair per instance; proof() returns (holds,
+    witness) as check_kernel does.  K16 and K24 are one instance each
+    (K24 does not depend on k).  K23 runs k = 2..12, or only the given k.
+    K32 and K34 run every coprime hull chain with N <= 12 (46 chains), or
+    only the given chain; K34 uses k = 3 unless k is given.  K33 runs the
+    given chain, or else 200 quadruples (a, b, c, d) with ad - bc != 0
+    drawn from random.Random(3300).
+    """
+    if identity_id not in KERNEL_IDS:
+        raise UnknownIdentity(f"unknown kernel identity {identity_id!r}")
+    if identity_id in ("K16", "K24"):
+        return [(identity_id, lambda: check_kernel(identity_id))]
+    if identity_id == "K23":
+        weights = range(2, 13) if k is None else [k]
+        return [(f"k={w}", lambda w=w: check_kernel("K23", k=w))
+                for w in weights]
+    if identity_id == "K33" and chain is None:
+        rng = random.Random(3300)
+        quads = []
+        while len(quads) < 200:
+            a, b, c, d = quad = tuple(rng.randint(-9, 9) for _ in range(4))
+            if a * d - b * c:  # which also rules out a zero row
+                quads.append(quad)
+        return [(f"(a,b,c,d)={quad}", lambda quad=quad: k33_identity(*quad))
+                for quad in quads]
+    chains = [chain] if chain is not None else [
+        hull_chain(n, s) for n in range(1, 13) for s in range(n)
+        if int_gcd(s, n) == 1]
+    weight = 3 if k is None else k
+    return [(f"(N,S)=({c.level},{c.shear})",
+             lambda c=c: check_kernel(identity_id, k=weight, chain=c))
+            for c in chains]

@@ -147,20 +147,24 @@ def build_L(params: LParams, n_work: int, truncation: int | None = None) -> Quas
     return total
 
 
-def _empty_defect(form: QuasiForm) -> SpanSolution:
-    return SpanSolution(coefficients={}, residual=form)
-
-
-def _report(claim_id, parameters, status, defect, certificate, truncation,
-            level, started) -> VerificationReport:
+def _report(claim_id: str, parameters: dict, total: QuasiForm, started: float,
+            status: str | None = None) -> VerificationReport:
+    """Certify the claim's total form, or, when the caller already has a
+    status, record it with the whole form as the residual.  The report's
+    truncation and level are the form's."""
+    if status is None:
+        defect, certificate = certify_orthogonal(total)
+        status = VERIFIED if defect.in_span else INCONCLUSIVE
+    else:
+        defect, certificate = SpanSolution(coefficients={}, residual=total), []
     return VerificationReport(
         claim_id=claim_id,
         parameters=parameters,
         status=status,
         defect=defect,
         certificate=certificate,
-        truncation=truncation,
-        level=level,
+        truncation=total.truncation,
+        level=total.level,
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
     )
 
@@ -178,11 +182,10 @@ def verify_two_term(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
     g = quasi_mul(eis_series(mu_w.to_index(1), b),
                   eis_series((-lam_w).to_index(1), b))
     total = f + g
-    status = VERIFIED if total.is_zero() else REFUTED
     return _report(
         "two_term",
         {"lam": lam.label(), "mu": mu.label(), "n_work": n_work},
-        status, _empty_defect(total), [], b, n_work, started)
+        total, started, VERIFIED if total.is_zero() else REFUTED)
 
 
 def verify_three_term_w2(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
@@ -205,13 +208,8 @@ def verify_three_term_w2(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
         # a vanishing torsion point collapses the claim to a statement
         # the relation does not make; refuse to certify rather than
         # report a misleading verdict either way
-        return _report("three_term_w2", params, INCONCLUSIVE,
-                       _empty_defect(total), [], b, n_work, started)
-
-    sol, cert = certify_orthogonal(total)
-    status = VERIFIED if sol.in_span else INCONCLUSIVE
-    return _report("three_term_w2", params, status, sol, cert, b, n_work,
-                   started)
+        return _report("three_term_w2", params, total, started, INCONCLUSIVE)
+    return _report("three_term_w2", params, total, started)
 
 
 def verify_prop21(params: LParams, n_work: int,
@@ -233,13 +231,11 @@ def verify_prop21(params: LParams, n_work: int,
     total = (build_L(LParams(lam, mu, p, q, k), n_work, b)
              + build_L(LParams(mu, nu, q, r, k), n_work, b)
              + build_L(LParams(nu, lam, r, p, k), n_work, b))
-    sol, cert = certify_orthogonal(total)
-    status = VERIFIED if sol.in_span else INCONCLUSIVE
     return _report(
         "prop21",
         {"lam": params.lam.label(), "mu": params.mu.label(),
          "p": str(params.p), "q": str(params.q), "k": k, "n_work": n_work},
-        status, sol, cert, b, n_work, started)
+        total, started)
 
 
 def torsion_translates(n_sub: int, m: int) -> list[TorsionPoint]:
@@ -287,12 +283,9 @@ def verify_hecke_trace(n_sub: int, shear: int, lam: TorsionPoint,
             n_work, b)
         rhs = term if rhs is None else rhs + term
 
-    total = lhs - rhs
-    sol, cert = certify_orthogonal(total)
-    status = VERIFIED if sol.in_span else INCONCLUSIVE
     return _report(
         "hecke_trace",
         {"n_sub": n_sub, "shear": shear % n_sub, "lam": lam.label(),
          "mu": mu.label(), "p": str(p), "q": str(q), "k": k,
          "n_work": n_work},
-        status, sol, cert, b, n_work, started)
+        lhs - rhs, started)

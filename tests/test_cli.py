@@ -141,6 +141,12 @@ def test_two_term_cli(capsys):
     assert "level 3" in out
 
 
+def test_level_flag_is_gone(capsys):
+    assert run_cli(["two-term", "--lam", "1,0@5", "--mu", "0,1@5",
+                    "--level", "5"]) == 1
+    assert "--level" in capsys.readouterr().err
+
+
 def test_three_term_degenerate_exits_three(capsys):
     assert run_cli(["three-term", "--lam", "0,0@5", "--mu", "1,0@5"]) == 3
     assert "INCONCLUSIVE" in capsys.readouterr().out
@@ -190,6 +196,22 @@ def test_symbolic_k23_weight_sweep(capsys):
     assert capsys.readouterr().out == "K23: PASS (1 instance)\n"
     assert run_cli(["symbolic", "--identity", "K23"]) == 0
     assert capsys.readouterr().out == "K23: PASS (11 instances)\n"
+
+
+def test_symbolic_k24_is_one_instance(capsys):
+    assert run_cli(["symbolic", "--identity", "K24"]) == 0
+    assert capsys.readouterr().out == "K24: PASS (1 instance)\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["--identity", "K23", "--weight", "0"],
+    ["--identity", "K34", "--weight", "0", "--sub-level", "5", "--shear", "3"],
+])
+def test_symbolic_weight_zero_is_rejected(args, capsys):
+    assert run_cli(["symbolic"] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs k >= 2" in captured.err
 
 
 def test_symbolic_chain_kernel_single(capsys):
@@ -244,3 +266,14 @@ def test_report_inconclusive_path(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["status"] == "INCONCLUSIVE"
     assert payload["defect"]["coefficients"] == []
+
+
+@pytest.mark.parametrize("args", [
+    ["hull", "--sub-level", "5", "--shear", "3"],
+    ["expand", "--weight", "1", "--lam", "1,2@5", "--prec", "10"],
+    ["three-term", "--lam", "1,0@5", "--mu", "0,1@5"],
+])
+def test_out_into_missing_directory_is_a_write_error(args, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    assert run_cli(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")

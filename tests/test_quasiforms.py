@@ -1,5 +1,6 @@
 """Y-calculus, the raising operator, Eisenstein bases, exact span
 solving, and the peeling certificates."""
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eisenlab import cyclotomic
 from eisenlab.cyclotomic import Cyclotomic
 from eisenlab.eisenstein import EisIndex, QSeries, sturm_truncation
 from eisenlab.quasiforms import (
@@ -147,6 +149,24 @@ def test_eis_basis_membership():
     assert all(m.is_zero() for m in b2.members)
     b3 = eis_basis(1, 3, 12)
     assert len(b3) == 8
+
+
+def test_rref_inverts_each_pivot_once(monkeypatch):
+    basis = EisBasis(3, 5, sturm_truncation(3, 5))  # uncached, unreduced
+    real = cyclotomic.cyclo_invert
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "eisenlab"
+                and getattr(module, "cyclo_invert", None) is real):
+            monkeypatch.setattr(module, "cyclo_invert", counting)
+    rows = basis.rref()
+    assert 1 < len(rows) < len(basis)
+    assert len(calls) == len(rows)
 
 
 def test_span_solve_recovers_a_member():

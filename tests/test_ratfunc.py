@@ -16,6 +16,7 @@ from eisenlab.ratfunc import (
     constrained_vars,
     divide_exact,
     k33_identity,
+    kernel_scope,
     poly_gcd,
 )
 
@@ -190,3 +191,25 @@ def test_chain_required():
 def test_unknown_identity():
     with pytest.raises(UnknownIdentity):
         check_kernel("K99")
+    with pytest.raises(UnknownIdentity):
+        kernel_scope("K99")
+
+
+def test_kernel_scope_counts():
+    counts = {ident: len(kernel_scope(ident))
+              for ident in ("K16", "K23", "K24", "K32", "K33", "K34")}
+    assert counts == {"K16": 1, "K23": 11, "K24": 1, "K32": 46, "K33": 200,
+                      "K34": 46}
+    assert [label for label, _ in kernel_scope("K33")[:3]] == [
+        "(a,b,c,d)=(6, -3, -4, 0)", "(a,b,c,d)=(1, -5, 1, 1)",
+        "(a,b,c,d)=(-3, -8, -5, 4)"]
+
+
+def test_kernel_scope_narrows_to_the_given_instance():
+    chain = hull_chain(5, 3)
+    assert [label for label, _ in kernel_scope("K23", k=5)] == ["k=5"]
+    for ident in ("K32", "K33", "K34"):
+        scope = kernel_scope(ident, k=4, chain=chain)
+        assert [label for label, _ in scope] == ["(N,S)=(5,3)"]
+        ok, witness = scope[0][1]()
+        assert ok, f"{ident}: {witness}"
