@@ -194,6 +194,11 @@ def expand_csv(idx: EisIndex, truncation: int | None = None) -> str:
 
 
 def cmd_symbolic(cfg: argparse.Namespace) -> int:
+    if cfg.shear is not None and cfg.sub_level is None:
+        raise ValueError("--shear needs --sub-level")
+    if cfg.weight is not None and cfg.identity not in ("K23", "K34"):
+        raise ValueError(f"--weight does not apply to {cfg.identity}: "
+                         "only K23 and K34 read a weight")
     chain = None
     if cfg.sub_level is not None:
         chain = hull_chain(cfg.sub_level,

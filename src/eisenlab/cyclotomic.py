@@ -78,12 +78,18 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_vector(conductor: int, raw: Sequence[Scalar]) -> tuple[Fraction, ...]:
+def _reduce_vector(conductor: int, raw: Sequence[Scalar],
+                   zero: Scalar = Fraction(0)) -> tuple[Scalar, ...]:
+    """Fold raw mod x^conductor - 1, then reduce mod Phi_conductor.
+
+    Sums start from zero, so the result is a vector of Fractions; with
+    zero = 0 an int vector reduces in ints.
+    """
     deg = euler_phi(conductor)
-    folded = [Fraction(0)] * conductor
+    folded = [zero] * conductor
     for j, c in enumerate(raw):
         if c:
-            folded[j % conductor] += Fraction(c)
+            folded[j % conductor] += c
     table = _power_table(conductor)
     out = folded[:deg]
     for j in range(deg, conductor):

@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, floor
+from math import comb, floor, lcm
 
-from .cyclotomic import Cyclotomic, cyclo_reduce
+from .cyclotomic import Cyclotomic, _reduce_vector, cyclo_reduce, euler_phi
 
 
 class InvalidIndex(ValueError):
@@ -145,18 +145,63 @@ class QSeries:
         )
 
     def __mul__(self, other: QSeries) -> QSeries:
+        """Product to the common bound B, as one big-integer multiply
+        (Kronecker substitution).
+
+        Layout.  Write self = A/da and other = C/dc, with da the lcm of
+        every denominator in self (dc likewise), so each coefficient is an
+        integer vector of length phi = phi(N) on the power basis.  Exponent
+        e gets S = 2 phi - 1 consecutive slots of W bits, and self is packed
+        as the integer P_A = sum A[e][i] 2^(W (e S + i)), that is A(x, y)
+        at x = 2^W, y = 2^(W S).  In P_A P_C the slot s = e S + t holds
+            r_s = sum over e1 + e2 = e, i + j = t of A[e1][i] C[e2][j],
+        and t = i + j <= 2 phi - 2 < S keeps each exponent in its own block.
+
+        No slot overflows.  Given e, e1 fixes e2, so at most min(#A, #C)
+        exponent pairs meet (#A counts the nonzero exponents); given t, i
+        fixes j, so at most phi index pairs do.  Hence
+        |r_s| <= max|A| max|C| phi min(#A, #C) = M, and W, the least
+        multiple of 8 with 2^(W-1) > M, puts every r_s in
+        (-2^(W-1), 2^(W-1)).  The factors' own entries fit too:
+        |A[e][i]| <= M, because C has a nonzero integer entry.
+
+        Decoding.  Let L = (B+1) S, and split P_A P_C = R + 2^(W L) H with
+        R = sum_{s < L} r_s 2^(W s); H holds the slots above B.  Adding
+        2^(W-1) to each slot below L turns R into sum (r_s + 2^(W-1)) 2^(W s)
+        with every digit in (0, 2^W), a number in [0, 2^(W L)).  So the low
+        W L bits of the biased product are exactly these digits side by
+        side: no borrow crosses a slot, and H never matters.  Each
+        exponent's S digits are folded mod x^N - 1 and reduced mod Phi_N
+        by `_reduce_vector`, then divided by da dc.
+        """
         self._check(other)
+        n, b = self.level, self.truncation
+        if not self.coeffs or not other.coeffs:
+            return QSeries.zero(n, b)
+        da, a = _integral(self.coeffs)
+        dc, c = _integral(other.coeffs)
+        phi = euler_phi(n)
+        stride = 2 * phi - 1
+        bound = (max(abs(x) for v in a.values() for x in v)
+                 * max(abs(x) for v in c.values() for x in v)
+                 * phi * min(len(a), len(c)))
+        width = bound.bit_length() // 8 + 1  # bytes: 2^(8 width - 1) > bound
+        slots = (b + 1) * stride
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+        packed = _pack(a, stride, width) * _pack(c, stride, width)
+        digits = ((packed + bias) & ((1 << (8 * width * slots)) - 1)).to_bytes(
+            width * slots, "little")
+        den = da * dc
         out: dict[int, Cyclotomic] = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
-                n = n1 + n2
-                if n > self.truncation:
-                    continue
-                prod = c1 * c2
-                s = out.get(n)
-                s = prod if s is None else s + prod
-                out[n] = s
-        return QSeries(self.level, self.truncation, out)
+        for e in range(b + 1):
+            at = e * stride * width
+            vec = [int.from_bytes(digits[at + t * width:at + (t + 1) * width],
+                                  "little") - half for t in range(stride)]
+            if any(vec):
+                out[e] = Cyclotomic(n, tuple(
+                    Fraction(x, den) for x in _reduce_vector(n, vec, 0)))
+        return QSeries(n, b, out)
 
     def theta(self) -> QSeries:
         """(2 pi i)^{-1} d/dz: multiplies the q_N^n coefficient by n/N."""
@@ -180,6 +225,28 @@ class QSeries:
             f"q^{n}:{self.coeffs[n].to_string()}" for n in self.nonzero_exponents()[:4]
         )
         return f"QSeries(N={self.level}, B={self.truncation}, {head}...)"
+
+
+def _integral(coeffs: dict[int, Cyclotomic]) -> tuple[int, dict[int, list[int]]]:
+    """(d, {e: d * coefficient}) with d the lcm of every denominator, so
+    each coefficient becomes an integer vector."""
+    d = lcm(*(x.denominator for c in coeffs.values() for x in c.coeffs))
+    return d, {e: [x.numerator * (d // x.denominator) for x in c.coeffs]
+               for e, c in coeffs.items()}
+
+
+def _pack(vectors: dict[int, list[int]], stride: int, width: int) -> int:
+    """sum v[e][i] 2^(8 width (e stride + i)) for |v[e][i]| < 2^(8 width)."""
+    size = (max(vectors) + 1) * stride * width
+    pos, neg = bytearray(size), bytearray(size)
+    for e, vec in vectors.items():
+        for i, x in enumerate(vec):
+            at = (e * stride + i) * width
+            if x > 0:
+                pos[at:at + width] = x.to_bytes(width, "little")
+            elif x < 0:
+                neg[at:at + width] = (-x).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 # -- number-theoretic constants -------------------------------------------

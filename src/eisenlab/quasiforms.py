@@ -308,6 +308,9 @@ def span_solve(target: QuasiForm, basis: EisBasis) -> SpanSolution:
         raise ValueError("target and basis level/truncation mismatch")
     if target.weight != basis.weight:
         raise ValueError("target and basis weight mismatch")
+    if target.is_zero():
+        # zero is its own normal form: no row reduction needed
+        return SpanSolution({}, target)
     vec = _stack(target)
     combo: dict[int, Cyclotomic] = {}
     for pivot, rvec, rtrack in basis.rref():

@@ -214,6 +214,21 @@ def test_symbolic_weight_zero_is_rejected(args, capsys):
     assert "needs k >= 2" in captured.err
 
 
+@pytest.mark.parametrize("args, option", [
+    (["--identity", "K32", "--shear", "3"], "--shear"),
+    (["--identity", "K16", "--weight", "7"], "--weight"),
+    (["--identity", "K24", "--weight", "3"], "--weight"),
+    (["--identity", "K32", "--weight", "3", "--sub-level", "5",
+      "--shear", "3"], "--weight"),
+    (["--identity", "K33", "--weight", "3"], "--weight"),
+])
+def test_symbolic_unread_option_is_a_usage_error(args, option, capsys):
+    assert run_cli(["symbolic"] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} ")
+
+
 def test_symbolic_chain_kernel_single(capsys):
     assert run_cli(["symbolic", "--identity", "K32", "--sub-level", "5",
                     "--shear", "3"]) == 0

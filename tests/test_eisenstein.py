@@ -107,22 +107,107 @@ def test_qseries_arithmetic_needs_matching_frames():
         f.scale(Cyclotomic.zero(4))
 
 
-series_entries = st.dictionaries(
-    st.integers(0, 11),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
-    max_size=5,
+def qv(level, truncation, entries):
+    """Series from exponent -> raw coefficient vector on 1, zeta, zeta^2..."""
+    return QSeries(level, truncation,
+                   {e: cyclo_reduce(level, v) for e, v in entries.items()})
+
+
+# small fractions with unlike denominators, and numerators and
+# denominators past 2^64
+coefficient = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.integers(-2 ** 80, 2 ** 80),
+    st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+              st.integers(1, 2 ** 66)),
 )
 
 
-@given(st.sampled_from((1, 2, 3, 4)), series_entries, series_entries)
-def test_qseries_mul_matches_schoolbook(level, fe, ge):
-    b = 12
-    f = qs(level, b, fe)
-    g = qs(level, b, ge)
+@st.composite
+def factor_pair(draw):
+    level = draw(st.sampled_from((1, 2, 3, 4, 5, 7, 8, 10, 12)))
+    b = draw(st.integers(0, 12))
+    entries = st.dictionaries(st.integers(0, b),
+                              st.lists(coefficient, max_size=level),
+                              max_size=5)
+    return qv(level, b, draw(entries)), qv(level, b, draw(entries))
+
+
+@given(factor_pair())
+def test_qseries_mul_matches_schoolbook(pair):
+    f, g = pair
     prod = f * g
-    want = naive_convolution(f.coeffs, g.coeffs, b)
-    assert prod.coeffs == want
-    assert prod.truncation == b
+    assert prod.coeffs == naive_convolution(f.coeffs, g.coeffs, f.truncation)
+    assert prod.truncation == f.truncation
+
+
+@pytest.mark.parametrize("level, left, right", [
+    (5, (1, 1, 2), (1, 3, 0)),   # weight-1 constant terms 3/10 and -1/10
+    (7, (1, 2, 5), (2, 0, 3)),
+    (8, (3, 1, 2), (3, 5, 7)),
+    (10, (1, 3, 0), (2, 7, 4)),
+    (12, (2, 0, 5), (1, 11, 1)),
+    (6, (4, 0, 0), (2, 0, 0)),   # Bernoulli constant terms
+])
+def test_eisenstein_products_match_schoolbook(level, left, right):
+    f = eis_qseries(EisIndex(left[0], level, left[1], left[2]), 40)
+    g = eis_qseries(EisIndex(right[0], level, right[1], right[2]), 40)
+    assert (f * g).coeffs == naive_convolution(f.coeffs, g.coeffs, 40)
+
+
+def test_qseries_mul_edge_cases():
+    zeta = Cyclotomic.zeta(3)
+    # a zero factor, on either side
+    f = qv(7, 9, {0: [1, 2], 4: [Fraction(1, 3)]})
+    assert (f * QSeries.zero(7, 9)).is_zero()
+    assert (QSeries.zero(7, 9) * f).is_zero()
+    # truncation 0 keeps the constant term only
+    g = qv(7, 0, {0: [0, 0, 0, Fraction(-5, 2)]})
+    assert (g * g).coeffs == {0: g.coeff(0) * g.coeff(0)}
+    # zeta^2 + (1 + zeta) at exponent 1: nonzero digits, zero after
+    # reduction mod Phi_3, so the exponent is not stored
+    a = QSeries(3, 4, {0: zeta, 1: Cyclotomic.one(3)})
+    c = QSeries(3, 4, {0: 1 + zeta, 1: zeta})
+    prod = a * c
+    assert 1 not in prod.coeffs
+    assert prod.coeffs == naive_convolution(a.coeffs, c.coeffs, 4)
+    # (1 + q)(1 - q): the q^1 terms cancel before any reduction
+    assert (qs(1, 4, {0: 1, 1: 1}) * qs(1, 4, {0: 1, 1: -1})).coeffs == \
+        qs(1, 4, {0: 1, 2: -1}).coeffs
+
+
+def test_qseries_mul_borrows_across_slots():
+    # -1 + q: the negative low slot borrows from the positive one above
+    f = qs(1, 4, {0: -1, 1: 1})
+    assert (f * qs(1, 4, {0: 1})) == f
+    assert (f * f).coeffs == qs(1, 4, {0: 1, 1: -2, 2: 1}).coeffs
+    # the zeta^3 slot of q^3 at level 5 sums phi * min(#a, #b) = 16 terms
+    # and so sits at +-max|a| max|b| phi min(#a, #b), the largest value a
+    # slot has to hold, between smaller slots; that bound is 137 bits
+    # long, so a bound a quarter too small would pick a slot one byte
+    # narrower
+    big = 2 ** 66 + 1
+    h = qv(5, 3, {e: [big] * 4 for e in range(4)})
+    for other in (h, -h, h.scale(Fraction(-1, 3))):
+        assert (h * other).coeffs == naive_convolution(h.coeffs, other.coeffs, 3)
+
+
+def test_qseries_mul_runs_no_cyclotomic_multiply(monkeypatch):
+    f = eis_qseries(EisIndex(3, 6, 1, 2), sturm_truncation(3, 6))
+    g = eis_qseries(EisIndex(3, 6, 5, 3), sturm_truncation(3, 6))
+    real = Cyclotomic.__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    for name, attr in list(vars(Cyclotomic).items()):
+        if attr is real:  # __mul__ and __rmul__
+            monkeypatch.setattr(Cyclotomic, name, counting)
+    prod = f * g
+    assert len(prod.coeffs) > 50
+    assert calls == []
 
 
 def test_qseries_mul_truncation_is_inclusive():

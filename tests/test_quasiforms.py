@@ -182,10 +182,15 @@ def test_span_solve_recovers_a_member():
 
 
 def test_span_solve_zero_target():
-    basis = eis_basis(2, 3, 20)
+    basis = EisBasis(2, 3, 20)  # uncached, unreduced
     z = QuasiForm(2, 3, 20, ())
     sol = span_solve(z, basis)
     assert sol.in_span and not sol.coefficients
+    assert sol.residual == z
+    assert basis._rref is None  # zero needs no row reduction
+    for other in (QuasiForm(3, 3, 20, ()), QuasiForm(2, 3, 21, ())):
+        with pytest.raises(ValueError):
+            span_solve(other, basis)
 
 
 small_coeffs = st.lists(
