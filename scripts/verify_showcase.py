@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the flagship verifications end to end and print their reports.
 
-The default set finishes in about a second.  --full adds the level-10
-trace instance at truncation 910, which takes about 7 s on its own
+The default set finishes in under a second.  --full adds the level-10
+trace instance at truncation 910, which takes about 5 s on its own
 (measured on a 2-core Xeon VM with Python 3.11).
 """
 from __future__ import annotations

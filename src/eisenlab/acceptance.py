@@ -20,8 +20,9 @@ from pathlib import Path
 from .cyclotomic import Cyclotomic
 from .eisenstein import EisIndex
 from .hull import hull_chain, sublattice_points, verify_pair_bijection
-from .oracles import hull_oracle, lattice_value, sigma
-from .quasiforms import check_s_transform, eis_series, eval_at, quasi_mul
+from .oracles import exact_rref, hull_oracle, lattice_value, sigma
+from .quasiforms import (check_s_transform, eis_basis, eis_series, eval_at,
+                         quasi_mul)
 from .ratfunc import KERNEL_IDS, kernel_scope
 from .verifiers import (
     INCONCLUSIVE,
@@ -172,7 +173,12 @@ def criterion_07_three_term() -> tuple[bool, str]:
             if total.is_zero():
                 return False, f"three-term sum collapsed to zero at N={n}"
             runs += 1
-    return True, f"{runs} cases VERIFIED with nonzero defect at N in {{3,5}}"
+        # the independent Gauss-Jordan oracle checks the certifier's basis
+        basis = eis_basis(2, n, report.truncation)
+        if basis.rref() != exact_rref(basis.members):
+            return False, f"weight-2 row reduction differs from the oracle at N={n}"
+    return True, (f"{runs} cases VERIFIED with nonzero defect at N in {{3,5}}; "
+                  "weight-2 row reductions equal the oracle's")
 
 
 def criterion_08_prop21() -> tuple[bool, str]:

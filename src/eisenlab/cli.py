@@ -199,6 +199,9 @@ def cmd_symbolic(cfg: argparse.Namespace) -> int:
     if cfg.weight is not None and cfg.identity not in ("K23", "K34"):
         raise ValueError(f"--weight does not apply to {cfg.identity}: "
                          "only K23 and K34 read a weight")
+    if cfg.sub_level is not None and cfg.identity not in ("K32", "K33", "K34"):
+        raise ValueError(f"--sub-level does not apply to {cfg.identity}: "
+                         "only K32, K33 and K34 read a chain")
     chain = None
     if cfg.sub_level is not None:
         chain = hull_chain(cfg.sub_level,

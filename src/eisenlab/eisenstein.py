@@ -20,6 +20,8 @@ function (Bbar_1 = 0 at the integers):
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -160,19 +162,14 @@ class QSeries:
         No slot overflows.  Given e, e1 fixes e2, so at most min(#A, #C)
         exponent pairs meet (#A counts the nonzero exponents); given t, i
         fixes j, so at most phi index pairs do.  Hence
-        |r_s| <= max|A| max|C| phi min(#A, #C) = M, and W, the least
-        multiple of 8 with 2^(W-1) > M, puts every r_s in
-        (-2^(W-1), 2^(W-1)).  The factors' own entries fit too:
-        |A[e][i]| <= M, because C has a nonzero integer entry.
+        |r_s| <= max|A| max|C| phi min(#A, #C) = M, and W = 8 `_width(M)`
+        puts every r_s in (-2^(W-1), 2^(W-1)).  The factors' own entries
+        fit too: |A[e][i]| <= M, because C has a nonzero integer entry.
 
-        Decoding.  Let L = (B+1) S, and split P_A P_C = R + 2^(W L) H with
-        R = sum_{s < L} r_s 2^(W s); H holds the slots above B.  Adding
-        2^(W-1) to each slot below L turns R into sum (r_s + 2^(W-1)) 2^(W s)
-        with every digit in (0, 2^W), a number in [0, 2^(W L)).  So the low
-        W L bits of the biased product are exactly these digits side by
-        side: no borrow crosses a slot, and H never matters.  Each
-        exponent's S digits are folded mod x^N - 1 and reduced mod Phi_N
-        by `_reduce_vector`, then divided by da dc.
+        Decoding.  `_unpack` reads the signed digits of the (B+1) S slots
+        up to exponent B; the slots above B never matter.  Each exponent's
+        S digits are folded mod x^N - 1 and reduced mod Phi_N by
+        `_reduce_vector`, then divided by da dc.
         """
         self._check(other)
         n, b = self.level, self.truncation
@@ -185,19 +182,13 @@ class QSeries:
         bound = (max(abs(x) for v in a.values() for x in v)
                  * max(abs(x) for v in c.values() for x in v)
                  * phi * min(len(a), len(c)))
-        width = bound.bit_length() // 8 + 1  # bytes: 2^(8 width - 1) > bound
-        slots = (b + 1) * stride
-        half = 1 << (8 * width - 1)
-        bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-        packed = _pack(a, stride, width) * _pack(c, stride, width)
-        digits = ((packed + bias) & ((1 << (8 * width * slots)) - 1)).to_bytes(
-            width * slots, "little")
+        width = _width(bound)
+        digits = _unpack(_pack(a, stride, width) * _pack(c, stride, width),
+                         (b + 1) * stride, width)
         den = da * dc
         out: dict[int, Cyclotomic] = {}
         for e in range(b + 1):
-            at = e * stride * width
-            vec = [int.from_bytes(digits[at + t * width:at + (t + 1) * width],
-                                  "little") - half for t in range(stride)]
+            vec = digits[e * stride:(e + 1) * stride]
             if any(vec):
                 out[e] = Cyclotomic(n, tuple(
                     Fraction(x, den) for x in _reduce_vector(n, vec, 0)))
@@ -247,6 +238,43 @@ def _pack(vectors: dict[int, list[int]], stride: int, width: int) -> int:
             elif x < 0:
                 neg[at:at + width] = (-x).to_bytes(width, "little")
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+# array typecodes of the signed machine integers, by size in bytes
+_MACHINE = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _width(bound: int) -> int:
+    """Bytes per slot for signed digits of absolute value <= bound: the
+    least w with 2^(8 w - 1) > bound, rounded up to 2, 4 or 8 when it is
+    below 8, the sizes that `_unpack` reads as machine integers."""
+    width = bound.bit_length() // 8 + 1
+    return width if width > 8 else next(w for w in (1, 2, 4, 8) if w >= width)
+
+
+def _unpack(packed: int, slots: int, width: int) -> list[int]:
+    """The signed digits r_0, ..., r_{slots-1} of
+    packed = sum_{s < slots} r_s 2^(W s) + 2^(W slots) H, W = 8 width,
+    given |r_s| < 2^(W-1) for every s < slots.
+
+    Adding 2^(W-1) to each of these slots turns their part into
+    sum (r_s + 2^(W-1)) 2^(W s), every digit in (0, 2^W), a number in
+    [0, 2^(W slots)).  So the low W slots bits of the biased integer are
+    exactly these digits side by side: no borrow crosses a slot, and H
+    never matters.  Flipping the top bit of each digit then leaves r_s in
+    two's complement, which a 1-, 2-, 4- or 8-byte slot reads as one
+    machine integer.
+    """
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    raw = (((packed + bias) & ((1 << (8 * width * slots)) - 1)) ^ bias).to_bytes(
+        width * slots, "little")
+    if width in _MACHINE:
+        digits = array(_MACHINE[width], raw)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        return digits.tolist()
+    return [int.from_bytes(raw[at:at + width], "little", signed=True)
+            for at in range(0, width * slots, width)]
 
 
 # -- number-theoretic constants -------------------------------------------

@@ -4,14 +4,19 @@ suite.
 Everything here deliberately avoids the code paths under test: Bernoulli
 numbers come from the Akiyama-Tanigawa triangle instead of the package's
 power-sum recurrence, hulls from a monotone chain in sheared coordinates
-instead of gift wrapping, and constant terms / point values from direct
-(conditionally or absolutely convergent) lattice sums.
+instead of gift wrapping, constant terms / point values from direct
+(conditionally or absolutely convergent) lattice sums, and row reductions
+from a plain Gauss-Jordan elimination in `Cyclotomic` arithmetic instead of
+the modular proposal and its packed-integer proof.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 import mpmath
+
+from .cyclotomic import Cyclotomic, cyclo_invert
+from .quasiforms import _axpy, _stack
 
 
 def sigma(n: int, power: int) -> int:
@@ -129,3 +134,38 @@ def naive_convolution(a: dict[int, object], b: dict[int, object],
             else:
                 out[ea + eb] = prod
     return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def exact_rref(members) -> list[tuple[tuple[int, int], dict, dict]]:
+    """Gauss-Jordan over Q(zeta_N) on the stacked member vectors, keyed by
+    (Y-degree, q-exponent), with tracking.
+
+    Members are taken in order; each one is reduced against the rows so
+    far and, if something is left, becomes a row whose pivot is its least
+    key, normalized to 1 there and cleared from every earlier row.
+    Returns the (pivot, row, track) triples in the order the rows arose;
+    track maps member positions to the coefficients that combine the
+    members into the row.
+    """
+    rows: list[tuple[tuple[int, int], dict, dict]] = []
+    for pos, form in enumerate(members):
+        vec = _stack(form)
+        track = {pos: Cyclotomic.one(form.level)}
+        for pivot, rvec, rtrack in rows:
+            c = vec.get(pivot)
+            if c is not None:
+                _axpy(vec, c, rvec)
+                _axpy(track, c, rtrack)
+        if not vec:
+            continue
+        pivot = min(vec)
+        inv = cyclo_invert(vec[pivot])
+        vec = {k: c * inv for k, c in vec.items()}
+        track = {k: c * inv for k, c in track.items()}
+        for _, rvec, rtrack in rows:
+            c = rvec.get(pivot)
+            if c is not None:
+                _axpy(rvec, c, vec)
+                _axpy(rtrack, c, track)
+        rows.append((pivot, vec, track))
+    return rows

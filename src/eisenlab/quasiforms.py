@@ -16,11 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt, lcm
+from operator import mul
 
 import mpmath
 
-from .cyclotomic import Cyclotomic, cyclo_embed, cyclo_invert
-from .eisenstein import EisIndex, QSeries, eis_qseries, sturm_truncation
+from .cyclotomic import (Cyclotomic, _power_table, _reduce_vector, cyclo_embed,
+                         euler_phi)
+from .eisenstein import (EisIndex, QSeries, _integral, _pack, _unpack, _width,
+                         eis_qseries, sturm_truncation)
 
 MAX_DEPTH = 2
 
@@ -210,7 +214,7 @@ class EisBasis:
 
     def rref(self):
         if self._rref is None:
-            self._rref = _build_rref(self.members)
+            self._rref = _row_reduce(self.members, self.level)
         return self._rref
 
 
@@ -254,35 +258,328 @@ def _axpy(vec, scale: Cyclotomic, other):
             vec[key] = val
 
 
-def _build_rref(members):
-    """Row-reduce the stacked member vectors, tracking the combinations.
+# -- the row reduction: proposed modulo a split prime, proved exactly ------
 
-    Returns a list of (pivot_key, row_vector, tracking_row) triples kept
-    mutually reduced, so a single pass over them in any order reduces an
-    arbitrary vector to its unique normal form.
+
+class _Rejected(ArithmeticError):
+    """A modular proposal that did not lift or did not prove."""
+
+
+def _row_reduce(members, n: int) -> list:
+    """The rows of `oracles.exact_rref(members)`, proposed modulo a split
+    prime and proved exactly.
+
+    The keys (j, e) of the stacked members are numbered in key order, and
+    these numbers are the slots of each member's packed planes (`_planes`).
+
+    Propose (`_propose`): under each embedding zeta -> omega^s of
+    Q(zeta_n) into F_ell, run the elimination (`_eliminate`); every
+    embedding must give every member the same pivot.  Each track entry is
+    lifted from its phi(n) images by the inverse embedding table and
+    rational reconstruction.  This gives pivots p_t (None for a dropped
+    member), first tracks F_t and row tracks T_i.
+
+    Prove (`_prove`), exactly and over every key, with packed integer
+    combinations of the members:
+      (s) every member has a pivot slot or None and a first track F_t;
+          F_t uses only kept members before t and t itself, with
+          F_t[t] = 1 when t is dropped; each T_i uses only kept members,
+          one T_i per kept member;
+      (b) for dropped t, sum_s F_t[s] m_s = 0; for kept t,
+          w_t = sum_s F_t[s] m_s is 1 at p_t and 0 at every key below;
+      (a) R_i = sum_s T_i[s] m_s is 1 at its pivot, 0 at the other
+          pivots, and 0 below its pivot.
+    Why this is the Gauss-Jordan result.  Let V_t be the span of the
+    members before t and L(W) the set of least keys of the nonzero
+    vectors of a space W.  Taking the members in order, the exact loop
+    keeps t iff m_t is not in V_t; its rows are then the reduced echelon
+    basis of V_{t+1}, whose pivots are L(V_{t+1}), so its pivot for t is
+    the one key of L(V_{t+1}) that is not in L(V_t).  By (s) and (b) every
+    dropped m_t lies in the span of earlier kept members, so V_{t+1} is
+    spanned by the kept members up to t.  By (a) the R_i are as many
+    independent vectors as there are kept members, all in the span V of
+    these, so the kept members are independent: the loop keeps exactly
+    them, and dim V_{t+1} is the number of kept members up to t.  For
+    each kept s <= t, w_s lies in V_{t+1} and has least key p_s (b), so
+    L(V_{t+1}) holds these keys and, by its size, no others: the loop
+    pairs each kept t with p_t, and its rows come in the same order.  Its
+    final rows are the vectors of V that are 1 at one pivot and 0 at the
+    others, unique because a vector of V that vanishes on L(V) is 0, and
+    their tracks over the independent kept members are unique: by (a)
+    they are the R_i and T_i.  The final rows alone do not fix the order
+    in which the loop finds the pivots; the first tracks of the kept
+    members do.
+
+    Any failure (disagreeing embeddings, a non-invertible element, a
+    failed reconstruction, a failed check) moves on to the split prime
+    with twice the bits.  The loop ends: only finitely many primes divide
+    a denominator of the members or a nonzero value that the exact loop
+    tests or divides by, so from some size on every embedding takes the
+    exact loop's steps, and reconstruction returns the true tracks once
+    ell > 2 H^2 for their height H.
     """
-    rows: list[tuple[tuple[int, int], dict, dict]] = []
-    for pos, form in enumerate(members):
-        vec = _stack(form)
-        track = {pos: Cyclotomic.one(form.level)}
-        for pivot, rvec, rtrack in rows:
-            c = vec.get(pivot)
-            if c is not None:
-                _axpy(vec, c, rvec)
-                _axpy(track, c, rtrack)
-        if not vec:
-            continue
-        pivot = min(vec)
-        inv = cyclo_invert(vec[pivot])
-        vec = {k: c * inv for k, c in vec.items()}
-        track = {k: c * inv for k, c in track.items()}
-        for _, rvec, rtrack in rows:
-            c = rvec.get(pivot)
-            if c is not None:
-                _axpy(rvec, c, vec)
-                _axpy(rtrack, c, track)
-        rows.append((pivot, vec, track))
+    keys = sorted({(j, e) for f in members for j, h in enumerate(f.components)
+                   for e in h.coeffs})
+    slot = {key: s for s, key in enumerate(keys)}
+    packed = [_planes(f, slot, euler_phi(n)) for f in members]
+    bits = 64
+    while True:
+        try:
+            proposal = _propose(packed, n, len(keys), bits)
+            return _prove(packed, n, keys, *proposal)
+        except _Rejected:
+            bits *= 2
+
+
+def _propose(packed: list, n: int, size: int, bits: int):
+    """(pivots, firsts, tracks) of `_row_reduce`, modulo the split prime
+    above 2^bits; pivots are slots."""
+    ell, table, inverse = _split_prime(n, bits)
+    runs = [_eliminate((_embed(m, row, ell, size) for m in packed), ell,
+                       len(packed)) for row in table]
+    pivots = runs[0][0]
+    if any(run[0] != pivots for run in runs):
+        raise _Rejected(f"the embeddings disagree on the pivots mod {ell}")
+    kept = [t for t, p in enumerate(pivots) if p is not None]
+    zero = Fraction(0)
+
+    def lift(images: list[list[int]], positions: list[int]) -> dict:
+        """A track's entries at `positions`, lifted from its image under
+        every embedding; zero entries are left out."""
+        out = {}
+        for s in positions:
+            values = [image[s] for image in images]
+            if any(values):
+                coords = (sum(map(mul, r, values)) % ell for r in inverse)
+                out[s] = Cyclotomic(n, tuple(_ratrec(x, ell) if x else zero
+                                             for x in coords))
+        return out
+
+    firsts = [lift([run[1][t] for run in runs], [s for s in kept if s < t] + [t])
+              for t in range(len(packed))]
+    tracks = [lift([run[2][i] for run in runs], kept)
+              for i in range(len(kept))]
+    return pivots, firsts, tracks
+
+
+def _prove(packed: list, n: int, keys: list, pivots: list, firsts: list,
+           tracks: list) -> list:
+    """The (pivot, row, track) triples, once (s), (b) and (a) of
+    `_row_reduce` hold; raises _Rejected when one fails.  Repacks every
+    member of packed, in place, at a width that holds every combination."""
+    phi, size = euler_phi(n), len(keys)
+    kept = [t for t, p in enumerate(pivots) if p is not None]
+    if (len(pivots) != len(packed) or len(firsts) != len(packed)
+            or any(p is not None and not 0 <= p < size for p in pivots)
+            or len(tracks) != len(kept)
+            or any(not set(track) <= set(kept) for track in tracks)
+            or any(not set(first) <= {s for s in kept if s < t} | {t}
+                   or (pivots[t] is None and first.get(t) != 1)
+                   for t, first in enumerate(firsts))):
+        raise _Rejected("a track uses a member it may not")
+    dens, tops = [m[0] for m in packed], [m[1] for m in packed]
+    width = _width(max([*tops, *(_bound(c, dens, tops, n, phi)
+                                 for c in firsts + tracks)], default=0))
+    for t, (d, top, w, planes) in enumerate(packed):
+        packed[t] = d, top, width, [_pack({0: _unpack(a, size, w)}, size, width)
+                                    for a in planes]
+    wide = [planes for _, _, _, planes in packed]
+
+    def reduced(combo: dict, pivot: int, others) -> tuple[int, list]:
+        """(D, the planes of D sum_t combo[t] m_t), once that combination
+        is 1 at pivot and 0 below it and at the keys in others."""
+        den, terms = _terms(combo, dens, n, phi)
+        out = [_unpack(x, size, width) for x in _combine(terms, wide, phi)]
+        if ([d[pivot] for d in out] != [den] + [0] * (phi - 1)
+                or any(any(d[:pivot]) or any(d[e] for e in others)
+                       for d in out)):
+            raise _Rejected(f"the combination for pivot {keys[pivot]} "
+                            "is not reduced")
+        return den, out
+
+    for t, first in enumerate(firsts):
+        if pivots[t] is not None:
+            reduced(first, pivots[t], ())
+        elif any(_combine(_terms(first, dens, n, phi)[1], wide, phi)):
+            raise _Rejected(f"member {t} does not reduce to zero")
+    rows = []
+    zero = Fraction(0)
+    for t, track in zip(kept, tracks):
+        others = [pivots[s] for s in kept if s != t]
+        den, planes = reduced(track, pivots[t], others)
+        row = {keys[s]: Cyclotomic(n, tuple(Fraction(x, den) if x else zero
+                                            for x in coords))
+               for s, coords in enumerate(zip(*planes)) if any(coords)}
+        rows.append((keys[pivots[t]], row, track))
     return rows
+
+
+def _planes(form: QuasiForm, slot: dict, phi: int):
+    """(d, top, width, planes): d times the stacked form is an integer
+    vector, numbered by `slot`, whose entries are at most top in absolute
+    value; planes[i] packs its i-th power-basis coordinate, `width` bytes
+    a slot (`eisenstein._pack`)."""
+    d, vecs = _integral({slot[j, e]: c for j, h in enumerate(form.components)
+                         for e, c in h.coeffs.items()})
+    top = max((abs(x) for v in vecs.values() for x in v), default=0)
+    width = _width(top)
+    return d, top, width, [_pack({s: v[i:i + 1] for s, v in vecs.items()}, 1,
+                                 width) if vecs else 0 for i in range(phi)]
+
+
+def _embed(member, row: list, ell: int, size: int) -> list[int]:
+    """The member's vector mod ell under the embedding that maps the power
+    basis to row."""
+    d, _, width, planes = member
+    scale = _inverse(d, ell)
+    weights = [x * scale % ell for x in row]
+    columns = [_unpack(a, size, width) for a in planes]
+    return [sum(map(mul, col, weights)) % ell for col in zip(*columns)]
+
+
+def _terms(combo: dict, dens: list, n: int, phi: int):
+    """(D, terms) for the combination sum_t combo[t] m_t.
+
+    Write combo[t] = c_t / D_c with integer vectors c_t and m_t =
+    A_t / dens[t] as in `_planes`, and let E be the lcm of the dens[t].
+    Plane p of D = D_c E times the combination is the sum over (t, k) in
+    terms of sum_i k[p][i] A_{t,i}, where k is E / dens[t] times the
+    matrix of c_t on the power basis: its column i is c_t zeta^i.
+    """
+    dc, nums = _integral(combo)
+    e = lcm(*(dens[t] for t in combo))
+    terms = []
+    for t, c in nums.items():
+        cols = [_reduce_vector(n, [0] * i + c, 0) for i in range(phi)]
+        terms.append((t, [[col[p] * (e // dens[t]) for col in cols]
+                          for p in range(phi)]))
+    return dc * e, terms
+
+
+def _bound(combo: dict, dens: list, tops: list, n: int, phi: int) -> int:
+    """A bound on every slot of every plane of `_terms(combo, ...)`.
+
+    Each entry of c_t zeta^i is at most g |c_t|_1, g the largest entry
+    of a power of zeta on the power basis, and |A_{t,i}| <= tops[t]
+    slotwise, so a slot of plane p is at most
+    sum_t phi g |c_t|_1 (E / dens[t]) tops[t].
+    """
+    _, nums = _integral(combo)
+    e = lcm(*(dens[t] for t in combo))
+    g = max([1, *(abs(v) for row in _power_table(n) for v in row)])
+    return phi * g * sum(sum(map(abs, c)) * (e // dens[t]) * tops[t]
+                         for t, c in nums.items())
+
+
+def _combine(terms, planes: list, phi: int) -> list[int]:
+    """The phi planes of the combination that `_terms` describes."""
+    return [sum(sum(map(mul, k[p], planes[t])) for t, k in terms)
+            for p in range(phi)]
+
+
+def _inverse(x: int, ell: int) -> int:
+    if gcd(x, ell) != 1:
+        raise _Rejected(f"{x} is not invertible mod {ell}")
+    return pow(x, -1, ell)
+
+
+def _probable_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases up to 37; n > 37."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _ratrec(a: int, ell: int) -> Fraction:
+    """The x = u/v with u = a v (mod ell) and |u|, v <= sqrt(ell/2); it
+    is unique when it exists (Wang's rational reconstruction)."""
+    bound = isqrt(ell // 2)
+    r0, r1, t0, t1 = ell, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
+        raise _Rejected(f"{a} has no small preimage mod {ell}")
+    return Fraction(r1, t1)
+
+
+def _eliminate(vectors, ell: int, count: int):
+    """The loop of `oracles.exact_rref` in F_ell, over dense vectors.
+
+    Returns each member's pivot (None when it reduces to zero) and its
+    first track: for a dropped member the relation that reduced it to
+    zero (1 at itself), for a kept one the track of its row as inserted,
+    normalized but not yet cleared by later rows.  Then the final track
+    of each row.  Tracks are lists over the `count` members.
+    """
+    rows, pivots, firsts = [], [], []
+    for pos, vec in enumerate(vectors):
+        track = [0] * count
+        track[pos] = 1
+        # the rows are 0 at each other's pivots, so every c is read off
+        # the member itself, and one reduction mod ell at the end will do
+        for pivot, rvec, rtrack in rows:
+            c = vec[pivot]
+            if c:
+                vec = [x - c * y for x, y in zip(vec, rvec)]
+                track = [x - c * y for x, y in zip(track, rtrack)]
+        vec = [x % ell for x in vec]
+        track = [x % ell for x in track]
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        pivots.append(pivot)
+        if pivot is not None:
+            inv = _inverse(vec[pivot], ell)
+            vec = [x * inv % ell for x in vec]
+            track = [x * inv % ell for x in track]
+            for i, (p, rvec, rtrack) in enumerate(rows):
+                c = rvec[pivot]
+                if c:
+                    rvec = [(x - c * y) % ell for x, y in zip(rvec, vec)]
+                    rtrack = [(x - c * y) % ell for x, y in zip(rtrack, track)]
+                    rows[i] = (p, rvec, rtrack)
+            rows.append((pivot, vec, track))
+        firsts.append(track)
+    return pivots, firsts, [track for _, _, track in rows]
+
+
+@lru_cache(maxsize=32)
+def _split_prime(n: int, bits: int):
+    """(ell, table, inverse): ell is the least probable prime above 2^bits
+    with ell = 1 mod n, so Phi_n splits mod ell into phi(n) linear
+    factors.  Row s of table maps the power basis to F_ell under the
+    embedding zeta -> omega^s, one row for each unit s mod n, with omega
+    a primitive n-th root mod ell; inverse[i] recovers coordinate i from
+    the phi(n) images."""
+    ell = (1 << bits) // n * n + 1
+    while ell <= 1 << bits or not _probable_prime(ell):
+        ell += n
+    primes = [p for p in range(2, n + 1)
+              if n % p == 0 and euler_phi(p) == p - 1]
+    g = 2
+    while any(pow(g, (ell - 1) // p, ell) == 1 for p in primes):
+        g += 1
+    omega = pow(g, (ell - 1) // n, ell)
+    phi = euler_phi(n)
+    table = [[pow(omega, s * i, ell) for i in range(phi)]
+             for s in range(1, n + 1) if gcd(s, n) == 1]
+    pivots, _, tracks = _eliminate(table, ell, phi)
+    if None in pivots:
+        raise _Rejected(f"the embeddings are singular mod {ell}")
+    inverse = [None] * phi
+    for i, track in zip(pivots, tracks):
+        inverse[i] = track
+    return ell, table, inverse
 
 
 @dataclass(frozen=True, eq=False)

@@ -221,6 +221,9 @@ def test_symbolic_weight_zero_is_rejected(args, capsys):
     (["--identity", "K32", "--weight", "3", "--sub-level", "5",
       "--shear", "3"], "--weight"),
     (["--identity", "K33", "--weight", "3"], "--weight"),
+    (["--identity", "K16", "--sub-level", "5"], "--sub-level"),
+    (["--identity", "K23", "--sub-level", "5", "--shear", "3"], "--sub-level"),
+    (["--identity", "K24", "--sub-level", "7"], "--sub-level"),
 ])
 def test_symbolic_unread_option_is_a_usage_error(args, option, capsys):
     assert run_cli(["symbolic"] + args) == 1

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisenlab import cyclotomic
+from eisenlab import cyclotomic, quasiforms
 from eisenlab.cyclotomic import Cyclotomic
 from eisenlab.eisenstein import EisIndex, QSeries, sturm_truncation
+from eisenlab.oracles import exact_rref
 from eisenlab.quasiforms import (
     MAX_DEPTH,
     DepthOverflow,
@@ -151,22 +152,167 @@ def test_eis_basis_membership():
     assert len(b3) == 8
 
 
-def test_rref_inverts_each_pivot_once(monkeypatch):
-    basis = EisBasis(3, 5, sturm_truncation(3, 5))  # uncached, unreduced
-    real = cyclotomic.cyclo_invert
-    calls = []
+# -- the row reduction against the Gauss-Jordan oracle ----------------------
 
-    def counting(x):
-        calls.append(x)
-        return real(x)
+
+@pytest.mark.parametrize("weight, level", [
+    (k, n) for k in range(1, 5) for n in range(1, 9)])
+def test_rref_matches_oracle(weight, level):
+    basis = EisBasis(weight, level, level + 4)
+    assert basis.rref() == exact_rref(basis.members)
+
+
+@pytest.mark.slow
+def test_rref_matches_oracle_at_the_sturm_bound():
+    basis = EisBasis(2, 7, sturm_truncation(2, 7))
+    assert basis.truncation == 203
+    assert basis.rref() == exact_rref(basis.members)
+
+
+def _watch_attempts(monkeypatch, change=None):
+    """Record how each proof attempt ends; change, if given, alters the
+    first proposal in place before it is proved."""
+    real_propose, real_prove = quasiforms._propose, quasiforms._prove
+    outcomes = []
+
+    def propose(*args):
+        proposal = real_propose(*args)
+        if change is not None and not outcomes:
+            change(*proposal)
+        return proposal
+
+    def prove(*args):
+        try:
+            rows = real_prove(*args)
+        except quasiforms._Rejected:
+            outcomes.append("rejected")
+            raise
+        outcomes.append("proved")
+        return rows
+
+    monkeypatch.setattr(quasiforms, "_propose", propose)
+    monkeypatch.setattr(quasiforms, "_prove", prove)
+    return outcomes
+
+
+@pytest.mark.parametrize("weight, level", [
+    (8, 5), (5, 7),
+    pytest.param(3, 12, marks=pytest.mark.slow),
+    pytest.param(4, 10, marks=pytest.mark.slow)])
+def test_rref_retries_on_a_larger_prime(weight, level, monkeypatch):
+    # the tracks here are too tall to reconstruct modulo a 65-bit prime
+    basis = EisBasis(weight, level, 60)
+    real_propose = quasiforms._propose
+    sizes = []
+
+    def propose(packed, n, size, bits):
+        sizes.append(bits)
+        return real_propose(packed, n, size, bits)
+
+    monkeypatch.setattr(quasiforms, "_propose", propose)
+    assert basis.rref() == exact_rref(basis.members)
+    assert sizes[:2] == [64, 128]
+
+
+@pytest.mark.parametrize("which", ["row track", "dropped relation",
+                                   "kept first track"])
+def test_rref_rejects_a_changed_track_entry(which, monkeypatch):
+    def change(pivots, firsts, tracks):
+        dropped, kept = (next(t for t, p in enumerate(pivots)
+                              if (p is None) == drop and len(firsts[t]) > 1)
+                         for drop in (True, False))
+        combo = {"row track": tracks[1], "dropped relation": firsts[dropped],
+                 "kept first track": firsts[kept]}[which]
+        key = min(combo)
+        combo[key] = combo[key] + 1
+
+    basis = EisBasis(2, 3, 20)
+    outcomes = _watch_attempts(monkeypatch, change)
+    assert basis.rref() == exact_rref(basis.members)
+    assert outcomes == ["rejected", "proved"]
+
+
+@pytest.mark.parametrize("how", ["doubled", "plus the next row"])
+def test_rref_rejects_a_row_that_is_not_reduced(how, monkeypatch):
+    # doubled: 2 at its pivot; plus the row with the next pivot: 1 there
+    def change(pivots, firsts, tracks):
+        kept = [t for t, p in enumerate(pivots) if p is not None]
+        low, next_ = sorted(range(len(kept)), key=lambda i: pivots[kept[i]])[:2]
+        extra = dict(tracks[low] if how == "doubled" else tracks[next_])
+        for t, c in extra.items():
+            tracks[low][t] = tracks[low][t] + c if t in tracks[low] else c
+
+    basis = EisBasis(2, 3, 20)
+    outcomes = _watch_attempts(monkeypatch, change)
+    assert basis.rref() == exact_rref(basis.members)
+    assert outcomes == ["rejected", "proved"]
+
+
+def test_rref_rejects_pivots_found_in_another_order(monkeypatch):
+    # Gauss-Jordan pivots m_0 = 1 + q^2 at q^0 and m_1 = 1 at q^2.  Pairing
+    # m_0 with q^2 and m_1 with q^0 gives the same rows and tracks in the
+    # other order; only m_0's first track, not 0 below q^2, shows it.
+    one = Cyclotomic.one(1)
+    members = [QuasiForm(2, 1, 2, (QSeries(1, 2, {0: one, 2: one}),)),
+               QuasiForm(2, 1, 2, (QSeries(1, 2, {0: one}),))]
+
+    def change(pivots, firsts, tracks):
+        pivots[:] = [1, 0]
+        firsts[:] = [{0: one}, {1: one}]
+        tracks[:] = [{0: one, 1: -one}, {1: one}]
+
+    outcomes = _watch_attempts(monkeypatch, change)
+    rows = quasiforms._row_reduce(members, 1)
+    assert [pivot for pivot, _, _ in rows] == [(0, 0), (0, 2)]
+    assert rows == exact_rref(members)
+    assert outcomes == ["rejected", "proved"]
+
+
+def test_rref_rejects_a_relation_with_a_later_member(monkeypatch):
+    # E_(0,2) = E_(0,1) at even weight: the honest proposal keeps member 1
+    # and drops member 2 by the relation m_2 - m_1.  Swapping their roles
+    # keeps every combination the same, but member 1's relation then uses
+    # the later member 2, which the greedy order forbids.
+    basis = EisBasis(2, 3, 20)
+    assert basis.members[1] == basis.members[2]
+
+    def change(pivots, firsts, tracks):
+        assert pivots[1] is not None and pivots[2] is None
+        moved = {(2 if s == 1 else s): c for s, c in firsts[1].items()}
+        pivots[1], pivots[2] = None, pivots[1]
+        one = Cyclotomic.one(3)
+        firsts[1], firsts[2] = {1: one, 2: -one}, moved
+        for track in tracks:
+            if 1 in track:
+                track[2] = track.pop(1)
+
+    outcomes = _watch_attempts(monkeypatch, change)
+    assert basis.rref() == exact_rref(basis.members)
+    assert outcomes == ["rejected", "proved"]
+
+
+def test_rref_makes_no_cyclotomic_products_or_inverses(monkeypatch):
+    basis = EisBasis(2, 7, sturm_truncation(2, 7))  # uncached, unreduced
+    calls = []
+    real_invert, real_mul = cyclotomic.cyclo_invert, Cyclotomic.__mul__
+
+    def counting_invert(x):
+        calls.append("cyclo_invert")
+        return real_invert(x)
+
+    def counting_mul(self, other):
+        calls.append("__mul__")
+        return real_mul(self, other)
 
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "eisenlab"
-                and getattr(module, "cyclo_invert", None) is real):
-            monkeypatch.setattr(module, "cyclo_invert", counting)
+                and getattr(module, "cyclo_invert", None) is real_invert):
+            monkeypatch.setattr(module, "cyclo_invert", counting_invert)
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", counting_mul)
     rows = basis.rref()
-    assert 1 < len(rows) < len(basis)
-    assert len(calls) == len(rows)
+    assert len(rows) == 24
+    assert calls == []
 
 
 def test_span_solve_recovers_a_member():
