@@ -20,7 +20,8 @@ from pathlib import Path
 from .cyclotomic import Cyclotomic
 from .eisenstein import EisIndex
 from .hull import hull_chain, sublattice_points, verify_pair_bijection
-from .oracles import exact_rref, hull_oracle, lattice_value, sigma
+from .oracles import (exact_rref, hull_oracle, lattice_value,
+                      naive_convolution, sigma)
 from .quasiforms import (check_s_transform, eis_basis, eis_series, eval_at,
                          quasi_mul)
 from .ratfunc import KERNEL_IDS, kernel_scope
@@ -105,12 +106,21 @@ def criterion_04_expansion() -> tuple[bool, str]:
             want = Cyclotomic.from_rational(1, 2 * sigma(n, k - 1))
             if series.coeff(n) != want:
                 return False, f"weight-{k} coefficient mismatch at q^{n}"
+    # the integer series arithmetic against the Cyclotomic schoolbook
+    f = eis_series(EisIndex(1, 7, 2, 3), 42).component(0)
+    g = eis_series(EisIndex(3, 7, 1, 5), 42).component(0)
+    if (f * g).coeffs != naive_convolution(f.coeffs, g.coeffs, 42):
+        return False, "level-7 product differs from the schoolbook"
+    c = Cyclotomic.zeta(7, 2) - Fraction(5, 3)
+    if g.scale(c).coeffs != {e: x * c for e, x in g.coeffs.items()}:
+        return False, "level-7 scaling differs from the coefficientwise product"
     value = eval_at(eis_series(EisIndex(4, 1, 0, 0), 60), 1j, 60)
     oracle = lattice_value(4, 1, 0, 0, 1j, 400)
     err = abs(complex(value) - oracle)
     if err > 1e-8:
         return False, f"lattice-sum oracle error {err:.3e}"
     return True, (f"parity exact for k<=6, N<=6; divisor sums to q^60; "
+                  f"level-7 product and scaling equal the schoolbook; "
                   f"lattice oracle error {err:.1e}")
 
 

@@ -185,8 +185,8 @@ def expand_csv(idx: EisIndex, truncation: int | None = None) -> str:
         f"{idx.level},{idx.weight},{idx.c1},{idx.c2},"
         f"{form.truncation},{form.depth}",
     ]
-    for n in holo.nonzero_exponents():
-        lines.append(f"{n}, {holo.coeffs[n].to_string()}")
+    for n, c in sorted(holo.coeffs.items()):
+        lines.append(f"{n}, {c.to_string()}")
     return "\n".join(lines) + "\n"
 
 

@@ -102,6 +102,14 @@ def _reduce_vector(conductor: int, raw: Sequence[Scalar],
     return tuple(out)
 
 
+def _multiplier(conductor: int, vec: Sequence[int]) -> list[list[int]]:
+    """Rows of the integer matrix of multiplication by the integer vector
+    vec on the power basis: entry [p][i] is coordinate p of vec zeta^i."""
+    cols = [_reduce_vector(conductor, [0] * i + list(vec), 0)
+            for i in range(euler_phi(conductor))]
+    return [list(row) for row in zip(*cols)]
+
+
 @dataclass(frozen=True)
 class Cyclotomic:
     """An element of Q(zeta_conductor) on the reduced power basis."""

@@ -25,9 +25,11 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, floor, lcm
+from math import comb, floor, gcd, lcm
+from operator import mul
 
-from .cyclotomic import Cyclotomic, _reduce_vector, cyclo_reduce, euler_phi
+from .cyclotomic import (Cyclotomic, _multiplier, _reduce_vector, cyclo_reduce,
+                         euler_phi)
 
 
 class InvalidIndex(ValueError):
@@ -65,16 +67,20 @@ class EisIndex:
 class QSeries:
     """Truncated q_N-expansion with coefficients in Q(zeta_level).
 
-    Immutable by convention: no method mutates coeffs after construction.
+    Stored as one positive denominator `den` and `vecs`, which maps each
+    exponent with a nonzero coefficient to the integer vector den times
+    that coefficient on the power basis, a tuple of length phi(level).
+    The pair is kept in lowest terms, gcd(den, every entry) = 1, so two
+    series are equal iff their fields are.  Sums, scalings, theta and
+    products run on these integers; `coeffs` and `coeff` read the
+    coefficients back as `Cyclotomic`.  Immutable by convention.
     """
 
-    __slots__ = ("level", "truncation", "coeffs")
+    __slots__ = ("level", "truncation", "den", "vecs")
 
     def __init__(self, level: int, truncation: int, coeffs: dict[int, Cyclotomic] | None = None):
         if truncation < 0:
             raise ValueError("truncation must be >= 0")
-        self.level = level
-        self.truncation = truncation
         clean: dict[int, Cyclotomic] = {}
         if coeffs:
             for n, c in coeffs.items():
@@ -85,7 +91,28 @@ class QSeries:
                 if c.conductor != level:
                     raise ValueError("coefficient conductor must equal level")
                 clean[n] = c
-        self.coeffs = clean
+        self.level = level
+        self.truncation = truncation
+        self.den, self.vecs = _integral(clean)
+
+    @staticmethod
+    def _of(level: int, truncation: int, den: int,
+            vecs: dict[int, tuple[int, ...]]) -> QSeries:
+        """The series vecs / den, for den > 0 and integer tuples at
+        exponents up to the truncation: drops the zero vectors and divides
+        out gcd(den, every entry)."""
+        vecs = {e: v for e, v in vecs.items() if any(v)}
+        g = den
+        for v in vecs.values():
+            if g == 1:
+                break
+            g = gcd(g, *v)
+        if g > 1:
+            den //= g
+            vecs = {e: tuple(x // g for x in v) for e, v in vecs.items()}
+        out = QSeries.__new__(QSeries)
+        out.level, out.truncation, out.den, out.vecs = level, truncation, den, vecs
+        return out
 
     # -- helpers -----------------------------------------------------------
 
@@ -101,14 +128,23 @@ class QSeries:
             c = Cyclotomic.from_rational(level, value)
         return QSeries(level, truncation, {0: c})
 
+    @property
+    def coeffs(self) -> dict[int, Cyclotomic]:
+        """The nonzero coefficients as `Cyclotomic`, built anew on every
+        read: read the view once, not once per exponent."""
+        return {n: self.coeff(n) for n in self.vecs}
+
     def coeff(self, n: int) -> Cyclotomic:
-        return self.coeffs.get(n, Cyclotomic.zero(self.level))
+        v = self.vecs.get(n)
+        if v is None:
+            return Cyclotomic.zero(self.level)
+        return Cyclotomic(self.level, tuple(Fraction(x, self.den) for x in v))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vecs
 
     def nonzero_exponents(self) -> list[int]:
-        return sorted(self.coeffs)
+        return sorted(self.vecs)
 
     def _check(self, other: QSeries):
         if self.level != other.level or self.truncation != other.truncation:
@@ -116,46 +152,60 @@ class QSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: QSeries) -> QSeries:
+    def _add(self, other: QSeries, sign: int) -> QSeries:
+        """self + sign other over the lcm of the two denominators."""
         self._check(other)
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            s = out.get(n)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = s
-        return QSeries(self.level, self.truncation, out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = ({e: tuple(a * x for x in v) for e, v in self.vecs.items()}
+               if a > 1 else dict(self.vecs))
+        for e, w in other.vecs.items():
+            v = out.get(e)
+            out[e] = (tuple(b * y for y in w) if v is None
+                      else tuple(x + b * y for x, y in zip(v, w)))
+        return QSeries._of(self.level, self.truncation, den, out)
 
-    def __neg__(self) -> QSeries:
-        return QSeries(
-            self.level, self.truncation, {n: -c for n, c in self.coeffs.items()}
-        )
+    def __add__(self, other: QSeries) -> QSeries:
+        return self._add(other, 1)
 
     def __sub__(self, other: QSeries) -> QSeries:
-        return self + (-other)
+        return self._add(other, -1)
+
+    def __neg__(self) -> QSeries:
+        return QSeries._of(self.level, self.truncation, self.den,
+                           {e: tuple(-x for x in v) for e, v in self.vecs.items()})
 
     def scale(self, factor) -> QSeries:
-        if isinstance(factor, Cyclotomic) and factor.conductor != self.level:
-            raise ValueError("scale conductor must equal level")
-        f = factor if isinstance(factor, Cyclotomic) else Fraction(factor)
-        if not f:
-            return QSeries.zero(self.level, self.truncation)
-        return QSeries(
-            self.level, self.truncation, {n: c * f for n, c in self.coeffs.items()}
-        )
+        """factor times the series, for a rational factor or one in
+        Q(zeta_level): a non-rational c = C / d scales every vector by
+        the integer matrix of C (`cyclotomic._multiplier`)."""
+        if isinstance(factor, Cyclotomic):
+            if factor.conductor != self.level:
+                raise ValueError("scale conductor must equal level")
+            if not factor.is_rational():
+                d, c = _integral({0: factor})
+                rows = _multiplier(self.level, c[0])
+                return QSeries._of(
+                    self.level, self.truncation, self.den * d,
+                    {e: tuple(sum(map(mul, row, v)) for row in rows)
+                     for e, v in self.vecs.items()})
+            factor = factor.coeffs[0]
+        f = Fraction(factor)
+        return QSeries._of(
+            self.level, self.truncation, self.den * f.denominator,
+            {e: tuple(f.numerator * x for x in v) for e, v in self.vecs.items()})
 
     def __mul__(self, other: QSeries) -> QSeries:
         """Product to the common bound B, as one big-integer multiply
         (Kronecker substitution).
 
-        Layout.  Write self = A/da and other = C/dc, with da the lcm of
-        every denominator in self (dc likewise), so each coefficient is an
-        integer vector of length phi = phi(N) on the power basis.  Exponent
-        e gets S = 2 phi - 1 consecutive slots of W bits, and self is packed
-        as the integer P_A = sum A[e][i] 2^(W (e S + i)), that is A(x, y)
-        at x = 2^W, y = 2^(W S).  In P_A P_C the slot s = e S + t holds
+        Layout.  self = A/da and other = C/dc with the stored
+        denominators da = self.den, dc = other.den and the stored integer
+        vectors A = self.vecs, C = other.vecs, each of length phi = phi(N)
+        on the power basis.  Exponent e gets S = 2 phi - 1 consecutive
+        slots of W bits, and self is packed as the integer
+        P_A = sum A[e][i] 2^(W (e S + i)), that is A(x, y) at x = 2^W,
+        y = 2^(W S).  In P_A P_C the slot s = e S + t holds
             r_s = sum over e1 + e2 = e, i + j = t of A[e1][i] C[e2][j],
         and t = i + j <= 2 phi - 2 < S keeps each exponent in its own block.
 
@@ -169,14 +219,13 @@ class QSeries:
         Decoding.  `_unpack` reads the signed digits of the (B+1) S slots
         up to exponent B; the slots above B never matter.  Each exponent's
         S digits are folded mod x^N - 1 and reduced mod Phi_N by
-        `_reduce_vector`, then divided by da dc.
+        `_reduce_vector`, in integers, over the denominator da dc.
         """
         self._check(other)
         n, b = self.level, self.truncation
-        if not self.coeffs or not other.coeffs:
+        a, c = self.vecs, other.vecs
+        if not a or not c:
             return QSeries.zero(n, b)
-        da, a = _integral(self.coeffs)
-        dc, c = _integral(other.coeffs)
         phi = euler_phi(n)
         stride = 2 * phi - 1
         bound = (max(abs(x) for v in a.values() for x in v)
@@ -185,22 +234,17 @@ class QSeries:
         width = _width(bound)
         digits = _unpack(_pack(a, stride, width) * _pack(c, stride, width),
                          (b + 1) * stride, width)
-        den = da * dc
-        out: dict[int, Cyclotomic] = {}
+        out = {}
         for e in range(b + 1):
             vec = digits[e * stride:(e + 1) * stride]
             if any(vec):
-                out[e] = Cyclotomic(n, tuple(
-                    Fraction(x, den) for x in _reduce_vector(n, vec, 0)))
-        return QSeries(n, b, out)
+                out[e] = _reduce_vector(n, vec, 0)
+        return QSeries._of(n, b, self.den * other.den, out)
 
     def theta(self) -> QSeries:
         """(2 pi i)^{-1} d/dz: multiplies the q_N^n coefficient by n/N."""
-        return QSeries(
-            self.level,
-            self.truncation,
-            {n: c * Fraction(n, self.level) for n, c in self.coeffs.items()},
-        )
+        return QSeries._of(self.level, self.truncation, self.den * self.level,
+                           {e: tuple(e * x for x in v) for e, v in self.vecs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -208,21 +252,24 @@ class QSeries:
         return (
             self.level == other.level
             and self.truncation == other.truncation
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.vecs == other.vecs
         )
 
     def __repr__(self):
         head = ", ".join(
-            f"q^{n}:{self.coeffs[n].to_string()}" for n in self.nonzero_exponents()[:4]
+            f"q^{n}:{self.coeff(n).to_string()}" for n in self.nonzero_exponents()[:4]
         )
         return f"QSeries(N={self.level}, B={self.truncation}, {head}...)"
 
 
-def _integral(coeffs: dict[int, Cyclotomic]) -> tuple[int, dict[int, list[int]]]:
+def _integral(coeffs: dict[int, Cyclotomic]) -> tuple[int, dict[int, tuple[int, ...]]]:
     """(d, {e: d * coefficient}) with d the lcm of every denominator, so
-    each coefficient becomes an integer vector."""
+    each coefficient becomes an integer vector.  The pair is in lowest
+    terms: a prime power exactly dividing d exactly divides some reduced
+    denominator, and that entry's scaled numerator is prime to it."""
     d = lcm(*(x.denominator for c in coeffs.values() for x in c.coeffs))
-    return d, {e: [x.numerator * (d // x.denominator) for x in c.coeffs]
+    return d, {e: tuple(x.numerator * (d // x.denominator) for x in c.coeffs)
                for e, c in coeffs.items()}
 
 
@@ -355,7 +402,8 @@ def constant_term(idx: EisIndex) -> Cyclotomic:
     raw = [Fraction(0)] * n
     for a in range(n):
         raw[-a * c2 % n] += periodic_bernoulli(k, Fraction(a, n))
-    return cyclo_reduce(n, raw) * Fraction(-(-1) ** k * n ** (k - 1), k)
+    factor = Fraction(-(-1) ** k * n ** (k - 1), k)
+    return cyclo_reduce(n, [x * factor for x in raw])
 
 
 def eis_qseries(idx: EisIndex, truncation: int) -> QSeries:
@@ -376,9 +424,7 @@ def eis_qseries(idx: EisIndex, truncation: int) -> QSeries:
     add_rows(c1 if c1 else n, c2, 1)
     add_rows(n - c1, -c2, (-1) ** k)
 
-    coeffs = {e: cyclo_reduce(n, vec) for e, vec in raw.items()}
-    c0 = constant_term(idx)
-    if not c0.is_zero():
-        coeffs[0] = c0
-    return QSeries(n, truncation, coeffs)
+    rows = QSeries._of(n, truncation, 1,
+                       {e: _reduce_vector(n, vec, 0) for e, vec in raw.items()})
+    return rows + QSeries.const(n, truncation, constant_term(idx))
 

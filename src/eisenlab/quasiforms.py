@@ -21,7 +21,7 @@ from operator import mul
 
 import mpmath
 
-from .cyclotomic import (Cyclotomic, _power_table, _reduce_vector, cyclo_embed,
+from .cyclotomic import (Cyclotomic, _multiplier, _power_table, cyclo_embed,
                          euler_phi)
 from .eisenstein import (EisIndex, QSeries, _integral, _pack, _unpack, _width,
                          eis_qseries, sturm_truncation)
@@ -162,7 +162,7 @@ def delta(f: QuasiForm, w: int | None = None) -> QuasiForm:
     return QuasiForm(f.weight + 2, f.level, f.truncation, comps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def eis_series(idx: EisIndex, truncation: int | None = None) -> QuasiForm:
     """Normalized Eisenstein series as a QuasiForm.
 
@@ -218,7 +218,7 @@ class EisBasis:
         return self._rref
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def eis_basis(weight: int, level: int, truncation: int | None = None) -> EisBasis:
     b = sturm_truncation(weight, level) if truncation is None else truncation
     return EisBasis(weight, level, b)
@@ -319,7 +319,7 @@ def _row_reduce(members, n: int) -> list:
     ell > 2 H^2 for their height H.
     """
     keys = sorted({(j, e) for f in members for j, h in enumerate(f.components)
-                   for e in h.coeffs})
+                   for e in h.vecs})
     slot = {key: s for s, key in enumerate(keys)}
     packed = [_planes(f, slot, euler_phi(n)) for f in members]
     bits = 64
@@ -388,7 +388,7 @@ def _prove(packed: list, n: int, keys: list, pivots: list, firsts: list,
     def reduced(combo: dict, pivot: int, others) -> tuple[int, list]:
         """(D, the planes of D sum_t combo[t] m_t), once that combination
         is 1 at pivot and 0 below it and at the keys in others."""
-        den, terms = _terms(combo, dens, n, phi)
+        den, terms = _terms(combo, dens, n)
         out = [_unpack(x, size, width) for x in _combine(terms, wide, phi)]
         if ([d[pivot] for d in out] != [den] + [0] * (phi - 1)
                 or any(any(d[:pivot]) or any(d[e] for e in others)
@@ -400,7 +400,7 @@ def _prove(packed: list, n: int, keys: list, pivots: list, firsts: list,
     for t, first in enumerate(firsts):
         if pivots[t] is not None:
             reduced(first, pivots[t], ())
-        elif any(_combine(_terms(first, dens, n, phi)[1], wide, phi)):
+        elif any(_combine(_terms(first, dens, n)[1], wide, phi)):
             raise _Rejected(f"member {t} does not reduce to zero")
     rows = []
     zero = Fraction(0)
@@ -419,8 +419,9 @@ def _planes(form: QuasiForm, slot: dict, phi: int):
     vector, numbered by `slot`, whose entries are at most top in absolute
     value; planes[i] packs its i-th power-basis coordinate, `width` bytes
     a slot (`eisenstein._pack`)."""
-    d, vecs = _integral({slot[j, e]: c for j, h in enumerate(form.components)
-                         for e, c in h.coeffs.items()})
+    d = lcm(*(h.den for h in form.components))
+    vecs = {slot[j, e]: [x * (d // h.den) for x in v]
+            for j, h in enumerate(form.components) for e, v in h.vecs.items()}
     top = max((abs(x) for v in vecs.values() for x in v), default=0)
     width = _width(top)
     return d, top, width, [_pack({s: v[i:i + 1] for s, v in vecs.items()}, 1,
@@ -437,7 +438,7 @@ def _embed(member, row: list, ell: int, size: int) -> list[int]:
     return [sum(map(mul, col, weights)) % ell for col in zip(*columns)]
 
 
-def _terms(combo: dict, dens: list, n: int, phi: int):
+def _terms(combo: dict, dens: list, n: int):
     """(D, terms) for the combination sum_t combo[t] m_t.
 
     Write combo[t] = c_t / D_c with integer vectors c_t and m_t =
@@ -450,9 +451,8 @@ def _terms(combo: dict, dens: list, n: int, phi: int):
     e = lcm(*(dens[t] for t in combo))
     terms = []
     for t, c in nums.items():
-        cols = [_reduce_vector(n, [0] * i + c, 0) for i in range(phi)]
-        terms.append((t, [[col[p] * (e // dens[t]) for col in cols]
-                          for p in range(phi)]))
+        terms.append((t, [[x * (e // dens[t]) for x in row]
+                          for row in _multiplier(n, c)]))
     return dc * e, terms
 
 
@@ -652,7 +652,7 @@ def peel(f: QuasiForm) -> tuple[QSeries, list[tuple[EisIndex, Cyclotomic]]]:
             raise UnsupportedWeight(
                 f"depth-2 peel needs weight 4, got {k}")
         top = current.component(2)
-        if any(n != 0 for n in top.coeffs):
+        if any(n != 0 for n in top.vecs):
             raise TopComponentNotEisenstein(
                 "Y^2 component is not a constant series")
         c = top.coeff(0)
@@ -715,8 +715,8 @@ def eval_at(f: QuasiForm, z, digits: int = EVAL_DIGITS) -> mpmath.mpc:
         total = mpmath.mpc(0)
         for j, h in enumerate(f.components):
             part = mpmath.mpc(0)
-            for n in h.nonzero_exponents():
-                part += cyclo_embed(h.coeffs[n], digits + 10) * qn ** n
+            for n, c in sorted(h.coeffs.items()):
+                part += cyclo_embed(c, digits + 10) * qn ** n
             total += part * y_val ** j
         return total
 

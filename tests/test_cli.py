@@ -115,8 +115,7 @@ def test_expand_csv_level_one(capsys):
         n_text, value_text = line.split(", ", 1)
         rows[int(n_text)] = Cyclotomic.from_string(value_text)
     assert sorted(rows) == list(series.nonzero_exponents())
-    for n, value in rows.items():
-        assert value == series.coeffs[n]
+    assert rows == series.coeffs
     assert rows[0] == Fraction(-1, 12)
     assert rows[1] == Fraction(2)
 

@@ -1,13 +1,14 @@
 """Fourier expansions: constants, rows, parity, Sturm depths, and
 rescaled torsion indices, cross-checked against direct lattice sums."""
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisenlab.cyclotomic import Cyclotomic, cyclo_embed, cyclo_reduce
+from eisenlab.cyclotomic import Cyclotomic, cyclo_embed, cyclo_reduce, euler_phi
 from eisenlab.eisenstein import (
     EisIndex,
     InvalidIndex,
@@ -25,6 +26,8 @@ from eisenlab.oracles import (
     row_constant,
     sigma,
 )
+from eisenlab.quasiforms import delta, eis_series
+from eisenlab.verifiers import LParams, TorsionPoint, build_L
 
 
 # -- constants -------------------------------------------------------------
@@ -193,20 +196,32 @@ def test_qseries_mul_borrows_across_slots():
 
 
 def test_qseries_mul_runs_no_cyclotomic_multiply(monkeypatch):
+    """Products, sums, theta, scaling by a non-rational element, delta
+    images and a whole build_L run in integers: no `Cyclotomic` multiply
+    or add, through any binding."""
     f = eis_qseries(EisIndex(3, 6, 1, 2), sturm_truncation(3, 6))
     g = eis_qseries(EisIndex(3, 6, 5, 3), sturm_truncation(3, 6))
-    real = Cyclotomic.__mul__
+    member = eis_series(EisIndex(2, 6, 1, 2))
+    c = Cyclotomic.zeta(6) + Fraction(1, 3)
+    params = LParams(TorsionPoint(6, 1, 2), TorsionPoint(6, 5, 3),
+                     Fraction(2), Fraction(-3, 5), 4)
     calls = []
 
-    def counting(self, other):
-        calls.append(other)
-        return real(self, other)
+    def counting(real):
+        def wrapper(self, other):
+            calls.append(real.__name__)
+            return real(self, other)
+        return wrapper
 
-    for name, attr in list(vars(Cyclotomic).items()):
-        if attr is real:  # __mul__ and __rmul__
-            monkeypatch.setattr(Cyclotomic, name, counting)
+    for real in (Cyclotomic.__mul__, Cyclotomic.__add__):
+        for name, attr in list(vars(Cyclotomic).items()):
+            if attr is real:  # __mul__ and __rmul__, __add__ and __radd__
+                monkeypatch.setattr(Cyclotomic, name, counting(real))
     prod = f * g
-    assert len(prod.coeffs) > 50
+    assert len(prod.nonzero_exponents()) > 50
+    assert not (f + g).is_zero() and not f.theta().is_zero()
+    assert delta(member).scale(c).depth == 2
+    assert build_L(params, 6).weight == 4
     assert calls == []
 
 
@@ -215,6 +230,97 @@ def test_qseries_mul_truncation_is_inclusive():
     assert (f * f).is_zero()  # exponent 6 falls outside the bound
     g = qs(1, 6, {3: 1})
     assert (g * g).nonzero_exponents() == [6]
+
+
+# -- integer storage against the Cyclotomic route --------------------------
+
+
+def stored(h):
+    """h, once its stored form is canonical: a positive denominator, no
+    zero vector, every exponent within the truncation, and lowest terms."""
+    assert h.den > 0
+    for e, v in h.vecs.items():
+        assert 0 <= e <= h.truncation and len(v) == euler_phi(h.level)
+        assert any(v)
+    assert gcd(h.den, *(x for v in h.vecs.values() for x in v)) == 1
+    return h
+
+
+def coefficientwise(op, *series):
+    """op(e, coefficients at e) at every exponent, in `Cyclotomic`
+    arithmetic, zeros left out: the route the integer storage replaces."""
+    views = [h.coeffs for h in series]
+    zero = Cyclotomic.zero(series[0].level)
+    out = {e: op(e, *(v.get(e, zero) for v in views))
+           for e in set().union(*views)}
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+@st.composite
+def differential_case(draw):
+    """(f, g, factors) at a level in 1..12; g is free, cancels f at one
+    exponent, or cancels all of f; the factors are 0, the zero element, an
+    int, a Fraction and an element of Q(zeta_level)."""
+    level = draw(st.integers(1, 12))
+    b = draw(st.integers(0, 12))
+    entries = st.dictionaries(st.integers(0, b),
+                              st.lists(coefficient, max_size=level),
+                              max_size=5)
+    f = qv(level, b, draw(entries))
+    g = qv(level, b, draw(entries)).coeffs
+    how = draw(st.sampled_from(("free", "one", "all")))
+    if how == "one" and f.vecs:
+        e = draw(st.sampled_from(sorted(f.vecs)))
+        g[e] = -f.coeff(e)
+    elif how == "all":
+        g = {e: -c for e, c in f.coeffs.items()}
+    factors = (0, Cyclotomic.zero(level), draw(st.integers(-2 ** 70, 2 ** 70)),
+               Fraction(draw(coefficient)),
+               cyclo_reduce(level, draw(st.lists(coefficient, min_size=level,
+                                                 max_size=level))))
+    return f, QSeries(level, b, g), factors
+
+
+@given(differential_case())
+def test_integer_storage_matches_the_cyclotomic_route(case):
+    f, g, factors = case
+    n, b = f.level, f.truncation
+    stored(f), stored(g)
+    assert stored(f + g).coeffs == coefficientwise(
+        lambda e, x, y: x + y, f, g)
+    assert stored(f - g).coeffs == coefficientwise(
+        lambda e, x, y: x - y, f, g)
+    assert stored(-f).coeffs == coefficientwise(lambda e, x: -x, f)
+    for c in factors:
+        assert stored(f.scale(c)).coeffs == coefficientwise(
+            lambda e, x: x * c, f)
+    assert stored(f.theta()).coeffs == coefficientwise(
+        lambda e, x: x * Fraction(e, n), f)
+    assert stored(f * g).coeffs == naive_convolution(f.coeffs, g.coeffs, b)
+    assert stored(f - f) == QSeries.zero(n, b)
+
+
+def test_integer_storage_edge_cases():
+    # weight-1 constant terms 3/10 and -1/10 put each series over 10; in
+    # the sum the constant 1/5 and the even integers 10 m leave 5
+    f = eis_qseries(EisIndex(1, 5, 1, 2), 30)
+    g = eis_qseries(EisIndex(1, 5, 3, 0), 30)
+    assert (f.coeff(0), g.coeff(0)) == (Fraction(3, 10), Fraction(-1, 10))
+    assert (f.den, g.den, stored(f + g).den) == (10, 10, 5)
+    # numerators and denominators past 2^64, cancelling at exponent 2
+    big = Fraction(2 ** 70 + 1, 2 ** 65 + 3)
+    h = qv(7, 5, {0: [big, 1], 2: [Fraction(1, 2 ** 66)], 5: [0, 0, big]})
+    k = qv(7, 5, {2: [Fraction(-1, 2 ** 66)], 3: [big ** 2]})
+    assert stored(h + k).nonzero_exponents() == [0, 3, 5]
+    c = Cyclotomic.zeta(7, 3) - big
+    assert stored(h.scale(c)).coeffs == coefficientwise(lambda e, a: a * c, h)
+    assert stored(h * k).coeffs == naive_convolution(h.coeffs, k.coeffs, 5)
+    # whole-series cancellation leaves the zero series over 1
+    for x in (f, h):
+        zero = QSeries.zero(x.level, x.truncation)
+        assert x - x == zero and x + (-x) == zero and x.scale(0) == zero
+        assert (x - x).den == 1
+    assert f.scale(Cyclotomic.one(5)) == f
 
 
 # -- constant terms --------------------------------------------------------

@@ -152,6 +152,15 @@ def test_eis_basis_membership():
     assert len(b3) == 8
 
 
+def test_series_and_basis_caches_are_bounded():
+    # a benchmark workload keeps at most 252 series and 7 bases at once
+    # (the warm level-6 sweep), so no workload evicts
+    series = eis_series.cache_parameters()["maxsize"]
+    bases = eis_basis.cache_parameters()["maxsize"]
+    assert series is not None and series >= 252
+    assert bases is not None and bases >= 7
+
+
 # -- the row reduction against the Gauss-Jordan oracle ----------------------
 
 
