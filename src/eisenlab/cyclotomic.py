@@ -12,8 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-import mpmath
-
 Rational = Fraction
 
 Scalar = Union[int, Fraction]
@@ -352,6 +350,8 @@ def cyclo_embed(x: Cyclotomic, precision_digits: int = 60) -> mpmath.mpc:
     with a 10-digit guard on top of the request.  mpmath rounds arithmetic
     to its working precision, so combine values inside mpmath.workdps.
     """
+    import mpmath  # only the numeric checks pay for importing it
+
     if precision_digits < 15:
         raise ValueError("precision_digits must be >= 15")
     with mpmath.workdps(precision_digits + 10):

@@ -19,8 +19,6 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
-import mpmath
-
 from .cyclotomic import (Cyclotomic, _multiplier, _power_table, cyclo_embed,
                          euler_phi)
 from .eisenstein import (EisIndex, QSeries, _integral, _pack, _unpack, _width,
@@ -706,6 +704,8 @@ def certify_orthogonal(
 
 def eval_at(f: QuasiForm, z, digits: int = EVAL_DIGITS) -> mpmath.mpc:
     """Evaluate at a point of the upper half plane by direct summation."""
+    import mpmath  # only the numeric checks pay for importing it
+
     with mpmath.workdps(digits + 10):
         zz = mpmath.mpc(z)
         if mpmath.im(zz) <= 0:
@@ -726,6 +726,8 @@ def check_s_transform(idx: EisIndex, truncation: int | None = None,
     """Numeric consistency check at the fixed point i of z -> -1/z:
     the series at (c1, c2) must equal i^weight times the series at
     (c2, -c1) there.  Returns (within_tol, absolute_error)."""
+    import mpmath
+
     b = 40 * idx.level if truncation is None else truncation
     left = eval_at(eis_series(idx, b), 1j)
     right = eval_at(eis_series(idx.s_transform(), b), 1j)

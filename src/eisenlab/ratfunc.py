@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm
+from operator import sub
 from typing import Callable, Mapping
 
 from .hull import HullChain, hull_chain
@@ -32,31 +34,48 @@ class UnknownIdentity(ValueError):
 
 
 Exponent = tuple[int, int, int, int]
+# exponent -> nonzero integer coefficient
+Ints = dict[Exponent, int]
 
 
 class MultiPoly:
-    """Polynomial in p, q, A, B with Fraction coefficients.
+    """Polynomial in p, q, A, B over Q.
 
-    Terms are kept in a dict keyed by exponent vectors; zero coefficients
-    are never stored, so equality is dict equality.
+    Stored as one positive denominator `den` and `ints`, which maps each
+    exponent vector with a nonzero coefficient to den times that
+    coefficient, an integer.  The pair is kept in lowest terms,
+    gcd(den, every coefficient) = 1, so two polynomials are equal iff
+    their fields are.  Arithmetic and the gcd run on these integers;
+    `terms`, `leading()` and `substitute` read Fractions back.  Immutable
+    by convention.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "ints")
 
     def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
-        clean: dict[Exponent, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    clean[e] = Fraction(c)
-        self.terms = clean
+        # in lowest terms: a prime power exactly dividing the lcm exactly
+        # divides some denominator, and that scaled numerator is prime to it
+        fracs = {e: Fraction(c) for e, c in terms.items() if c} if terms else {}
+        self.den = lcm(*(c.denominator for c in fracs.values()))
+        self.ints = {e: c.numerator * (self.den // c.denominator)
+                     for e, c in fracs.items()}
+
+    @staticmethod
+    def _of(den: int, ints: Ints) -> MultiPoly:
+        """ints / den for den != 0, in lowest terms with den > 0."""
+        g = int_gcd(den, *ints.values()) * (-1 if den < 0 else 1)
+        if g != 1:
+            den //= g
+            ints = {e: c // g for e, c in ints.items()}
+        out = MultiPoly.__new__(MultiPoly)
+        out.den, out.ints = den, ints
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(value) -> MultiPoly:
-        v = Fraction(value)
-        return MultiPoly({_ZERO_EXP: v} if v else {})
+        return MultiPoly({_ZERO_EXP: value})
 
     @staticmethod
     def variable(name: str) -> MultiPoly:
@@ -68,125 +87,78 @@ class MultiPoly:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
+        return not self.ints or _is_const(self.ints)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.ints)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
-        if not isinstance(other, MultiPoly):
+        o = _as_poly(other)
+        if o is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == o.den and self.ints == o.ints
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.ints.items())))
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """The coefficients as Fractions, a new dict on every read."""
+        return {e: Fraction(c, self.den) for e, c in self.ints.items()}
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
-        if not isinstance(other, MultiPoly):
+    def __add__(self, other, sign: int = 1):
+        o = _as_poly(other)
+        if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
+        den = lcm(self.den, o.den)
+        m = den // self.den
+        out = {e: c * m for e, c in self.ints.items()} if m != 1 else dict(self.ints)
+        _acc(out, o.ints, sign * (den // o.den))
+        return MultiPoly._of(den, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         res = MultiPoly.__new__(MultiPoly)
-        res.terms = {e: -c for e, c in self.terms.items()}
+        res.den, res.ints = self.den, {e: -c for e, c in self.ints.items()}
         return res
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if not f:
-                return MultiPoly()
-            res = MultiPoly.__new__(MultiPoly)
-            res.terms = {e: c * f for e, c in self.terms.items()}
-            return res
-        if not isinstance(other, MultiPoly):
+        o = _as_poly(other)
+        if o is None:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
+        return MultiPoly._of(self.den * o.den, _mul(self.ints, o.ints))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, MultiPoly.constant(1))
 
     # -- structure ---------------------------------------------------------
 
     def degree(self, var: int) -> int:
         """Degree in variable index var; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(e[var] for e in self.terms)
+        return _degree(self.ints, var) if self.ints else -1
 
     def active_vars(self) -> tuple[int, ...]:
-        present = [False] * _NVARS
-        for e in self.terms:
-            for i in range(_NVARS):
-                if e[i]:
-                    present[i] = True
-        return tuple(i for i in range(_NVARS) if present[i])
+        return _active(self.ints)
 
     def leading(self) -> tuple[Exponent, Fraction]:
-        e = max(self.terms)
-        return e, self.terms[e]
-
-    def coeff_in(self, var: int, power: int) -> MultiPoly:
-        """Coefficient of var^power, a polynomial in the other variables."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[var] == power:
-                reduced = list(e)
-                reduced[var] = 0
-                out[tuple(reduced)] = c
-        return MultiPoly(out)
+        e = max(self.ints)
+        return e, Fraction(self.ints[e], self.den)
 
     def substitute(self, values: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -200,11 +172,10 @@ class MultiPoly:
         return total
 
     def __str__(self):
-        if not self.terms:
+        if not self.ints:
             return "0"
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e, c in sorted(self.terms.items(), reverse=True):
             factors = []
             for name, k in zip(VARS, e):
                 if k == 1:
@@ -226,134 +197,216 @@ class MultiPoly:
     __repr__ = __str__
 
 
-# -- gcd machinery ---------------------------------------------------------
+def _as_poly(other) -> MultiPoly | None:
+    if isinstance(other, (int, Fraction)):
+        return MultiPoly.constant(other)
+    return other if isinstance(other, MultiPoly) else None
 
 
-def _int_content_normalize(p: MultiPoly) -> tuple[Fraction, MultiPoly]:
-    """Write p = scale * P with P integer, content 1, leading coeff > 0."""
-    if p.is_zero():
-        return Fraction(0), MultiPoly()
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = int_gcd(num, c.numerator)
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    scale = Fraction(num, den)
-    _, lead = p.leading()
-    if lead < 0:
-        scale = -scale
-    inv = Fraction(1) / scale
-    res = MultiPoly.__new__(MultiPoly)
-    res.terms = {e: c * inv for e, c in p.terms.items()}
-    return scale, res
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by repeated squaring, none past the top bit."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
-def _monomial_strip(p: MultiPoly) -> tuple[Exponent, MultiPoly]:
-    """Factor out the largest monomial dividing every term."""
-    mins = [min(e[i] for e in p.terms) for i in range(_NVARS)]
-    if not any(mins):
-        return _ZERO_EXP, p
-    out = {
-        tuple(e[i] - mins[i] for i in range(_NVARS)): c for e, c in p.terms.items()
-    }
-    res = MultiPoly.__new__(MultiPoly)
-    res.terms = out
-    return tuple(mins), res
+# -- integer polynomials ---------------------------------------------------
+# The gcd machinery runs on bare `Ints`.  f is primitive when its
+# coefficients have gcd 1; by Gauss's lemma content(fg) = content(f)content(g).
+
+_ONE: Ints = {_ZERO_EXP: 1}
+
+
+def _is_const(f: Ints) -> bool:
+    return len(f) == 1 and _ZERO_EXP in f
+
+
+def _degree(f: Ints, var: int) -> int:
+    return max(e[var] for e in f)
+
+
+def _active(f: Ints) -> tuple[int, ...]:
+    """Indices of the variables that occur in f."""
+    return tuple(i for i, col in enumerate(zip(*f)) if any(col))
+
+
+def _mul(f: Ints, g: Ints) -> Ints:
+    out: Ints = {}
+    get = out.get
+    for (a0, a1, a2, a3), x in f.items():
+        for (b0, b1, b2, b3), y in g.items():
+            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            out[e] = get(e, 0) + x * y
+    return {e: c for e, c in out.items() if c}
+
+
+def _acc(out: Ints, g: Ints, m: int, shift: Exponent = _ZERO_EXP) -> None:
+    """out += m * x^shift * g in place, for m != 0."""
+    s0, s1, s2, s3 = shift
+    for (e0, e1, e2, e3), c in g.items():
+        e = (e0 + s0, e1 + s1, e2 + s2, e3 + s3)
+        s = out.get(e, 0) + m * c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+
+
+def _unit_content(f: Ints) -> int:
+    """The content of nonzero f, signed like its leading coefficient, so
+    that f divided by it is primitive with a positive leading coefficient."""
+    g = int_gcd(*f.values())
+    return -g if f[max(f)] < 0 else g
+
+
+def _primitive(f: Ints) -> Ints:
+    g = _unit_content(f) if f else 1
+    return f if g == 1 else {e: c // g for e, c in f.items()}
+
+
+def _div(f: Ints, g: Ints) -> Ints:
+    """The quotient f/g for integer f and primitive g.
+
+    If g divides f, the quotient h is integral by Gauss's lemma, and each
+    step of the leading-term division peels off the leading term of what
+    is left of h.  So a leading term that g's does not divide, in
+    coefficient or exponent, proves g does not divide f: ArithmeticError.
+    """
+    ge = max(g)
+    gc = g[ge]
+    rem = dict(f)
+    out: Ints = {}
+    while rem:
+        re = max(rem)
+        qe = tuple(map(sub, re, ge))
+        qc, r = divmod(rem[re], gc)
+        if r or min(qe) < 0:
+            raise ArithmeticError("non-exact polynomial division")
+        out[qe] = qc
+        _acc(rem, g, -qc, qe)
+    return out
 
 
 def divide_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Exact polynomial quotient f/g; raises if g does not divide f."""
+    """Exact polynomial quotient f/g; raises if g does not divide f.
+
+    Divides f's integers by the primitive part of g's, then applies g's
+    content and both denominators once."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    out: dict[Exponent, Fraction] = {}
+    c = int_gcd(*g.ints.values())
+    prim = g.ints if c == 1 else {e: x // c for e, x in g.ints.items()}
+    quotient = _div(f.ints, prim)
+    if g.den != 1:
+        quotient = {e: x * g.den for e, x in quotient.items()}
+    return MultiPoly._of(f.den * c, quotient)
+
+
+def _strip(f: Ints) -> tuple[Exponent, Ints]:
+    """Factor out the largest monomial dividing every term."""
+    low = tuple(map(min, zip(*f)))
+    if any(low):
+        f = {tuple(map(sub, e, low)): c for e, c in f.items()}
+    return low, f
+
+
+def _parts(f: Ints, var: int) -> dict[int, Ints]:
+    """f as a polynomial in var: {power: coefficient, free of var}."""
+    parts: dict[int, Ints] = {}
+    for e, c in f.items():
+        parts.setdefault(e[var], {})[e[:var] + (0,) + e[var + 1:]] = c
+    return parts
+
+
+def _pseudo_rem(f: Ints, g: Ints, var: int) -> Ints:
+    """lc(g)^j times the remainder of f by g in var, for some j >= 0:
+    while deg rem >= deg g, rem <- lc(g) rem - lc(rem) var^(dr-dg) g."""
+    gp = _parts(g, var)
+    dg = max(gp)
     rem = f
-    ge, gc = g.leading()
-    while not rem.is_zero():
-        re, rc = rem.leading()
-        qe = tuple(a - b for a, b in zip(re, ge))
-        if any(x < 0 for x in qe):
-            raise ArithmeticError("non-exact polynomial division")
-        qc = rc / gc
-        out[qe] = qc
-        rem = rem - MultiPoly({qe: qc}) * g
-    return MultiPoly(out)
-
-
-def _univar_parts(p: MultiPoly, var: int) -> list[MultiPoly]:
-    """Coefficients of p as a polynomial in var, low degree first."""
-    return [p.coeff_in(var, d) for d in range(p.degree(var) + 1)]
-
-
-def _pseudo_rem(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
-    df, dg = f.degree(var), g.degree(var)
-    lead_g = g.coeff_in(var, dg)
-    rem = f
-    while not rem.is_zero() and rem.degree(var) >= dg:
-        dr = rem.degree(var)
-        lead_r = rem.coeff_in(var, dr)
-        shift = [0, 0, 0, 0]
-        shift[var] = dr - dg
-        rem = rem * lead_g - g * (lead_r * MultiPoly({tuple(shift): Fraction(1)}))
+    while rem:
+        rp = _parts(rem, var)
+        dr = max(rp)
+        if dr < dg:
+            break
+        rem = _mul(rem, gp[dg])
+        for e, c in rp[dr].items():
+            _acc(rem, g, -c, e[:var] + (dr - dg,) + e[var + 1:])
     return rem
 
 
-def _content_in(p: MultiPoly, var: int) -> MultiPoly:
-    cont = MultiPoly()
-    for part in _univar_parts(p, var):
-        if not part.is_zero():
-            cont = poly_gcd(cont, part) if not cont.is_zero() else part
-            if cont.is_constant():
-                break
-    _, cont = _int_content_normalize(cont)
+def _content_in(f: Ints, var: int) -> Ints:
+    """gcd of the coefficients of f as a polynomial in var: primitive,
+    with a positive leading coefficient."""
+    cont: Ints = {}
+    for part in _parts(f, var).values():
+        cont = _gcd(cont, part)
+        if _is_const(cont):
+            break
     return cont
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Gcd over Q[p,q,A,B], integer-primitive with positive leading
-    coefficient.  Recursive content/primitive-part with a primitive
-    pseudo-remainder sequence in the most significant active variable.
+    coefficient (0 when both are 0).  Recursive content/primitive-part
+    with a primitive pseudo-remainder sequence in the last active
+    variable (Knuth, TAOCP vol. 2, 4.6.1; Geddes, Czapor and Labahn,
+    Algorithms for Computer Algebra, ch. 7), run on the integers of f
+    and g: their denominators are units over Q.
+
+    Two shortcuts return 1 before any division, after the zero cases:
+    - f or g is a nonzero constant, a unit over Q;
+    - f and g share no variable.  A divisor h of f has deg_x h <= deg_x f
+      for every variable x, so vars(h) lies in vars(f) & vars(g), which
+      is empty: h is a constant.
     """
-    if f.is_zero():
-        return _int_content_normalize(g)[1] if not g.is_zero() else MultiPoly()
-    if g.is_zero():
-        return _int_content_normalize(f)[1]
-    me, f = _monomial_strip(f)
-    ne, g = _monomial_strip(g)
-    shared = tuple(min(a, b) for a, b in zip(me, ne))
-    mono = MultiPoly({shared: Fraction(1)})
-    _, f = _int_content_normalize(f)
-    _, g = _int_content_normalize(g)
-    core = _poly_gcd_primitive(f, g)
-    return _int_content_normalize(mono * core)[1]
+    out = MultiPoly.__new__(MultiPoly)
+    out.den, out.ints = 1, _gcd(f.ints, g.ints)
+    return out
 
 
-def _poly_gcd_primitive(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    if f.terms == g.terms:
+def _gcd(f: Ints, g: Ints) -> Ints:
+    """poly_gcd on integer polynomials."""
+    if not f or not g:
+        return _primitive(f or g)
+    if _is_const(f) or _is_const(g):
+        return _ONE
+    if not set(_active(f)).intersection(_active(g)):
+        return _ONE
+    fm, f = _strip(f)
+    gm, g = _strip(g)
+    core = _gcd_primitive(_primitive(f), _primitive(g))
+    shared = tuple(map(min, fm, gm))
+    return _mul(core, {shared: 1}) if any(shared) else core
+
+
+def _gcd_primitive(f: Ints, g: Ints) -> Ints:
+    """gcd of primitive f, g with positive leading coefficients and no
+    monomial factor."""
+    if f == g:
         return f
-    fv, gv = f.active_vars(), g.active_vars()
+    fv, gv = _active(f), _active(g)
     if not fv or not gv:
-        return MultiPoly.constant(1)
+        return _ONE
     var = max(fv[-1], gv[-1])
-    cf = _content_in(f, var)
-    cg = _content_in(g, var)
-    cont = _poly_gcd_primitive(cf, cg) if not (cf.is_constant() and cg.is_constant()) else MultiPoly.constant(1)
-    a = divide_exact(f, cf)
-    b = divide_exact(g, cg)
-    if a.degree(var) < b.degree(var):
+    cf, cg = _content_in(f, var), _content_in(g, var)
+    a, b = _div(f, cf), _div(g, cg)
+    if _degree(a, var) < _degree(b, var):
         a, b = b, a
     while True:
         r = _pseudo_rem(a, b, var)
-        if r.is_zero():
+        if not r:
             break
-        cr = _content_in(r, var)
-        r = divide_exact(r, cr)
-        _, r = _int_content_normalize(r)
-        a, b = b, r
-        if b.degree(var) == 0:
-            b = MultiPoly.constant(1)
+        a, b = b, _primitive(_div(r, _content_in(r, var)))
+        if _degree(b, var) == 0:
+            b = _ONE
             break
-    _, b = _int_content_normalize(b)
-    return cont * b
+    return _mul(_gcd(cf, cg), b)
 
 
 # -- rational functions ----------------------------------------------------
@@ -375,9 +428,11 @@ class RatFunc:
         if not g.is_constant():
             numer = divide_exact(numer, g)
             denom = divide_exact(denom, g)
-        scale, denom = _int_content_normalize(denom)
-        self.numer = numer * (Fraction(1) / scale)
-        self.denom = denom
+        # denom = (c / den) * P with P primitive, leading coefficient > 0
+        c = _unit_content(denom.ints)
+        self.numer = MultiPoly._of(numer.den * c,
+                                   {e: x * denom.den for e, x in numer.ints.items()})
+        self.denom = MultiPoly._of(1, _primitive(denom.ints))
 
     # -- constructors ------------------------------------------------------
 
@@ -400,11 +455,10 @@ class RatFunc:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.constant(other)
-        if not isinstance(other, RatFunc):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.numer == other.numer and self.denom == other.denom
+        return self.numer == o.numer and self.denom == o.denom
 
     def __hash__(self):
         return hash((self.numer, self.denom))
@@ -471,14 +525,7 @@ class RatFunc:
             if self.is_zero():
                 raise ZeroDenominator("negative power of zero")
             return (RatFunc.constant(1) / self) ** (-n)
-        result = RatFunc.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, RatFunc.constant(1))
 
     # -- evaluation and display -------------------------------------------
 

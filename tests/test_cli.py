@@ -1,11 +1,17 @@
 """End-to-end command-line flows, exercised in process through run_cli."""
 import argparse
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import eisenlab
 from eisenlab.cli import (
     parse_rational,
     parse_torsion,
@@ -294,3 +300,26 @@ def test_out_into_missing_directory_is_a_write_error(args, tmp_path, capsys):
     out = tmp_path / "missing" / "out.txt"
     assert run_cli(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+# -- imports ---------------------------------------------------------------
+
+
+def test_exact_paths_do_not_import_mpmath():
+    """Only the numeric checks import mpmath: a fresh interpreter that
+    loads the CLI, verifies a two-term claim and proves a K34 chain
+    never loads it."""
+    code = textwrap.dedent("""
+        import sys
+        import eisenlab, eisenlab.cli
+        from eisenlab import (TorsionPoint, check_kernel, hull_chain,
+                              verify_two_term)
+        report = verify_two_term(TorsionPoint(3, 1, 0), TorsionPoint(3, 0, 1), 3)
+        ok, _ = check_kernel("K34", k=3, chain=hull_chain(5, 3))
+        print(report.status, ok, "mpmath" in sys.modules)
+    """)
+    src = str(Path(eisenlab.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["VERIFIED", "True", "False"]

@@ -1,9 +1,11 @@
 """Polynomial gcd, rational-function normal form, and the six kernel
 identities, with substitution as the independent cross-check."""
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from eisenlab.hull import HullChain, hull_chain
@@ -100,6 +102,108 @@ def test_normalization_preserves_values(num_terms, den_terms, point):
     assert f.substitute(values) == num.substitute(values) / den.substitute(values)
 
 
+def _lowest_terms(f: MultiPoly) -> bool:
+    return (f.den > 0 and all(f.ints.values())
+            and gcd(f.den, *f.ints.values()) == 1)
+
+
+def _schoolbook(f: MultiPoly, g: MultiPoly) -> dict:
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+wide_terms = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4),
+    st.one_of(
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+                  st.integers(1, 2 ** 66))),
+    max_size=4,
+)
+
+
+@given(wide_terms, wide_terms, st.fractions(max_denominator=2 ** 65))
+def test_integer_storage_stays_in_lowest_terms(f_terms, g_terms, scalar):
+    """Every operation leaves den > 0, no zero coefficient and gcd 1, and
+    agrees with Fraction arithmetic on the `terms` view."""
+    f, g = MultiPoly(f_terms), MultiPoly(g_terms)
+    assert f.terms == {e: c for e, c in f_terms.items() if c}
+    total = dict(f.terms)
+    for e, c in g.terms.items():
+        total[e] = total.get(e, 0) + c
+    assert (f + g).terms == {e: c for e, c in total.items() if c}
+    assert (f * g).terms == _schoolbook(f, g)
+    assert (f * scalar).terms == _schoolbook(f, MultiPoly.constant(scalar))
+    results = [f, g, f + g, f - g, -f, f * g, f * scalar, f + scalar, f - f,
+               scalar - f, f ** 2, poly_gcd(f, g)]
+    if not g.is_zero():
+        assert divide_exact(f * g, g) == f
+        r = RatFunc(f, g)
+        results += [divide_exact(f * g, g), r.numer, r.denom]
+    for h in results:
+        assert _lowest_terms(h), h
+    assert (f - f).den == 1 and (f - f).is_zero()
+
+
+def _form(coeffs, monomials) -> MultiPoly:
+    return sum((c * m for c, m in zip(coeffs, monomials)), MultiPoly())
+
+
+LINEAR = (P, Q, A, B)
+QUADRATIC = tuple(x * y for i, x in enumerate(LINEAR) for y in LINEAR[i:])
+forms = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(
+        lambda c: _form(c, LINEAR)),
+    st.lists(st.integers(-2, 2), min_size=10, max_size=10).map(
+        lambda c: _form(c, QUADRATIC)),
+)
+products = st.one_of(forms, st.builds(operator.mul, forms, forms))
+
+
+@given(products, forms, forms)
+def test_poly_gcd_of_products_of_forms(h, f, g):
+    # cofactors stay single forms: the primitive remainder sequence takes
+    # over a minute on dense quartic cofactors in four variables
+    assume(not (h.is_zero() or f.is_zero() or g.is_zero()))
+    hf, hg = h * f, h * g
+    d = poly_gcd(hf, hg)
+    divide_exact(d, h)  # h divides the gcd
+    cofactor_gcd = poly_gcd(divide_exact(hf, d), divide_exact(hg, d))
+    assert cofactor_gcd == MultiPoly.constant(1)
+    assert d.den == 1 and gcd(*d.ints.values()) == 1
+    assert d.ints[max(d.ints)] > 0
+
+
+def test_integer_route_edge_cases():
+    one = MultiPoly.constant(1)
+    # the two shortcuts: a nonzero constant, and no shared variable
+    assert poly_gcd(MultiPoly.constant(Fraction(-6, 7)), A * A + B) == one
+    assert poly_gcd((P + Q) * (P - Q), (A + B) * A) == one
+    # a shared monomial and nothing else
+    assert poly_gcd(P * A, P * B) == P
+    assert divide_exact(A, 2 * A) == MultiPoly.constant(Fraction(1, 2))
+    with pytest.raises(ArithmeticError):
+        divide_exact(A * A + B, A + B)
+    with pytest.raises(ArithmeticError):
+        divide_exact(A + 1, A - 1)
+    with pytest.raises(ArithmeticError):  # 2 does not divide 3
+        divide_exact(3 * A + 1, 2 * A + 1)
+    # coefficients past 2^64
+    big = 2 ** 64 + 13
+    f = (big * A + (big + 1) * B) * (P - 3 * Q)
+    g = (big * A + (big + 1) * B) * (P + Q) * Fraction(1, big + 2)
+    assert poly_gcd(f, g) == big * A + (big + 1) * B
+    r = RatFunc(f, g)
+    assert r.denom == P + Q
+    assert r.numer == (P - 3 * Q) * (big + 2)
+    assert _lowest_terms(r.numer) and _lowest_terms(r.denom)
+    assert (f * Fraction(1, big)).den == big
+
+
 def test_ratfunc_arithmetic():
     v = constrained_vars()
     a, b, c = v["A"], v["B"], v["C"]
@@ -181,6 +285,12 @@ def test_chain_kernel_negative_control():
     ok, witness = check_kernel("K32", chain=fake)
     assert not ok
     assert not witness.is_zero()
+    # `eisenlab symbolic` prints these witnesses on failure
+    assert str(witness) == "(-1/5)/(A^2 + 2*A*B)"
+    ok, witness = check_kernel("K34", k=3, chain=fake)
+    assert not ok
+    assert str(witness) == ("(-2/5*p*A - 2/5*p*B - 2/5*q*A)"
+                            "/(A^4 + 4*A^3*B + 4*A^2*B^2)")
 
 
 def test_chain_required():
