@@ -299,22 +299,23 @@ def _width(bound: int) -> int:
     return width if width > 8 else next(w for w in (1, 2, 4, 8) if w >= width)
 
 
-def _unpack(packed: int, slots: int, width: int) -> list[int]:
-    """The signed digits r_0, ..., r_{slots-1} of
-    packed = sum_{s < slots} r_s 2^(W s) + 2^(W slots) H, W = 8 width,
-    given |r_s| < 2^(W-1) for every s < slots.
+def _unpack(packed: int, slots: int, width: int, skip: int = 0) -> list[int]:
+    """The signed digits r_skip, ..., r_{skip+slots-1} of
+    packed = sum_{s < m} r_s 2^(W s) + 2^(W m) H, W = 8 width,
+    m = skip + slots, given |r_s| < 2^(W-1) for every s < m.
 
     Adding 2^(W-1) to each of these slots turns their part into
     sum (r_s + 2^(W-1)) 2^(W s), every digit in (0, 2^W), a number in
-    [0, 2^(W slots)).  So the low W slots bits of the biased integer are
-    exactly these digits side by side: no borrow crosses a slot, and H
-    never matters.  Flipping the top bit of each digit then leaves r_s in
-    two's complement, which a 1-, 2-, 4- or 8-byte slot reads as one
-    machine integer.
+    [0, 2^(W m)).  So the low W m bits of the biased integer are exactly
+    these digits side by side: no borrow crosses a slot, and H never
+    matters; the digits asked for are the bits from W skip on.  Flipping
+    the top bit of each digit then leaves r_s in two's complement, which
+    a 1-, 2-, 4- or 8-byte slot reads as one machine integer.
     """
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    raw = (((packed + bias) & ((1 << (8 * width * slots)) - 1)) ^ bias).to_bytes(
-        width * slots, "little")
+    top = skip + slots
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * top, "little")
+    raw = ((((packed + bias) & ((1 << (8 * width * top)) - 1)) ^ bias)
+           >> (8 * width * skip)).to_bytes(width * slots, "little")
     if width in _MACHINE:
         digits = array(_MACHINE[width], raw)
         if sys.byteorder == "big":

@@ -6,8 +6,9 @@ numbers come from the Akiyama-Tanigawa triangle instead of the package's
 power-sum recurrence, hulls from a monotone chain in sheared coordinates
 instead of gift wrapping, constant terms / point values from direct
 (conditionally or absolutely convergent) lattice sums, and row reductions
-from a plain Gauss-Jordan elimination in `Cyclotomic` arithmetic instead of
-the modular proposal and its packed-integer proof.
+and span solves from a plain Gauss-Jordan elimination in `Cyclotomic`
+arithmetic instead of the modular proposal, its packed-integer proof and
+the integer solve at the pivots.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from fractions import Fraction
 import mpmath
 
 from .cyclotomic import Cyclotomic, cyclo_invert
-from .quasiforms import _axpy, _stack
+from .eisenstein import QSeries
+from .quasiforms import MAX_DEPTH, QuasiForm, SpanSolution
 
 
 def sigma(n: int, power: int) -> int:
@@ -136,6 +138,34 @@ def naive_convolution(a: dict[int, object], b: dict[int, object],
     return {e: c for e, c in out.items() if not c.is_zero()}
 
 
+def _stack(f: QuasiForm) -> dict[tuple[int, int], Cyclotomic]:
+    """The form as a vector keyed by (Y-degree, q-exponent)."""
+    out = {}
+    for j, h in enumerate(f.components):
+        for n, c in h.coeffs.items():
+            out[(j, n)] = c
+    return out
+
+
+def _unstack(vec, weight, level, truncation) -> QuasiForm:
+    comps: list[dict[int, Cyclotomic]] = [{} for _ in range(MAX_DEPTH + 1)]
+    for (j, n), c in vec.items():
+        comps[j][n] = c
+    series = tuple(QSeries(level, truncation, d) for d in comps)
+    return QuasiForm(weight, level, truncation, series)
+
+
+def _axpy(vec, scale: Cyclotomic, other):
+    """vec -= scale * other, in place, keeping the zero-free invariant."""
+    for key, c in other.items():
+        cur = vec.get(key)
+        val = (-scale) * c if cur is None else cur - scale * c
+        if val.is_zero():
+            vec.pop(key, None)
+        else:
+            vec[key] = val
+
+
 def exact_rref(members) -> list[tuple[tuple[int, int], dict, dict]]:
     """Gauss-Jordan over Q(zeta_N) on the stacked member vectors, keyed by
     (Y-degree, q-exponent), with tracking.
@@ -169,3 +199,34 @@ def exact_rref(members) -> list[tuple[tuple[int, int], dict, dict]]:
                 _axpy(rtrack, c, track)
         rows.append((pivot, vec, track))
     return rows
+
+
+def rows_of(members, pairs) -> list[tuple[tuple[int, int], dict, dict]]:
+    """The (pivot, row, track) triples of (pivot, track) pairs such as
+    `EisBasis.rref()` returns, each row rebuilt as sum_s track[s] m_s in
+    series arithmetic, so that they compare with `exact_rref`."""
+    out = []
+    for pivot, track in pairs:
+        row = None
+        for s, c in track.items():
+            term = members[s].scale(c)
+            row = term if row is None else row + term
+        out.append((pivot, {} if row is None else _stack(row), track))
+    return out
+
+
+def exact_span_solve(target: QuasiForm, basis, rows) -> SpanSolution:
+    """Gauss-Jordan reduction of the target against rows =
+    `exact_rref(basis.members)`, in their order, in `Cyclotomic`
+    arithmetic: the coefficients are the tracks weighted by the values
+    the target has at each pivot when its row comes."""
+    vec = _stack(target)
+    combo: dict[int, Cyclotomic] = {}
+    for pivot, rvec, rtrack in rows:
+        c = vec.get(pivot)
+        if c is not None:
+            _axpy(vec, c, rvec)
+            _axpy(combo, -c, rtrack)
+    coeffs = {basis.indices[i]: combo[i] for i in sorted(combo)}
+    residual = _unstack(vec, target.weight, target.level, target.truncation)
+    return SpanSolution(coefficients=coeffs, residual=residual)

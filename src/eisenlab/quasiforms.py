@@ -210,7 +210,9 @@ class EisBasis:
     def __len__(self):
         return len(self.members)
 
-    def rref(self):
+    def rref(self) -> list:
+        """The (pivot key, track) pairs of the row reduction, in the order
+        the rows arise (`_row_reduce`), built on first use."""
         if self._rref is None:
             self._rref = _row_reduce(self.members, self.level)
         return self._rref
@@ -222,41 +224,11 @@ def eis_basis(weight: int, level: int, truncation: int | None = None) -> EisBasi
     return EisBasis(weight, level, b)
 
 
-# -- exact linear algebra over the stacked coefficient space ---------------
+# -- the row reduction: proposed modulo a split prime, proved exactly ------
 #
 # A QuasiForm flattens to a vector indexed by (Y-degree, q-exponent); that
 # pair, ordered lexicographically, is also the pivot order, so residuals
 # come out in a canonical normal form.
-
-
-def _stack(f: QuasiForm) -> dict[tuple[int, int], Cyclotomic]:
-    out = {}
-    for j, h in enumerate(f.components):
-        for n, c in h.coeffs.items():
-            out[(j, n)] = c
-    return out
-
-
-def _unstack(vec, weight, level, truncation) -> QuasiForm:
-    comps: list[dict[int, Cyclotomic]] = [{} for _ in range(MAX_DEPTH + 1)]
-    for (j, n), c in vec.items():
-        comps[j][n] = c
-    series = tuple(QSeries(level, truncation, d) for d in comps)
-    return QuasiForm(weight, level, truncation, series)
-
-
-def _axpy(vec, scale: Cyclotomic, other):
-    """vec -= scale * other, in place, keeping the zero-free invariant."""
-    for key, c in other.items():
-        cur = vec.get(key)
-        val = (-scale) * c if cur is None else cur - scale * c
-        if val.is_zero():
-            vec.pop(key, None)
-        else:
-            vec[key] = val
-
-
-# -- the row reduction: proposed modulo a split prime, proved exactly ------
 
 
 class _Rejected(ArithmeticError):
@@ -264,18 +236,19 @@ class _Rejected(ArithmeticError):
 
 
 def _row_reduce(members, n: int) -> list:
-    """The rows of `oracles.exact_rref(members)`, proposed modulo a split
-    prime and proved exactly.
+    """The (pivot, track) pairs of `oracles.exact_rref(members)`, proposed
+    modulo a split prime on a window of low exponents and proved exactly.
 
     The keys (j, e) of the stacked members are numbered in key order, and
     these numbers are the slots of each member's packed planes (`_planes`).
 
     Propose (`_propose`): under each embedding zeta -> omega^s of
-    Q(zeta_n) into F_ell, run the elimination (`_eliminate`); every
-    embedding must give every member the same pivot.  Each track entry is
-    lifted from its phi(n) images by the inverse embedding table and
-    rational reconstruction.  This gives pivots p_t (None for a dropped
-    member), first tracks F_t and row tracks T_i.
+    Q(zeta_n) into F_ell, run the elimination (`_eliminate`) on the keys
+    (j, e) with e < W, the window; every embedding must give every member
+    the same pivot.  Each track entry is lifted from its phi(n) images by
+    the inverse embedding table and rational reconstruction.  This gives
+    pivots p_t (None for a dropped member), first tracks F_t and row
+    tracks T_i.
 
     Prove (`_prove`), exactly and over every key, with packed integer
     combinations of the members:
@@ -308,36 +281,61 @@ def _row_reduce(members, n: int) -> list:
     in which the loop finds the pivots; the first tracks of the kept
     members do.
 
-    Any failure (disagreeing embeddings, a non-invertible element, a
-    failed reconstruction, a failed check) moves on to the split prime
-    with twice the bits.  The loop ends: only finitely many primes divide
-    a denominator of the members or a nonzero value that the exact loop
-    tests or divides by, so from some size on every embedding takes the
-    exact loop's steps, and reconstruction returns the true tracks once
-    ell > 2 H^2 for their height H.
+    The proof reads nothing of how the proposal was found, so the window
+    is a guess that the checks confirm: W starts at the number of
+    members, and a failed check doubles W while some key lies outside
+    it.  A failure in the proposal (disagreeing embeddings, a
+    non-invertible element, a failed reconstruction), or a failed check
+    once the window holds every key, moves on to the split prime with
+    twice the bits.  The loop ends.  The elimination on a window is the
+    exact loop on the members cut down to the window's keys, and only
+    finitely many primes divide a denominator of the members or a
+    nonzero value that this loop tests or divides by; so from some size
+    on every embedding takes its steps, and reconstruction returns its
+    true tracks once ell > 2 H^2 for their height H.  Each window thus
+    fails only finitely often before its proposal is checked, every
+    failed check of a partial window doubles W, and once W holds every
+    key the windowed loop is the exact loop, whose proposal passes.
     """
     keys = sorted({(j, e) for f in members for j, h in enumerate(f.components)
                    for e in h.vecs})
     slot = {key: s for s, key in enumerate(keys)}
     packed = [_planes(f, slot, euler_phi(n)) for f in members]
-    bits = 64
+    top = max((e for _, e in keys), default=0)
+    bits, window = 64, len(members)
     while True:
         try:
-            proposal = _propose(packed, n, len(keys), bits)
-            return _prove(packed, n, keys, *proposal)
+            proposal = _propose(packed, n, keys, window, bits)
         except _Rejected:
             bits *= 2
+            continue
+        try:
+            return _prove(packed, n, keys, *proposal)
+        except _Rejected:
+            if window > top:
+                bits *= 2
+            else:
+                window *= 2
 
 
-def _propose(packed: list, n: int, size: int, bits: int):
-    """(pivots, firsts, tracks) of `_row_reduce`, modulo the split prime
-    above 2^bits; pivots are slots."""
+def _propose(packed: list, n: int, keys: list, window: int, bits: int):
+    """(pivots, firsts, tracks) of `_row_reduce`, eliminating on the keys
+    (j, e) with e < window modulo the split prime above 2^bits; pivots
+    are slots."""
+    inside = [s for s, (_, e) in enumerate(keys) if e < window]
+    spans = []  # [first slot, count] of each run of consecutive slots
+    for s in inside:
+        if spans and sum(spans[-1]) == s:
+            spans[-1][1] += 1
+        else:
+            spans.append([s, 1])
     ell, table, inverse = _split_prime(n, bits)
-    runs = [_eliminate((_embed(m, row, ell, size) for m in packed), ell,
+    runs = [_eliminate((_embed(m, row, ell, spans) for m in packed), ell,
                        len(packed)) for row in table]
     pivots = runs[0][0]
     if any(run[0] != pivots for run in runs):
         raise _Rejected(f"the embeddings disagree on the pivots mod {ell}")
+    pivots = [None if p is None else inside[p] for p in pivots]
     kept = [t for t, p in enumerate(pivots) if p is not None]
     zero = Fraction(0)
 
@@ -362,9 +360,9 @@ def _propose(packed: list, n: int, size: int, bits: int):
 
 def _prove(packed: list, n: int, keys: list, pivots: list, firsts: list,
            tracks: list) -> list:
-    """The (pivot, row, track) triples, once (s), (b) and (a) of
-    `_row_reduce` hold; raises _Rejected when one fails.  Repacks every
-    member of packed, in place, at a width that holds every combination."""
+    """The (pivot, track) pairs, once (s), (b) and (a) of `_row_reduce`
+    hold; raises _Rejected when one fails.  Repacks every member of
+    packed, in place, at a width that holds every combination."""
     phi, size = euler_phi(n), len(keys)
     kept = [t for t, p in enumerate(pivots) if p is not None]
     if (len(pivots) != len(packed) or len(firsts) != len(packed)
@@ -383,9 +381,9 @@ def _prove(packed: list, n: int, keys: list, pivots: list, firsts: list,
                                     for a in planes]
     wide = [planes for _, _, _, planes in packed]
 
-    def reduced(combo: dict, pivot: int, others) -> tuple[int, list]:
-        """(D, the planes of D sum_t combo[t] m_t), once that combination
-        is 1 at pivot and 0 below it and at the keys in others."""
+    def check_reduced(combo: dict, pivot: int, others) -> None:
+        """Rejects unless sum_t combo[t] m_t is 1 at pivot and 0 below it
+        and at the keys in others."""
         den, terms = _terms(combo, dens, n)
         out = [_unpack(x, size, width) for x in _combine(terms, wide, phi)]
         if ([d[pivot] for d in out] != [den] + [0] * (phi - 1)
@@ -393,23 +391,15 @@ def _prove(packed: list, n: int, keys: list, pivots: list, firsts: list,
                        for d in out)):
             raise _Rejected(f"the combination for pivot {keys[pivot]} "
                             "is not reduced")
-        return den, out
 
     for t, first in enumerate(firsts):
         if pivots[t] is not None:
-            reduced(first, pivots[t], ())
+            check_reduced(first, pivots[t], ())
         elif any(_combine(_terms(first, dens, n)[1], wide, phi)):
             raise _Rejected(f"member {t} does not reduce to zero")
-    rows = []
-    zero = Fraction(0)
     for t, track in zip(kept, tracks):
-        others = [pivots[s] for s in kept if s != t]
-        den, planes = reduced(track, pivots[t], others)
-        row = {keys[s]: Cyclotomic(n, tuple(Fraction(x, den) if x else zero
-                                            for x in coords))
-               for s, coords in enumerate(zip(*planes)) if any(coords)}
-        rows.append((keys[pivots[t]], row, track))
-    return rows
+        check_reduced(track, pivots[t], [pivots[s] for s in kept if s != t])
+    return [(keys[pivots[t]], track) for t, track in zip(kept, tracks)]
 
 
 def _planes(form: QuasiForm, slot: dict, phi: int):
@@ -426,14 +416,17 @@ def _planes(form: QuasiForm, slot: dict, phi: int):
                                  width) if vecs else 0 for i in range(phi)]
 
 
-def _embed(member, row: list, ell: int, size: int) -> list[int]:
+def _embed(member, row: list, ell: int, spans) -> list[int]:
     """The member's vector mod ell under the embedding that maps the power
-    basis to row."""
+    basis to row, at the slots of the (first slot, count) spans only."""
     d, _, width, planes = member
     scale = _inverse(d, ell)
     weights = [x * scale % ell for x in row]
-    columns = [_unpack(a, size, width) for a in planes]
-    return [sum(map(mul, col, weights)) % ell for col in zip(*columns)]
+    out = []
+    for first, count in spans:
+        columns = [_unpack(a, count, width, first) for a in planes]
+        out += [sum(map(mul, col, weights)) % ell for col in zip(*columns)]
+    return out
 
 
 def _terms(combo: dict, dens: list, n: int):
@@ -598,7 +591,14 @@ class SpanSolution:
 
 def span_solve(target: QuasiForm, basis: EisBasis) -> SpanSolution:
     """Exact projection: target = sum(coefficients * members) + residual,
-    with the residual fully reduced against the basis row space."""
+    with the residual fully reduced against the basis row space.
+
+    The rows R_i of `EisBasis.rref()` are 1 at their own pivot p_i and 0
+    at the others, so target - sum_i c_i R_i vanishes at every pivot
+    exactly when c_i is the target's value at p_i.  The coefficients are
+    then sum_i c_i T_i over the tracks, and the residual is the target
+    minus that combination of the members.  Both run in integers over
+    one denominator each."""
     if target.level != basis.level or target.truncation != basis.truncation:
         raise ValueError("target and basis level/truncation mismatch")
     if target.weight != basis.weight:
@@ -606,22 +606,52 @@ def span_solve(target: QuasiForm, basis: EisBasis) -> SpanSolution:
     if target.is_zero():
         # zero is its own normal form: no row reduction needed
         return SpanSolution({}, target)
-    vec = _stack(target)
-    combo: dict[int, Cyclotomic] = {}
-    for pivot, rvec, rtrack in basis.rref():
-        c = vec.get(pivot)
-        if c is not None:
-            _axpy(vec, c, rvec)
-            for pos, t in rtrack.items():
-                cur = combo.get(pos)
-                val = c * t if cur is None else cur + c * t
-                if val.is_zero():
-                    combo.pop(pos, None)
-                else:
-                    combo[pos] = val
-    coeffs = {basis.indices[i]: combo[i] for i in sorted(combo)}
-    residual = _unstack(vec, target.weight, target.level, target.truncation)
-    return SpanSolution(coefficients=coeffs, residual=residual)
+    n = target.level
+    terms = []  # c_i T_i = (v times the vectors of nums) / d
+    for (j, e), track in basis.rref():
+        h = target.component(j)
+        v = h.vecs.get(e)
+        if v is not None:
+            d, nums = _integral(track)
+            terms.append((h.den * d, v, nums))
+    den = lcm(*(d for d, _, _ in terms))
+    combo: dict[int, list[int]] = {}
+    for d, v, nums in terms:
+        _add_products(combo, _multiplier(n, v), nums, den // d)
+    combo = {t: combo[t] for t in sorted(combo) if any(combo[t])}
+    return SpanSolution(
+        coefficients={basis.indices[t]: Cyclotomic(n, tuple(Fraction(x, den)
+                                                            for x in c))
+                      for t, c in combo.items()},
+        residual=_subtract(target, basis.members, den, combo))
+
+
+def _subtract(target: QuasiForm, members, den: int, combo: dict) -> QuasiForm:
+    """target - sum_t (combo[t] / den) members[t], for integer vectors
+    combo[t], in integers: one common denominator per Y-degree."""
+    n, b = target.level, target.truncation
+    comps = []
+    for j in range(MAX_DEPTH + 1):
+        h = target.component(j)
+        parts = [(members[t].component(j), c) for t, c in combo.items()]
+        parts = [(g, c) for g, c in parts if g.vecs]
+        common = lcm(h.den, *(den * g.den for g, _ in parts))
+        out = {e: [common // h.den * x for x in v] for e, v in h.vecs.items()}
+        for g, c in parts:
+            _add_products(out, _multiplier(n, c), g.vecs,
+                          -(common // (den * g.den)))
+        comps.append(QSeries._of(n, b, common,
+                                 {e: tuple(v) for e, v in out.items()}))
+    return QuasiForm(target.weight, n, b, tuple(comps))
+
+
+def _add_products(out: dict, rows: list, vecs: dict, k: int) -> None:
+    """out[key] += k times rows times vecs[key], for every key of vecs."""
+    rows = [[k * x for x in row] for row in rows]
+    for key, v in vecs.items():
+        acc = out.setdefault(key, [0] * len(rows))
+        for p, row in enumerate(rows):
+            acc[p] += sum(map(mul, row, v))
 
 
 # -- peeling nonholomorphic components -------------------------------------
@@ -689,14 +719,16 @@ def certify_orthogonal(
 
     At weight 2 the basis members carry the Y-component themselves, so
     nothing is peeled: the form is solved directly against the completed
-    basis."""
+    basis.  A zero form, or a zero remainder, is its own solution and
+    needs no basis."""
     if f.weight == 2:
-        return span_solve(f, eis_basis(2, f.level, f.truncation)), []
-    remainder, cert = peel(f)
-    basis = eis_basis(f.weight, f.level, f.truncation)
-    sol = span_solve(QuasiForm(f.weight, f.level, f.truncation, (remainder,)),
-                     basis)
-    return sol, cert
+        form, cert = f, []
+    else:
+        remainder, cert = peel(f)
+        form = QuasiForm(f.weight, f.level, f.truncation, (remainder,))
+    if form.is_zero():
+        return SpanSolution({}, form), cert
+    return span_solve(form, eis_basis(f.weight, f.level, f.truncation)), cert
 
 
 # -- numerics --------------------------------------------------------------

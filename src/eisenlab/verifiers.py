@@ -23,6 +23,8 @@ from .hull import NonCoprimeShear, hull_chain
 from .quasiforms import (
     QuasiForm,
     SpanSolution,
+    TopComponentNotEisenstein,
+    UnsupportedWeight,
     certify_orthogonal,
     eis_series,
     quasi_mul,
@@ -150,13 +152,17 @@ def build_L(params: LParams, n_work: int, truncation: int | None = None) -> Quas
 def _report(claim_id: str, parameters: dict, total: QuasiForm, started: float,
             status: str | None = None) -> VerificationReport:
     """Certify the claim's total form, or, when the caller already has a
-    status, record it with the whole form as the residual.  The report's
-    truncation and level are the form's."""
+    status, record it with the whole form as the residual.  A form the
+    certifier cannot peel is INCONCLUSIVE, recorded the same way.  The
+    report's truncation and level are the form's."""
+    defect, certificate = SpanSolution(coefficients={}, residual=total), []
     if status is None:
-        defect, certificate = certify_orthogonal(total)
-        status = VERIFIED if defect.in_span else INCONCLUSIVE
-    else:
-        defect, certificate = SpanSolution(coefficients={}, residual=total), []
+        try:
+            defect, certificate = certify_orthogonal(total)
+        except (TopComponentNotEisenstein, UnsupportedWeight):
+            status = INCONCLUSIVE
+        else:
+            status = VERIFIED if defect.in_span else INCONCLUSIVE
     return VerificationReport(
         claim_id=claim_id,
         parameters=parameters,

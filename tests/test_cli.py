@@ -22,7 +22,9 @@ from eisenlab.cli import (
 from eisenlab.cyclotomic import Cyclotomic
 from eisenlab.eisenstein import EisIndex
 from eisenlab.hull import sublattice_points
-from eisenlab.quasiforms import eis_series
+from eisenlab import quasiforms
+from eisenlab.quasiforms import (TopComponentNotEisenstein, UnsupportedWeight,
+                                 eis_series)
 from eisenlab.verifiers import TorsionPoint, verify_two_term
 
 
@@ -289,6 +291,34 @@ def test_report_inconclusive_path(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["status"] == "INCONCLUSIVE"
     assert payload["defect"]["coefficients"] == []
+
+
+@pytest.mark.parametrize("error", [TopComponentNotEisenstein,
+                                   UnsupportedWeight])
+def test_certifier_failure_is_inconclusive(error, tmp_path, monkeypatch,
+                                           capsys):
+    # a form the certifier cannot peel ends as INCONCLUSIVE with the whole
+    # form as the residual, not as a usage error
+    seen = []
+
+    def peel(f):
+        seen.append(f)
+        raise error("forced")
+
+    monkeypatch.setattr(quasiforms, "peel", peel)
+    out = tmp_path / "r.json"
+    rc = run_cli(["prop21", "--weight", "3", "--lam", "1,0@3",
+                  "--mu", "0,1@3", "--p", "1", "--q", "1", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == ""
+    (form,) = seen
+    payload = json.loads(out.read_text())
+    assert payload["status"] == "INCONCLUSIVE"
+    assert payload["defect"]["coefficients"] == []
+    assert payload["defect"]["certificate"] == []
+    assert payload["defect"]["residual_nonzero_exponents"] == sorted(
+        [j, e] for j, h in enumerate(form.components) for e in h.vecs)
+    assert payload["defect"]["residual_nonzero_exponents"]
 
 
 @pytest.mark.parametrize("args", [

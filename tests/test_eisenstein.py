@@ -13,6 +13,8 @@ from eisenlab.eisenstein import (
     EisIndex,
     InvalidIndex,
     QSeries,
+    _pack,
+    _unpack,
     bernoulli,
     constant_term,
     eis_qseries,
@@ -193,6 +195,21 @@ def test_qseries_mul_borrows_across_slots():
     h = qv(5, 3, {e: [big] * 4 for e in range(4)})
     for other in (h, -h, h.scale(Fraction(-1, 3))):
         assert (h * other).coeffs == naive_convolution(h.coeffs, other.coeffs, 3)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([1, 2, 4, 8, 9]), st.data())
+def test_unpack_reads_any_run_of_slots(width, data):
+    # signed digits at the largest magnitude a slot holds; a negative
+    # digit below the run borrows from the slots the run reads
+    top = 2 ** (8 * width - 1) - 1
+    digits = data.draw(st.lists(st.sampled_from([-top, -1, 0, 1, top])
+                                | st.integers(-top, top), min_size=1,
+                                max_size=12))
+    skip = data.draw(st.integers(0, len(digits) - 1))
+    slots = data.draw(st.integers(1, len(digits) - skip))
+    packed = _pack({0: digits}, len(digits), width)
+    assert _unpack(packed, slots, width, skip) == digits[skip:skip + slots]
 
 
 def test_qseries_mul_runs_no_cyclotomic_multiply(monkeypatch):

@@ -1,7 +1,9 @@
 """Y-calculus, the raising operator, Eisenstein bases, exact span
 solving, and the peeling certificates."""
+import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from eisenlab import cyclotomic, quasiforms
 from eisenlab.cyclotomic import Cyclotomic
 from eisenlab.eisenstein import EisIndex, QSeries, sturm_truncation
-from eisenlab.oracles import exact_rref
+from eisenlab.oracles import exact_rref, exact_span_solve, rows_of
 from eisenlab.quasiforms import (
     MAX_DEPTH,
     DepthOverflow,
@@ -164,28 +166,43 @@ def test_series_and_basis_caches_are_bounded():
 # -- the row reduction against the Gauss-Jordan oracle ----------------------
 
 
-@pytest.mark.parametrize("weight, level", [
-    (k, n) for k in range(1, 5) for n in range(1, 9)])
+GRID = [(k, n) for k in range(1, 5) for n in range(1, 9)]
+
+
+@lru_cache(maxsize=None)
+def oracle_rows(weight, level):
+    """exact_rref of the grid's basis at (weight, level, level + 4)."""
+    return exact_rref(eis_basis(weight, level, level + 4).members)
+
+
+@pytest.mark.parametrize("weight, level", GRID)
 def test_rref_matches_oracle(weight, level):
+    # pivots and tracks equal the oracle's, and so does each row rebuilt
+    # from its track
     basis = EisBasis(weight, level, level + 4)
-    assert basis.rref() == exact_rref(basis.members)
+    assert rows_of(basis.members, basis.rref()) == oracle_rows(weight, level)
 
 
 @pytest.mark.slow
 def test_rref_matches_oracle_at_the_sturm_bound():
     basis = EisBasis(2, 7, sturm_truncation(2, 7))
     assert basis.truncation == 203
-    assert basis.rref() == exact_rref(basis.members)
+    assert rows_of(basis.members, basis.rref()) == exact_rref(basis.members)
 
 
-def _watch_attempts(monkeypatch, change=None):
+def _watch_attempts(monkeypatch, change=None, windows=None):
     """Record how each proof attempt ends; change, if given, alters the
-    first proposal in place before it is proved."""
+    first proposal in place before it is proved; windows, if given,
+    collects the (bits, window) of each proposal.  A fourth proposal
+    fails the test: every case here needs at most three."""
     real_propose, real_prove = quasiforms._propose, quasiforms._prove
     outcomes = []
+    windows = [] if windows is None else windows
 
-    def propose(*args):
-        proposal = real_propose(*args)
+    def propose(packed, n, keys, window, bits):
+        assert len(windows) < 3, f"no proof after {windows}"
+        windows.append((bits, window))
+        proposal = real_propose(packed, n, keys, window, bits)
         if change is not None and not outcomes:
             change(*proposal)
         return proposal
@@ -214,13 +231,29 @@ def test_rref_retries_on_a_larger_prime(weight, level, monkeypatch):
     real_propose = quasiforms._propose
     sizes = []
 
-    def propose(packed, n, size, bits):
+    def propose(packed, n, keys, window, bits):
         sizes.append(bits)
-        return real_propose(packed, n, size, bits)
+        return real_propose(packed, n, keys, window, bits)
 
     monkeypatch.setattr(quasiforms, "_propose", propose)
-    assert basis.rref() == exact_rref(basis.members)
+    assert rows_of(basis.members, basis.rref()) == exact_rref(basis.members)
     assert sizes[:2] == [64, 128]
+
+
+def test_rref_widens_the_window_until_the_proof_passes(monkeypatch):
+    # m_0 = 1 + q^3 and m_1 = 1 + 2 q^3 agree below the first window,
+    # e < 2 (two members), so that proposal drops m_1 by m_1 - m_0 = q^3,
+    # which the proof over every key rejects; e < 4 holds every key
+    one = Cyclotomic.one(1)
+    members = [QuasiForm(2, 1, 3, (QSeries(1, 3, {0: one, 3: c * one}),))
+               for c in (1, 2)]
+    windows = []
+    outcomes = _watch_attempts(monkeypatch, windows=windows)
+    pairs = quasiforms._row_reduce(members, 1)
+    assert list(zip(windows, outcomes)) == [((64, 2), "rejected"),
+                                            ((64, 4), "proved")]
+    assert [pivot for pivot, _ in pairs] == [(0, 0), (0, 3)]
+    assert rows_of(members, pairs) == exact_rref(members)
 
 
 @pytest.mark.parametrize("which", ["row track", "dropped relation",
@@ -237,7 +270,7 @@ def test_rref_rejects_a_changed_track_entry(which, monkeypatch):
 
     basis = EisBasis(2, 3, 20)
     outcomes = _watch_attempts(monkeypatch, change)
-    assert basis.rref() == exact_rref(basis.members)
+    assert rows_of(basis.members, basis.rref()) == exact_rref(basis.members)
     assert outcomes == ["rejected", "proved"]
 
 
@@ -253,7 +286,7 @@ def test_rref_rejects_a_row_that_is_not_reduced(how, monkeypatch):
 
     basis = EisBasis(2, 3, 20)
     outcomes = _watch_attempts(monkeypatch, change)
-    assert basis.rref() == exact_rref(basis.members)
+    assert rows_of(basis.members, basis.rref()) == exact_rref(basis.members)
     assert outcomes == ["rejected", "proved"]
 
 
@@ -271,9 +304,9 @@ def test_rref_rejects_pivots_found_in_another_order(monkeypatch):
         tracks[:] = [{0: one, 1: -one}, {1: one}]
 
     outcomes = _watch_attempts(monkeypatch, change)
-    rows = quasiforms._row_reduce(members, 1)
-    assert [pivot for pivot, _, _ in rows] == [(0, 0), (0, 2)]
-    assert rows == exact_rref(members)
+    pairs = quasiforms._row_reduce(members, 1)
+    assert [pivot for pivot, _ in pairs] == [(0, 0), (0, 2)]
+    assert rows_of(members, pairs) == exact_rref(members)
     assert outcomes == ["rejected", "proved"]
 
 
@@ -296,7 +329,7 @@ def test_rref_rejects_a_relation_with_a_later_member(monkeypatch):
                 track[2] = track.pop(1)
 
     outcomes = _watch_attempts(monkeypatch, change)
-    assert basis.rref() == exact_rref(basis.members)
+    assert rows_of(basis.members, basis.rref()) == exact_rref(basis.members)
     assert outcomes == ["rejected", "proved"]
 
 
@@ -391,6 +424,65 @@ def test_span_solve_frame_checks():
         span_solve(QuasiForm(4, 3, 20, ()), basis)
 
 
+def random_target(basis, rng, in_span):
+    """A random combination of about half the members with small
+    coefficients in Q(zeta_N); out of the span, plus random entries at
+    two random keys of Y-degree 0 or 1."""
+    k, n, b = basis.weight, basis.level, basis.truncation
+    phi = len(Cyclotomic.one(n).coeffs)
+
+    def number():
+        return Cyclotomic(n, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                   for _ in range(phi)))
+
+    target = QuasiForm(k, n, b, ())
+    for member in basis.members:
+        if rng.random() < 0.5:
+            target = target + member.scale(number())
+    if not in_span:
+        for _ in range(2):
+            comps = [QSeries.zero(n, b), QSeries.zero(n, b)]
+            comps[rng.randint(0, 1)] = QSeries(n, b, {rng.randint(0, b): number()})
+            target = target + QuasiForm(k, n, b, tuple(comps))
+    return target
+
+
+@pytest.mark.parametrize("weight, level", GRID)
+def test_span_solve_matches_the_gauss_jordan_oracle(weight, level):
+    basis = eis_basis(weight, level, level + 4)
+    rng = random.Random(1000 * weight + level)
+    for in_span in (True, False, True, False):
+        target = random_target(basis, rng, in_span)
+        sol = span_solve(target, basis)
+        want = exact_span_solve(target, basis, oracle_rows(weight, level))
+        assert sol.coefficients == want.coefficients
+        assert sol.residual == want.residual
+        assert sol.in_span or not in_span
+
+
+def test_span_solve_makes_no_cyclotomic_products(monkeypatch):
+    # the coefficients and the residual both run on integer vectors; the
+    # Gauss-Jordan solve made about rank x |kept| products per target
+    basis = eis_basis(2, 5, sturm_truncation(2, 5))
+    basis.rref()
+    calls = []
+    real_mul = Cyclotomic.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return real_mul(self, other)
+
+    for in_span in (True, False):
+        target = random_target(basis, random.Random(in_span), in_span)
+        monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
+        monkeypatch.setattr(Cyclotomic, "__rmul__", counting_mul)
+        sol = span_solve(target, basis)
+        monkeypatch.undo()
+        assert sol.in_span == in_span
+        assert sol.coefficients
+    assert calls == []
+
+
 def test_peel_passthrough_depth_zero():
     f = eis_series(EisIndex(3, 2, 1, 0), 18)
     remainder, cert = peel(f)
@@ -445,6 +537,18 @@ def test_certify_orthogonal_tautology():
     sol, cert = certify_orthogonal(f)
     assert sol.in_span
     assert list(sol.coefficients) == [EisIndex(2, 3, 1, 1)]
+
+
+def test_certify_orthogonal_builds_no_basis_for_a_zero_target(basis_builds):
+    for weight, level in ((2, 3), (3, 4), (4, 2)):
+        zero = QuasiForm(weight, level, 12, ())
+        sol, cert = certify_orthogonal(zero)
+        assert sol.in_span and not sol.coefficients and not cert
+        assert sol.residual == zero
+    assert basis_builds == []
+    # a nonzero form of depth 0 needs its weight's basis and no other
+    certify_orthogonal(eis_series(EisIndex(3, 4, 1, 0), 12))
+    assert basis_builds == [(3, 4, 12)]
 
 
 def test_certify_single_product_genus_split():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eisenlab.cli import report_payload
 from eisenlab.eisenstein import EisIndex, NotDivisible, sturm_truncation
 from eisenlab.hull import NonCoprimeShear, hull_chain
 from eisenlab.quasiforms import eis_series, quasi_mul
@@ -265,6 +266,21 @@ def test_hecke_small_instances():
         report = verify_hecke_trace(n_sub, s, lam, lam, 2, 1, 1)
         assert report.status == VERIFIED, (n_sub, s)
         assert report.level == n_sub
+
+
+def test_hecke_level_ten_zero_target_builds_no_basis(basis_builds):
+    report = verify_hecke_trace(5, 3, TorsionPoint(2, 1, 0),
+                                TorsionPoint(2, 0, 1), 3, 1, 1, truncation=91)
+    assert basis_builds == []
+    assert report_payload(report) == {
+        "claim_id": "hecke_trace",
+        "parameters": {"n_sub": 5, "shear": 3, "lam": "1,0@2",
+                       "mu": "0,1@2", "p": "1", "q": "1", "k": 3,
+                       "n_work": 10},
+        "status": "VERIFIED",
+        "defect": {"coefficients": [], "certificate": [],
+                   "residual_nonzero_exponents": []},
+        "truncation": 91, "level": 10, "elapsed_ms": 0}
 
 
 def test_hecke_flagship_instance():
