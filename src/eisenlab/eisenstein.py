@@ -25,6 +25,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, floor, gcd, lcm
 from operator import mul
 
@@ -299,23 +300,22 @@ def _width(bound: int) -> int:
     return width if width > 8 else next(w for w in (1, 2, 4, 8) if w >= width)
 
 
-def _unpack(packed: int, slots: int, width: int, skip: int = 0) -> list[int]:
-    """The signed digits r_skip, ..., r_{skip+slots-1} of
-    packed = sum_{s < m} r_s 2^(W s) + 2^(W m) H, W = 8 width,
-    m = skip + slots, given |r_s| < 2^(W-1) for every s < m.
+def _unpack(packed: int, slots: int, width: int) -> list[int]:
+    """The signed digits r_0, ..., r_{slots-1} of
+    packed = sum_{s < slots} r_s 2^(W s) + 2^(W slots) H, W = 8 width,
+    given |r_s| < 2^(W-1) for every s < slots.
 
     Adding 2^(W-1) to each of these slots turns their part into
     sum (r_s + 2^(W-1)) 2^(W s), every digit in (0, 2^W), a number in
-    [0, 2^(W m)).  So the low W m bits of the biased integer are exactly
-    these digits side by side: no borrow crosses a slot, and H never
-    matters; the digits asked for are the bits from W skip on.  Flipping
-    the top bit of each digit then leaves r_s in two's complement, which
-    a 1-, 2-, 4- or 8-byte slot reads as one machine integer.
+    [0, 2^(W slots)).  So the low W slots bits of the biased integer are
+    exactly these digits side by side: no borrow crosses a slot, and H
+    never matters.  Flipping the top bit of each digit then leaves r_s in
+    two's complement, which a 1-, 2-, 4- or 8-byte slot reads as one
+    machine integer.
     """
-    top = skip + slots
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * top, "little")
-    raw = ((((packed + bias) & ((1 << (8 * width * top)) - 1)) ^ bias)
-           >> (8 * width * skip)).to_bytes(width * slots, "little")
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    raw = (((packed + bias) & ((1 << (8 * width * slots)) - 1)) ^ bias).to_bytes(
+        width * slots, "little")
     if width in _MACHINE:
         digits = array(_MACHINE[width], raw)
         if sys.byteorder == "big":
@@ -387,6 +387,88 @@ def sturm_truncation(k: int, n: int) -> int:
     return n * (-(-k * mu // 12) + 1)
 
 
+def proven_truncation(k: int, n: int) -> int:
+    """floor(k mu / 12), mu = index_mu(n): the least truncation B that
+    proves weight-k identities at level n.  B covers the q_n-exponents
+    0..B, ends included, so a form vanishing there has q_n-order above
+    k mu / 12, and it is 0 in each of three cases.
+
+    Holomorphic, f in M_k(Gamma(n)).  Take one gamma per coset of
+    {+-1} Gamma(n) in SL2(Z), mu of them.  For even k, f|(-gamma) =
+    f|gamma, so the norm F = prod f|gamma is a level-1 form of weight
+    k mu (slashing permutes the cosets); for n <= 2, -1 is in Gamma(n)
+    and odd k gives f = 0.  For odd k and n >= 3, f|(-gamma) = -f|gamma,
+    so F is invariant up to sign and F^2 is a level-1 form of weight
+    2 k mu.  The n cosets of T^j, 0 <= j < n, fix infinity, and each
+    f|T^j has q-order ord_{q_n}(f) / n, so together ord_{q_n}(f); the
+    other factors are holomorphic at infinity.  So ord_q F > k mu / 12
+    and ord_q F^2 > 2 k mu / 12, beyond the valence bound K / 12 of a
+    nonzero level-1 form of weight K (Sturm, LNM 1240, 1987): F = 0, so
+    f = 0.
+
+    Nearly holomorphic, F = sum_{j <= d} h_j Y^j, Y = 1/(4 pi y).  As
+    Y(gamma z) = (cz+d)^2 Y(z) + c (cz+d) / (2 pi i), the Y^d component
+    of F|gamma is h_d|gamma in weight k - 2d, so h_d is a form of that
+    weight, whose bound is at most B: h_d = 0 (weight 0: a constant with
+    q^0 coefficient 0; below 0 there is no nonzero form).  The components
+    vanish one at a time from the top down.  Products of Eisenstein
+    series and delta(E) are such forms: delta commutes with slashing.
+
+    The weight-2 completion.  F - sum c_v E_{2,v} is nearly holomorphic
+    of weight 2 and depth <= 1, with a constant Y-component, so the
+    nearly holomorphic case covers it.
+
+    >>> proven_truncation(2, 5), proven_truncation(3, 10)
+    (10, 90)
+    """
+    return k * index_mu(n) // 12
+
+
+@lru_cache(maxsize=32)
+def cusps(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """One matrix (a, b, c, d) of SL2(Z) per cusp of Gamma(n), the
+    identity first.
+
+    gamma maps infinity to a/c, and cusps a/c, a'/c' in lowest terms are
+    Gamma(n)-equivalent iff (a', c') = +-(a, c) mod n (Diamond and
+    Shurman, Prop. 3.8.3): the cusps are the +- classes of pairs (a, c)
+    mod n with gcd(a, c, n) = 1.  A class lifts to c, or n for c = 0,
+    and the first a + t n prime to it (a prime dividing c and n does not
+    divide a); d = a^{-1} mod c and b = (a d - 1) / c complete it.
+    """
+    out = [(1, 0, 0, 1)]
+    seen = {(1 % n, 0), (-1 % n, 0)}
+    for c in range(n):
+        for a in range(n):
+            if (a, c) in seen or gcd(a, c, n) != 1:
+                continue
+            seen |= {(a, c), (-a % n, -c % n)}
+            lc = c or n
+            la = next(x for x in count(a, n) if gcd(x, lc) == 1)
+            d = pow(la, -1, lc)
+            out.append((la, (la * d - 1) // lc, lc, d))
+    return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def cusp_constants(k: int, n: int) -> dict[tuple[int, int], dict[int, Cyclotomic]]:
+    """For every torsion index v = (c1, c2) mod n, the nonzero constant
+    terms of E_{k,v}|gamma, keyed by the position of gamma in `cusps(n)`.
+
+    E_{k,v}|gamma = E_{k,v gamma}, with v a row vector: the expansion
+    gives it for T, and the numeric S-transform check for S.  So the
+    constant at gamma is `constant_term` of the index v gamma."""
+    table = {}
+    for c1 in range(n):
+        for c2 in range(n):
+            row = (constant_term(EisIndex(k, n, c1 * a + c2 * c,
+                                          c1 * b + c2 * d))
+                   for a, b, c, d in cusps(n))
+            table[c1, c2] = {col: x for col, x in enumerate(row) if x}
+    return table
+
+
+@lru_cache(maxsize=4096)
 def constant_term(idx: EisIndex) -> Cyclotomic:
     """Constant Fourier coefficient of the normalized series, in Q(zeta_N).
 

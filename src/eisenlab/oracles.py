@@ -6,9 +6,9 @@ numbers come from the Akiyama-Tanigawa triangle instead of the package's
 power-sum recurrence, hulls from a monotone chain in sheared coordinates
 instead of gift wrapping, constant terms / point values from direct
 (conditionally or absolutely convergent) lattice sums, and row reductions
-and span solves from a plain Gauss-Jordan elimination in `Cyclotomic`
-arithmetic instead of the modular proposal, its packed-integer proof and
-the integer solve at the pivots.
+and span solves from a plain Gauss-Jordan elimination of the q-expansions
+in `Cyclotomic` arithmetic instead of the certifier's elimination of the
+constant terms at the cusps and its integer solve from them.
 """
 from __future__ import annotations
 
@@ -201,18 +201,13 @@ def exact_rref(members) -> list[tuple[tuple[int, int], dict, dict]]:
     return rows
 
 
-def rows_of(members, pairs) -> list[tuple[tuple[int, int], dict, dict]]:
-    """The (pivot, row, track) triples of (pivot, track) pairs such as
-    `EisBasis.rref()` returns, each row rebuilt as sum_s track[s] m_s in
-    series arithmetic, so that they compare with `exact_rref`."""
-    out = []
-    for pivot, track in pairs:
-        row = None
-        for s, c in track.items():
-            term = members[s].scale(c)
-            row = term if row is None else row + term
-        out.append((pivot, {} if row is None else _stack(row), track))
-    return out
+def kept_members(rows) -> list[int]:
+    """The member positions that the tracks of rows use, for rows such as
+    `exact_rref` or `EisBasis.rref()` returns, each ending in its track.
+    For a Gauss-Jordan result these are exactly the members it keeps:
+    each track combines kept members only, and the tracks together use
+    every one of them."""
+    return sorted({t for *_, track in rows for t in track})
 
 
 def exact_span_solve(target: QuasiForm, basis, rows) -> SpanSolution:

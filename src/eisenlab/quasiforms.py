@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 
-from .cyclotomic import (Cyclotomic, _multiplier, _power_table, cyclo_embed,
+from .cyclotomic import (Cyclotomic, _multiplier, cyclo_embed, cyclo_invert,
                          euler_phi)
-from .eisenstein import (EisIndex, QSeries, _integral, _pack, _unpack, _width,
-                         eis_qseries, sturm_truncation)
+from .eisenstein import (EisIndex, QSeries, _integral, constant_term,
+                         cusp_constants, cusps, eis_qseries, sturm_truncation)
 
 MAX_DEPTH = 2
 
@@ -211,10 +211,31 @@ class EisBasis:
         return len(self.members)
 
     def rref(self) -> list:
-        """The (pivot key, track) pairs of the row reduction, in the order
-        the rows arise (`_row_reduce`), built on first use."""
+        """The (pivot column, den, track) triples of a Gauss-Jordan
+        elimination of the members' cusp values, in the order the rows
+        arise; built on first use.  A track maps member positions to
+        integer vectors, den times the coefficients that combine the
+        members into the row.
+
+        Column i holds the constant term of m|gamma_i, gamma_i the i-th of
+        `cusps(level)`; at weight 2 one more column holds the constant of
+        the Y-component, 1 for every member.  Each member in turn is
+        reduced against the rows so far and, if something is left, becomes
+        a row, 1 at its least column and cleared from every earlier row.
+        A member whose -v came earlier is dropped unreduced: E_{k,-v} =
+        (-1)^k E_{k,v}.
+
+        The value map is injective on the members' span, so the kept
+        members, and the coefficients of a target in the span, are those
+        of `oracles.exact_rref` at any truncation from `proven_truncation`
+        on.  At weight k >= 1, a combination with no constant at any cusp
+        is a cusp form, and the Eisenstein series meet the cusp forms only
+        in 0 (Diamond and Shurman, A First Course in Modular Forms, ch. 4).
+        At weight 2, the Y column of sum c_v E_{2,v} is sum c_v, so a zero
+        there makes the combination holomorphic.
+        """
         if self._rref is None:
-            self._rref = _row_reduce(self.members, self.level)
+            self._rref = _reduce(self)
         return self._rref
 
 
@@ -224,353 +245,125 @@ def eis_basis(weight: int, level: int, truncation: int | None = None) -> EisBasi
     return EisBasis(weight, level, b)
 
 
-# -- the row reduction: proposed modulo a split prime, proved exactly ------
-#
-# A QuasiForm flattens to a vector indexed by (Y-degree, q-exponent); that
-# pair, ordered lexicographically, is also the pivot order, so residuals
-# come out in a canonical normal form.
-
-
-class _Rejected(ArithmeticError):
-    """A modular proposal that did not lift or did not prove."""
-
-
-def _row_reduce(members, n: int) -> list:
-    """The (pivot, track) pairs of `oracles.exact_rref(members)`, proposed
-    modulo a split prime on a window of low exponents and proved exactly.
-
-    The keys (j, e) of the stacked members are numbered in key order, and
-    these numbers are the slots of each member's packed planes (`_planes`).
-
-    Propose (`_propose`): under each embedding zeta -> omega^s of
-    Q(zeta_n) into F_ell, run the elimination (`_eliminate`) on the keys
-    (j, e) with e < W, the window; every embedding must give every member
-    the same pivot.  Each track entry is lifted from its phi(n) images by
-    the inverse embedding table and rational reconstruction.  This gives
-    pivots p_t (None for a dropped member), first tracks F_t and row
-    tracks T_i.
-
-    Prove (`_prove`), exactly and over every key, with packed integer
-    combinations of the members:
-      (s) every member has a pivot slot or None and a first track F_t;
-          F_t uses only kept members before t and t itself, with
-          F_t[t] = 1 when t is dropped; each T_i uses only kept members,
-          one T_i per kept member;
-      (b) for dropped t, sum_s F_t[s] m_s = 0; for kept t,
-          w_t = sum_s F_t[s] m_s is 1 at p_t and 0 at every key below;
-      (a) R_i = sum_s T_i[s] m_s is 1 at its pivot, 0 at the other
-          pivots, and 0 below its pivot.
-    Why this is the Gauss-Jordan result.  Let V_t be the span of the
-    members before t and L(W) the set of least keys of the nonzero
-    vectors of a space W.  Taking the members in order, the exact loop
-    keeps t iff m_t is not in V_t; its rows are then the reduced echelon
-    basis of V_{t+1}, whose pivots are L(V_{t+1}), so its pivot for t is
-    the one key of L(V_{t+1}) that is not in L(V_t).  By (s) and (b) every
-    dropped m_t lies in the span of earlier kept members, so V_{t+1} is
-    spanned by the kept members up to t.  By (a) the R_i are as many
-    independent vectors as there are kept members, all in the span V of
-    these, so the kept members are independent: the loop keeps exactly
-    them, and dim V_{t+1} is the number of kept members up to t.  For
-    each kept s <= t, w_s lies in V_{t+1} and has least key p_s (b), so
-    L(V_{t+1}) holds these keys and, by its size, no others: the loop
-    pairs each kept t with p_t, and its rows come in the same order.  Its
-    final rows are the vectors of V that are 1 at one pivot and 0 at the
-    others, unique because a vector of V that vanishes on L(V) is 0, and
-    their tracks over the independent kept members are unique: by (a)
-    they are the R_i and T_i.  The final rows alone do not fix the order
-    in which the loop finds the pivots; the first tracks of the kept
-    members do.
-
-    The proof reads nothing of how the proposal was found, so the window
-    is a guess that the checks confirm: W starts at the number of
-    members, and a failed check doubles W while some key lies outside
-    it.  A failure in the proposal (disagreeing embeddings, a
-    non-invertible element, a failed reconstruction), or a failed check
-    once the window holds every key, moves on to the split prime with
-    twice the bits.  The loop ends.  The elimination on a window is the
-    exact loop on the members cut down to the window's keys, and only
-    finitely many primes divide a denominator of the members or a
-    nonzero value that this loop tests or divides by; so from some size
-    on every embedding takes its steps, and reconstruction returns its
-    true tracks once ell > 2 H^2 for their height H.  Each window thus
-    fails only finitely often before its proposal is checked, every
-    failed check of a partial window doubles W, and once W holds every
-    key the windowed loop is the exact loop, whose proposal passes.
-    """
-    keys = sorted({(j, e) for f in members for j, h in enumerate(f.components)
-                   for e in h.vecs})
-    slot = {key: s for s, key in enumerate(keys)}
-    packed = [_planes(f, slot, euler_phi(n)) for f in members]
-    top = max((e for _, e in keys), default=0)
-    bits, window = 64, len(members)
-    while True:
-        try:
-            proposal = _propose(packed, n, keys, window, bits)
-        except _Rejected:
-            bits *= 2
+def _reduce(basis: EisBasis) -> list:
+    """`EisBasis.rref`, on sparse rows of integer vectors: a row is
+    (den, vec, track), its values vec[col] / den and coefficients
+    track[t] / den, in lowest terms."""
+    k, n = basis.weight, basis.level
+    table = cusp_constants(k, n)
+    position = {(idx.c1, idx.c2): t for t, idx in enumerate(basis.indices)}
+    rows: list[tuple[int, int, dict, dict]] = []
+    for t, idx in enumerate(basis.indices):
+        if position.get((-idx.c1 % n, -idx.c2 % n), t) < t:
             continue
-        try:
-            return _prove(packed, n, keys, *proposal)
-        except _Rejected:
-            if window > top:
-                bits *= 2
+        row = dict(table[idx.c1, idx.c2])
+        if k == 2:
+            row[len(cusps(n))] = Cyclotomic.one(n)
+        den, vec = _integral(row)
+        vec = {col: list(v) for col, v in vec.items()}
+        parts = (vec, {t: [den] + [0] * (euler_phi(n) - 1)})
+        for pivot, rden, *rparts in rows:
+            if pivot in vec:
+                den = _axpy(den, parts, vec[pivot], rden, rparts, n)
+        if not vec:
+            continue
+        pivot = min(vec)
+        di, inv = _integral({0: cyclo_invert(Cyclotomic(n, tuple(
+            Fraction(x) for x in vec[pivot])))})
+        times_inv = _multiplier(n, inv[0])
+        for part in parts:
+            for v in part.values():
+                v[:] = [sum(map(mul, r, v)) for r in times_inv]
+        den = _lowest(di, parts)
+        for i, (p, rden, *rparts) in enumerate(rows):
+            if pivot in rparts[0]:
+                rows[i] = (p, _axpy(rden, rparts, rparts[0][pivot], den, parts,
+                                    n), *rparts)
+        rows.append((pivot, den, *parts))
+    return [(pivot, den, track) for pivot, den, _, track in rows]
+
+
+def _axpy(den: int, parts, c: list, rden: int, rparts, n: int) -> int:
+    """parts - (c / den) rparts, in place, for integer vectors c and
+    parts over den and rparts over rden; returns the new denominator."""
+    rows = _multiplier(n, c)
+    for part, rpart in zip(parts, rparts):
+        for v in part.values():
+            v[:] = [rden * x for x in v]
+        _add_products(part, rows, rpart, -1)
+    return _lowest(den * rden, parts)
+
+
+def _lowest(den: int, parts) -> int:
+    """Drops the zero vectors of parts and divides the gcd of den and
+    every entry out, in place; returns the new denominator."""
+    g = den
+    for part in parts:
+        for key in [key for key, v in part.items() if not any(v)]:
+            del part[key]
+        g = gcd(g, *(x for v in part.values() for x in v))
+    if g > 1:
+        for part in parts:
+            for v in part.values():
+                v[:] = [x // g for x in v]
+    return den // g
+
+
+# -- values at the cusps ---------------------------------------------------
+
+
+def cusp_values(terms, level: int) -> list[list[Cyclotomic]]:
+    """The q^0 coefficients of Y^0, Y^1 and Y^2 in F|gamma at each cusp
+    gamma of `cusps(level)`, for the formal sum F of terms (scale, idx,
+    ...), each scale times the product of the series E_idx.
+
+    F|gamma = sum scale * prod E_{idx gamma} (`cusp_constants`), and a
+    Y-expansion is unique, so the q^0 part of a term at gamma is scale
+    times the product of c0(E_{idx gamma}) + [weight 2] Y over its
+    factors.  Its expansion is summed part by part, scale Y^j times the
+    constants of the factors left, each nonzero only where they all are.
+    """
+    parts: dict[tuple, Fraction] = {}  # (j, factors left) -> scale
+    for scale, *factors in terms:
+        expansion = [(0, ())]
+        for idx in factors:
+            grown = [(j, rest + (idx,)) for j, rest in expansion]
+            if idx.weight == 2:
+                grown += [(j + 1, rest) for j, rest in expansion]
+            expansion = grown
+        for key in expansion:
+            parts[key] = parts.get(key, 0) + scale
+    zero = Cyclotomic.zero(level)
+    out = [[zero] * (MAX_DEPTH + 1) for _ in cusps(level)]
+    for (j, rest), scale in parts.items():
+        if not rest:
+            for acc in out:
+                acc[j] = acc[j] + scale
+            continue
+        first, *others = sorted((cusp_constants(idx.weight, level)[idx.c1, idx.c2]
+                                 for idx in rest), key=len)
+        for col, x in first.items():
+            x = x * scale
+            for row in others:
+                c = row.get(col)
+                if c is None:
+                    break
+                x = x * (c.coeffs[0] if c.is_rational() else c)
             else:
-                window *= 2
-
-
-def _propose(packed: list, n: int, keys: list, window: int, bits: int):
-    """(pivots, firsts, tracks) of `_row_reduce`, eliminating on the keys
-    (j, e) with e < window modulo the split prime above 2^bits; pivots
-    are slots."""
-    inside = [s for s, (_, e) in enumerate(keys) if e < window]
-    spans = []  # [first slot, count] of each run of consecutive slots
-    for s in inside:
-        if spans and sum(spans[-1]) == s:
-            spans[-1][1] += 1
-        else:
-            spans.append([s, 1])
-    ell, table, inverse = _split_prime(n, bits)
-    runs = [_eliminate((_embed(m, row, ell, spans) for m in packed), ell,
-                       len(packed)) for row in table]
-    pivots = runs[0][0]
-    if any(run[0] != pivots for run in runs):
-        raise _Rejected(f"the embeddings disagree on the pivots mod {ell}")
-    pivots = [None if p is None else inside[p] for p in pivots]
-    kept = [t for t, p in enumerate(pivots) if p is not None]
-    zero = Fraction(0)
-
-    def lift(images: list[list[int]], positions: list[int]) -> dict:
-        """A track's entries at `positions`, lifted from its image under
-        every embedding; zero entries are left out."""
-        out = {}
-        for s in positions:
-            values = [image[s] for image in images]
-            if any(values):
-                coords = (sum(map(mul, r, values)) % ell for r in inverse)
-                out[s] = Cyclotomic(n, tuple(_ratrec(x, ell) if x else zero
-                                             for x in coords))
-        return out
-
-    firsts = [lift([run[1][t] for run in runs], [s for s in kept if s < t] + [t])
-              for t in range(len(packed))]
-    tracks = [lift([run[2][i] for run in runs], kept)
-              for i in range(len(kept))]
-    return pivots, firsts, tracks
-
-
-def _prove(packed: list, n: int, keys: list, pivots: list, firsts: list,
-           tracks: list) -> list:
-    """The (pivot, track) pairs, once (s), (b) and (a) of `_row_reduce`
-    hold; raises _Rejected when one fails.  Repacks every member of
-    packed, in place, at a width that holds every combination."""
-    phi, size = euler_phi(n), len(keys)
-    kept = [t for t, p in enumerate(pivots) if p is not None]
-    if (len(pivots) != len(packed) or len(firsts) != len(packed)
-            or any(p is not None and not 0 <= p < size for p in pivots)
-            or len(tracks) != len(kept)
-            or any(not set(track) <= set(kept) for track in tracks)
-            or any(not set(first) <= {s for s in kept if s < t} | {t}
-                   or (pivots[t] is None and first.get(t) != 1)
-                   for t, first in enumerate(firsts))):
-        raise _Rejected("a track uses a member it may not")
-    dens, tops = [m[0] for m in packed], [m[1] for m in packed]
-    width = _width(max([*tops, *(_bound(c, dens, tops, n, phi)
-                                 for c in firsts + tracks)], default=0))
-    for t, (d, top, w, planes) in enumerate(packed):
-        packed[t] = d, top, width, [_pack({0: _unpack(a, size, w)}, size, width)
-                                    for a in planes]
-    wide = [planes for _, _, _, planes in packed]
-
-    def check_reduced(combo: dict, pivot: int, others) -> None:
-        """Rejects unless sum_t combo[t] m_t is 1 at pivot and 0 below it
-        and at the keys in others."""
-        den, terms = _terms(combo, dens, n)
-        out = [_unpack(x, size, width) for x in _combine(terms, wide, phi)]
-        if ([d[pivot] for d in out] != [den] + [0] * (phi - 1)
-                or any(any(d[:pivot]) or any(d[e] for e in others)
-                       for d in out)):
-            raise _Rejected(f"the combination for pivot {keys[pivot]} "
-                            "is not reduced")
-
-    for t, first in enumerate(firsts):
-        if pivots[t] is not None:
-            check_reduced(first, pivots[t], ())
-        elif any(_combine(_terms(first, dens, n)[1], wide, phi)):
-            raise _Rejected(f"member {t} does not reduce to zero")
-    for t, track in zip(kept, tracks):
-        check_reduced(track, pivots[t], [pivots[s] for s in kept if s != t])
-    return [(keys[pivots[t]], track) for t, track in zip(kept, tracks)]
-
-
-def _planes(form: QuasiForm, slot: dict, phi: int):
-    """(d, top, width, planes): d times the stacked form is an integer
-    vector, numbered by `slot`, whose entries are at most top in absolute
-    value; planes[i] packs its i-th power-basis coordinate, `width` bytes
-    a slot (`eisenstein._pack`)."""
-    d = lcm(*(h.den for h in form.components))
-    vecs = {slot[j, e]: [x * (d // h.den) for x in v]
-            for j, h in enumerate(form.components) for e, v in h.vecs.items()}
-    top = max((abs(x) for v in vecs.values() for x in v), default=0)
-    width = _width(top)
-    return d, top, width, [_pack({s: v[i:i + 1] for s, v in vecs.items()}, 1,
-                                 width) if vecs else 0 for i in range(phi)]
-
-
-def _embed(member, row: list, ell: int, spans) -> list[int]:
-    """The member's vector mod ell under the embedding that maps the power
-    basis to row, at the slots of the (first slot, count) spans only."""
-    d, _, width, planes = member
-    scale = _inverse(d, ell)
-    weights = [x * scale % ell for x in row]
-    out = []
-    for first, count in spans:
-        columns = [_unpack(a, count, width, first) for a in planes]
-        out += [sum(map(mul, col, weights)) % ell for col in zip(*columns)]
+                if x:
+                    out[col][j] = out[col][j] + x
     return out
 
 
-def _terms(combo: dict, dens: list, n: int):
-    """(D, terms) for the combination sum_t combo[t] m_t.
-
-    Write combo[t] = c_t / D_c with integer vectors c_t and m_t =
-    A_t / dens[t] as in `_planes`, and let E be the lcm of the dens[t].
-    Plane p of D = D_c E times the combination is the sum over (t, k) in
-    terms of sum_i k[p][i] A_{t,i}, where k is E / dens[t] times the
-    matrix of c_t on the power basis: its column i is c_t zeta^i.
-    """
-    dc, nums = _integral(combo)
-    e = lcm(*(dens[t] for t in combo))
-    terms = []
-    for t, c in nums.items():
-        terms.append((t, [[x * (e // dens[t]) for x in row]
-                          for row in _multiplier(n, c)]))
-    return dc * e, terms
-
-
-def _bound(combo: dict, dens: list, tops: list, n: int, phi: int) -> int:
-    """A bound on every slot of every plane of `_terms(combo, ...)`.
-
-    Each entry of c_t zeta^i is at most g |c_t|_1, g the largest entry
-    of a power of zeta on the power basis, and |A_{t,i}| <= tops[t]
-    slotwise, so a slot of plane p is at most
-    sum_t phi g |c_t|_1 (E / dens[t]) tops[t].
-    """
-    _, nums = _integral(combo)
-    e = lcm(*(dens[t] for t in combo))
-    g = max([1, *(abs(v) for row in _power_table(n) for v in row)])
-    return phi * g * sum(sum(map(abs, c)) * (e // dens[t]) * tops[t]
-                         for t, c in nums.items())
-
-
-def _combine(terms, planes: list, phi: int) -> list[int]:
-    """The phi planes of the combination that `_terms` describes."""
-    return [sum(sum(map(mul, k[p], planes[t])) for t, k in terms)
-            for p in range(phi)]
-
-
-def _inverse(x: int, ell: int) -> int:
-    if gcd(x, ell) != 1:
-        raise _Rejected(f"{x} is not invertible mod {ell}")
-    return pow(x, -1, ell)
-
-
-def _probable_prime(n: int) -> bool:
-    """Miller-Rabin to the prime bases up to 37; n > 37."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
-def _ratrec(a: int, ell: int) -> Fraction:
-    """The x = u/v with u = a v (mod ell) and |u|, v <= sqrt(ell/2); it
-    is unique when it exists (Wang's rational reconstruction)."""
-    bound = isqrt(ell // 2)
-    r0, r1, t0, t1 = ell, a, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
-        raise _Rejected(f"{a} has no small preimage mod {ell}")
-    return Fraction(r1, t1)
-
-
-def _eliminate(vectors, ell: int, count: int):
-    """The loop of `oracles.exact_rref` in F_ell, over dense vectors.
-
-    Returns each member's pivot (None when it reduces to zero) and its
-    first track: for a dropped member the relation that reduced it to
-    zero (1 at itself), for a kept one the track of its row as inserted,
-    normalized but not yet cleared by later rows.  Then the final track
-    of each row.  Tracks are lists over the `count` members.
-    """
-    rows, pivots, firsts = [], [], []
-    for pos, vec in enumerate(vectors):
-        track = [0] * count
-        track[pos] = 1
-        # the rows are 0 at each other's pivots, so every c is read off
-        # the member itself, and one reduction mod ell at the end will do
-        for pivot, rvec, rtrack in rows:
-            c = vec[pivot]
-            if c:
-                vec = [x - c * y for x, y in zip(vec, rvec)]
-                track = [x - c * y for x, y in zip(track, rtrack)]
-        vec = [x % ell for x in vec]
-        track = [x % ell for x in track]
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        pivots.append(pivot)
-        if pivot is not None:
-            inv = _inverse(vec[pivot], ell)
-            vec = [x * inv % ell for x in vec]
-            track = [x * inv % ell for x in track]
-            for i, (p, rvec, rtrack) in enumerate(rows):
-                c = rvec[pivot]
-                if c:
-                    rvec = [(x - c * y) % ell for x, y in zip(rvec, vec)]
-                    rtrack = [(x - c * y) % ell for x, y in zip(rtrack, track)]
-                    rows[i] = (p, rvec, rtrack)
-            rows.append((pivot, vec, track))
-        firsts.append(track)
-    return pivots, firsts, [track for _, _, track in rows]
-
-
-@lru_cache(maxsize=32)
-def _split_prime(n: int, bits: int):
-    """(ell, table, inverse): ell is the least probable prime above 2^bits
-    with ell = 1 mod n, so Phi_n splits mod ell into phi(n) linear
-    factors.  Row s of table maps the power basis to F_ell under the
-    embedding zeta -> omega^s, one row for each unit s mod n, with omega
-    a primitive n-th root mod ell; inverse[i] recovers coordinate i from
-    the phi(n) images."""
-    ell = (1 << bits) // n * n + 1
-    while ell <= 1 << bits or not _probable_prime(ell):
-        ell += n
-    primes = [p for p in range(2, n + 1)
-              if n % p == 0 and euler_phi(p) == p - 1]
-    g = 2
-    while any(pow(g, (ell - 1) // p, ell) == 1 for p in primes):
-        g += 1
-    omega = pow(g, (ell - 1) // n, ell)
-    phi = euler_phi(n)
-    table = [[pow(omega, s * i, ell) for i in range(phi)]
-             for s in range(1, n + 1) if gcd(s, n) == 1]
-    pivots, _, tracks = _eliminate(table, ell, phi)
-    if None in pivots:
-        raise _Rejected(f"the embeddings are singular mod {ell}")
-    inverse = [None] * phi
-    for i, track in zip(pivots, tracks):
-        inverse[i] = track
-    return ell, table, inverse
+def columns(values: list, weight: int, degree: int) -> list[Cyclotomic]:
+    """What `span_solve` reads for the Y^degree component of a form with
+    these cusp values: its constant at each cusp and, at weight 2, the
+    constant of the Y^(degree+1) component, a weight-0 form and so the
+    same at every cusp."""
+    out = [v[degree] for v in values]
+    if weight == 2:
+        out.append(values[0][degree + 1])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,35 +382,36 @@ class SpanSolution:
         return self.residual.is_zero()
 
 
-def span_solve(target: QuasiForm, basis: EisBasis) -> SpanSolution:
+def span_solve(target: QuasiForm, basis: EisBasis, values) -> SpanSolution:
     """Exact projection: target = sum(coefficients * members) + residual,
-    with the residual fully reduced against the basis row space.
+    with the coefficients read from the target's values on the columns
+    of `EisBasis.rref()` (`columns`).
 
-    The rows R_i of `EisBasis.rref()` are 1 at their own pivot p_i and 0
-    at the others, so target - sum_i c_i R_i vanishes at every pivot
-    exactly when c_i is the target's value at p_i.  The coefficients are
-    then sum_i c_i T_i over the tracks, and the residual is the target
-    minus that combination of the members.  Both run in integers over
-    one denominator each."""
+    The rows R_i are 1 at their own pivot p_i and 0 at the others, so the
+    coefficients are sum_i values[p_i] T_i over the tracks: for a target
+    in the span they are its own, the value map being injective there.
+    The residual, the target minus that combination of the members, is
+    computed exactly over every exponent, so no verdict rests on the
+    values.  Both run in integers over one denominator each."""
     if target.level != basis.level or target.truncation != basis.truncation:
         raise ValueError("target and basis level/truncation mismatch")
     if target.weight != basis.weight:
         raise ValueError("target and basis weight mismatch")
+    n = target.level
+    if len(values) != len(cusps(n)) + (target.weight == 2):
+        raise ValueError("one value per cusp, and at weight 2 one for Y")
     if target.is_zero():
         # zero is its own normal form: no row reduction needed
         return SpanSolution({}, target)
-    n = target.level
-    terms = []  # c_i T_i = (v times the vectors of nums) / d
-    for (j, e), track in basis.rref():
-        h = target.component(j)
-        v = h.vecs.get(e)
-        if v is not None:
-            d, nums = _integral(track)
-            terms.append((h.den * d, v, nums))
+    terms = []  # c_i T_i = (v times the vectors of track) / d
+    for pivot, d, track in basis.rref():
+        if values[pivot]:
+            dv, v = _integral({0: values[pivot]})
+            terms.append((dv * d, v[0], track))
     den = lcm(*(d for d, _, _ in terms))
     combo: dict[int, list[int]] = {}
-    for d, v, nums in terms:
-        _add_products(combo, _multiplier(n, v), nums, den // d)
+    for d, v, track in terms:
+        _add_products(combo, _multiplier(n, v), track, den // d)
     combo = {t: combo[t] for t in sorted(combo) if any(combo[t])}
     return SpanSolution(
         coefficients={basis.indices[t]: Cyclotomic(n, tuple(Fraction(x, den)
@@ -657,16 +451,17 @@ def _add_products(out: dict, rows: list, vecs: dict, k: int) -> None:
 # -- peeling nonholomorphic components -------------------------------------
 
 
-def peel(f: QuasiForm) -> tuple[QSeries, list[tuple[EisIndex, Cyclotomic]]]:
+def peel(f: QuasiForm, values) -> tuple[QSeries, list[tuple[EisIndex, Cyclotomic]]]:
     """Strip the positive Y-components of f as images of delta.
 
     Returns (remainder, certificate) with
         f = remainder + sum(scale * delta(eis_series(idx, B)) for each
                             (idx, scale) entry),
     B being f's truncation and the remainder purely holomorphic.  Each
-    idx indexes an Eisenstein series of weight f.weight - 2.  Raises
-    TopComponentNotEisenstein when a Y-component is not expressible and
-    UnsupportedWeight when no delta of the needed source weight exists.
+    idx indexes an Eisenstein series of weight f.weight - 2, solved from
+    f's cusp values (`cusp_values`).  Raises TopComponentNotEisenstein
+    when a Y-component is not expressible and UnsupportedWeight when no
+    delta of the needed source weight exists.
     """
     level, b, k = f.level, f.truncation, f.weight
     cert: list[tuple[EisIndex, Cyclotomic]] = []
@@ -688,6 +483,11 @@ def peel(f: QuasiForm) -> tuple[QSeries, list[tuple[EisIndex, Cyclotomic]]]:
         scale = -c
         current = current - delta(basis2.members[0]).scale(scale)
         cert.append((basis2.indices[0], scale))
+        # delta commutes with slashing and theta kills constants, so at
+        # every cusp delta_2(E_2) has the constants (0, -2 c0(E_2), -1):
+        # (0, 0) is fixed by every gamma
+        shift = 2 * scale * constant_term(basis2.indices[0])
+        values = [[y0, y1 + shift, y2 + scale] for y0, y1, y2 in values]
 
     if current.depth == 1:
         if k < 3:
@@ -696,7 +496,7 @@ def peel(f: QuasiForm) -> tuple[QSeries, list[tuple[EisIndex, Cyclotomic]]]:
         w = k - 2
         basis = eis_basis(w, level, b)
         wrapped = QuasiForm(w, level, b, (current.component(1),))
-        sol = span_solve(wrapped, basis)
+        sol = span_solve(wrapped, basis, columns(values, w, 1))
         if not sol.in_span:
             raise TopComponentNotEisenstein(
                 "Y component is outside the Eisenstein span")
@@ -712,23 +512,29 @@ def peel(f: QuasiForm) -> tuple[QSeries, list[tuple[EisIndex, Cyclotomic]]]:
 
 
 def certify_orthogonal(
-        f: QuasiForm) -> tuple[SpanSolution, list[tuple[EisIndex, Cyclotomic]]]:
+        f: QuasiForm, terms) -> tuple[SpanSolution, list[tuple[EisIndex, Cyclotomic]]]:
     """Peel Y-components, then project the remainder onto the Eisenstein
-    space of f's weight.  Returns (solution, certificate); the claim
-    behind f holds modulo Eisenstein series iff solution.residual is 0.
+    space of f's weight, both solved from the cusp values of f's formal
+    sum terms (`cusp_values`).  Returns (solution, certificate); the
+    claim behind f holds modulo Eisenstein series iff solution.residual
+    is 0.
 
     At weight 2 the basis members carry the Y-component themselves, so
-    nothing is peeled: the form is solved directly against the completed
-    basis.  A zero form, or a zero remainder, is its own solution and
-    needs no basis."""
+    nothing is peeled.  A zero form needs no cusp value and no basis, a
+    zero remainder no basis.  The peeled delta terms have no Y^0
+    constant, so the remainder's cusp values are the Y^0 ones of f."""
+    if f.is_zero():
+        return SpanSolution({}, f), []
+    values = cusp_values(terms, f.level)
     if f.weight == 2:
         form, cert = f, []
     else:
-        remainder, cert = peel(f)
+        remainder, cert = peel(f, values)
         form = QuasiForm(f.weight, f.level, f.truncation, (remainder,))
-    if form.is_zero():
-        return SpanSolution({}, form), cert
-    return span_solve(form, eis_basis(f.weight, f.level, f.truncation)), cert
+        if form.is_zero():
+            return SpanSolution({}, form), cert
+    return span_solve(form, eis_basis(f.weight, f.level, f.truncation),
+                      columns(values, f.weight, 0)), cert
 
 
 # -- numerics --------------------------------------------------------------

@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .cyclotomic import Cyclotomic, Rational
-from .eisenstein import EisIndex, NotDivisible, QSeries, sturm_truncation
+from .eisenstein import (EisIndex, NotDivisible, proven_truncation,
+                         sturm_truncation)
 from .hull import NonCoprimeShear, hull_chain
 from .quasiforms import (
     QuasiForm,
@@ -125,44 +126,66 @@ class VerificationReport:
     elapsed_ms: float
 
 
+def L_terms(params: LParams, n_work: int) -> list[tuple[Fraction, EisIndex, EisIndex]]:
+    """The formal sum of `build_L`: one (scale, index l, index m) term
+    for each splitting l + m = k whose scale is not zero."""
+    k = params.weight
+    lam = params.lam.rescale(n_work)
+    mu = params.mu.rescale(n_work)
+    terms = []
+    for ell in range(1, k):
+        m = k - ell
+        scale = (params.p ** (ell - 1)) * (params.q ** (m - 1))
+        scale /= factorial(ell - 1) * factorial(m - 1)
+        if scale:
+            terms.append((scale, lam.to_index(ell), mu.to_index(m)))
+    return terms
+
+
 def build_L(params: LParams, n_work: int, truncation: int | None = None) -> QuasiForm:
     """Weighted sum over splittings l + m = k of products
     p^{l-1} q^{m-1} / ((l-1)! (m-1)!) * E_{l,lam} * E_{m,mu},
     with both torsion points rescaled to denominator n_work."""
     k = params.weight
     b = sturm_truncation(k, n_work) if truncation is None else truncation
-    lam = params.lam.rescale(n_work)
-    mu = params.mu.rescale(n_work)
     total = None
-    for ell in range(1, k):
-        m = k - ell
-        scale = (params.p ** (ell - 1)) * (params.q ** (m - 1))
-        scale /= factorial(ell - 1) * factorial(m - 1)
-        if not scale:
-            continue
-        term = quasi_mul(eis_series(lam.to_index(ell), b),
-                         eis_series(mu.to_index(m), b)).scale(scale)
+    for scale, x, y in L_terms(params, n_work):
+        term = quasi_mul(eis_series(x, b), eis_series(y, b)).scale(scale)
         total = term if total is None else total + term
     if total is None:
         # every splitting vanished (possible only with p = q = 0, k > 2)
-        total = QuasiForm(k, n_work, b, (QSeries.zero(n_work, b),))
+        total = QuasiForm(k, n_work, b, ())
     return total
 
 
-def _report(claim_id: str, parameters: dict, total: QuasiForm, started: float,
-            status: str | None = None) -> VerificationReport:
-    """Certify the claim's total form, or, when the caller already has a
-    status, record it with the whole form as the residual.  A form the
-    certifier cannot peel is INCONCLUSIVE, recorded the same way.  The
-    report's truncation and level are the form's."""
+def _sum_L(parts: list[LParams], n_work: int, b: int):
+    """The sum of `build_L` over parts, and its formal sum."""
+    total = None
+    for params in parts:
+        term = build_L(params, n_work, b)
+        total = term if total is None else total + term
+    return total, [t for params in parts for t in L_terms(params, n_work)]
+
+
+def _report(claim_id: str, parameters: dict, total: QuasiForm, terms: list,
+            started: float, status: str | None = None) -> VerificationReport:
+    """Certify the claim's total form, whose formal sum is terms, or,
+    when the caller already has a status, record it with the whole form
+    as the residual.  A form the certifier cannot peel is INCONCLUSIVE,
+    recorded the same way.  A VERIFIED below `proven_truncation` proves
+    nothing and becomes INCONCLUSIVE.  The report's truncation and level
+    are the form's."""
     defect, certificate = SpanSolution(coefficients={}, residual=total), []
     if status is None:
         try:
-            defect, certificate = certify_orthogonal(total)
+            defect, certificate = certify_orthogonal(total, terms)
         except (TopComponentNotEisenstein, UnsupportedWeight):
             status = INCONCLUSIVE
         else:
             status = VERIFIED if defect.in_span else INCONCLUSIVE
+    if status == VERIFIED and total.truncation < proven_truncation(
+            total.weight, total.level):
+        status = INCONCLUSIVE
     return VerificationReport(
         claim_id=claim_id,
         parameters=parameters,
@@ -183,15 +206,14 @@ def verify_two_term(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
     b = sturm_truncation(2, n_work) if truncation is None else truncation
     lam_w = lam.rescale(n_work)
     mu_w = mu.rescale(n_work)
-    f = quasi_mul(eis_series(lam_w.to_index(1), b),
-                  eis_series(mu_w.to_index(1), b))
-    g = quasi_mul(eis_series(mu_w.to_index(1), b),
-                  eis_series((-lam_w).to_index(1), b))
+    terms = [(1, lam_w.to_index(1), mu_w.to_index(1)),
+             (1, mu_w.to_index(1), (-lam_w).to_index(1))]
+    f, g = (quasi_mul(eis_series(x, b), eis_series(y, b)) for _, x, y in terms)
     total = f + g
     return _report(
         "two_term",
         {"lam": lam.label(), "mu": mu.label(), "n_work": n_work},
-        total, started, VERIFIED if total.is_zero() else REFUTED)
+        total, terms, started, VERIFIED if total.is_zero() else REFUTED)
 
 
 def verify_three_term_w2(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
@@ -206,16 +228,17 @@ def verify_three_term_w2(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
     nu_w = -(lam_w + mu_w)
     params = {"lam": lam.label(), "mu": mu.label(), "n_work": n_work}
     # at weight 2, L(lam, mu, p, q) is the bare product E_{1,lam} E_{1,mu}
-    total = (build_L(LParams(lam_w, mu_w, 1, 1, 2), n_work, b)
-             + build_L(LParams(mu_w, nu_w, 1, 1, 2), n_work, b)
-             + build_L(LParams(nu_w, lam_w, 1, 1, 2), n_work, b))
+    total, terms = _sum_L([LParams(x, y, 1, 1, 2) for x, y in
+                           ((lam_w, mu_w), (mu_w, nu_w), (nu_w, lam_w))],
+                          n_work, b)
 
     if lam_w.is_zero() or mu_w.is_zero() or nu_w.is_zero():
         # a vanishing torsion point collapses the claim to a statement
         # the relation does not make; refuse to certify rather than
         # report a misleading verdict either way
-        return _report("three_term_w2", params, total, started, INCONCLUSIVE)
-    return _report("three_term_w2", params, total, started)
+        return _report("three_term_w2", params, total, terms, started,
+                       INCONCLUSIVE)
+    return _report("three_term_w2", params, total, terms, started)
 
 
 def verify_prop21(params: LParams, n_work: int,
@@ -234,14 +257,13 @@ def verify_prop21(params: LParams, n_work: int,
     nu = -(lam + mu)
     p, q = params.p, params.q
     r = -p - q
-    total = (build_L(LParams(lam, mu, p, q, k), n_work, b)
-             + build_L(LParams(mu, nu, q, r, k), n_work, b)
-             + build_L(LParams(nu, lam, r, p, k), n_work, b))
+    total, terms = _sum_L([LParams(lam, mu, p, q, k), LParams(mu, nu, q, r, k),
+                           LParams(nu, lam, r, p, k)], n_work, b)
     return _report(
         "prop21",
         {"lam": params.lam.label(), "mu": params.mu.label(),
          "p": str(params.p), "q": str(params.q), "k": k, "n_work": n_work},
-        total, started)
+        total, terms, started)
 
 
 def torsion_translates(n_sub: int, m: int) -> list[TorsionPoint]:
@@ -274,24 +296,19 @@ def verify_hecke_trace(n_sub: int, shear: int, lam: TorsionPoint,
     lam_w = lam.rescale(n_work)
     mu_w = mu.rescale(n_work)
 
-    lhs = None
-    for tau in torsion_translates(n_sub, m):
-        term = build_L(LParams(lam_w + tau, mu_w - shear * tau, p, q, k),
-                       n_work, b)
-        lhs = term if lhs is None else lhs + term
-    lhs = lhs.scale(Fraction(1, n_sub))
-
-    rhs = None
-    for (a, bb), (c, d) in hull_chain(n_sub, shear).pairs():
-        term = build_L(
-            LParams(a * lam_w + bb * mu_w, c * lam_w + d * mu_w,
-                    a * p + bb * q, c * p + d * q, k),
-            n_work, b)
-        rhs = term if rhs is None else rhs + term
+    lhs, lhs_terms = _sum_L(
+        [LParams(lam_w + tau, mu_w - shear * tau, p, q, k)
+         for tau in torsion_translates(n_sub, m)], n_work, b)
+    rhs, rhs_terms = _sum_L(
+        [LParams(a * lam_w + bb * mu_w, c * lam_w + d * mu_w,
+                 a * p + bb * q, c * p + d * q, k)
+         for (a, bb), (c, d) in hull_chain(n_sub, shear).pairs()], n_work, b)
+    terms = ([(s / n_sub, x, y) for s, x, y in lhs_terms]
+             + [(-s, x, y) for s, x, y in rhs_terms])
 
     return _report(
         "hecke_trace",
         {"n_sub": n_sub, "shear": shear % n_sub, "lam": lam.label(),
          "mu": mu.label(), "p": str(p), "q": str(q), "k": k,
          "n_work": n_work},
-        lhs - rhs, started)
+        lhs.scale(Fraction(1, n_sub)) - rhs, terms, started)

@@ -148,6 +148,15 @@ def test_two_term_cli(capsys):
     assert "level 3" in out
 
 
+@pytest.mark.parametrize("prec, status, rc", [(9, "INCONCLUSIVE", 3),
+                                              (10, "VERIFIED", 0)])
+def test_three_term_below_the_proven_truncation(prec, status, rc, capsys):
+    # proven_truncation(2, 5) = 10: the exponents 0..9 prove nothing
+    assert run_cli(["three-term", "--lam", "1,0@5", "--mu", "0,1@5",
+                    "--prec", str(prec)]) == rc
+    assert capsys.readouterr().out.startswith(f"three_term_w2: {status}")
+
+
 def test_level_flag_is_gone(capsys):
     assert run_cli(["two-term", "--lam", "1,0@5", "--mu", "0,1@5",
                     "--level", "5"]) == 1
@@ -301,7 +310,7 @@ def test_certifier_failure_is_inconclusive(error, tmp_path, monkeypatch,
     # form as the residual, not as a usage error
     seen = []
 
-    def peel(f):
+    def peel(f, values):
         seen.append(f)
         raise error("forced")
 

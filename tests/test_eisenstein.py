@@ -1,7 +1,7 @@
 """Fourier expansions: constants, rows, parity, Sturm depths, and
 rescaled torsion indices, cross-checked against direct lattice sums."""
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import mpmath
 import pytest
@@ -17,8 +17,10 @@ from eisenlab.eisenstein import (
     _unpack,
     bernoulli,
     constant_term,
+    cusps,
     eis_qseries,
     index_mu,
+    proven_truncation,
     sturm_truncation,
 )
 from eisenlab.oracles import (
@@ -53,6 +55,31 @@ def test_sturm_truncation_values():
     assert sturm_truncation(3, 6) == 114
     assert sturm_truncation(3, 10) == 910
     assert sturm_truncation(1, 1) == 2
+
+
+def test_proven_truncation_values():
+    assert [proven_truncation(k, n) for k, n in
+            ((2, 5), (2, 6), (2, 7), (3, 10), (1, 1), (4, 1))] == [
+        10, 12, 28, 90, 0, 0]
+    # the defaults keep their recorded values, all above the bound
+    assert all(proven_truncation(k, n) < sturm_truncation(k, n)
+               for k in range(1, 6) for n in range(1, 16))
+
+
+def test_cusps_of_gamma_n():
+    for n in range(1, 16):
+        mats = cusps(n)
+        primes = [p for p in range(2, n + 1)
+                  if n % p == 0 and all(p % q for q in range(2, p))]
+        count = {1: 1, 2: 3}.get(
+            n, Fraction(n * n, 2) * prod(1 - Fraction(1, p * p) for p in primes))
+        assert len(mats) == count, n
+        assert all(a * d - b * c == 1 for a, b, c, d in mats), n
+        # the first columns mod n lie in distinct +- classes
+        classes = {frozenset({(a % n, c % n), (-a % n, -c % n)})
+                   for a, _, c, _ in mats}
+        assert len(classes) == len(mats), n
+        assert mats[0] == (1, 0, 0, 1), n
 
 
 # -- indices ---------------------------------------------------------------
@@ -200,16 +227,16 @@ def test_qseries_mul_borrows_across_slots():
 @settings(max_examples=60)
 @given(st.sampled_from([1, 2, 4, 8, 9]), st.data())
 def test_unpack_reads_any_run_of_slots(width, data):
-    # signed digits at the largest magnitude a slot holds; a negative
-    # digit below the run borrows from the slots the run reads
+    # signed digits at the largest magnitude a slot holds; the run read
+    # starts at slot 0, and a negative digit above it borrows from the
+    # bits the run does not read
     top = 2 ** (8 * width - 1) - 1
     digits = data.draw(st.lists(st.sampled_from([-top, -1, 0, 1, top])
                                 | st.integers(-top, top), min_size=1,
                                 max_size=12))
-    skip = data.draw(st.integers(0, len(digits) - 1))
-    slots = data.draw(st.integers(1, len(digits) - skip))
+    slots = data.draw(st.integers(1, len(digits)))
     packed = _pack({0: digits}, len(digits), width)
-    assert _unpack(packed, slots, width, skip) == digits[skip:skip + slots]
+    assert _unpack(packed, slots, width) == digits[:slots]
 
 
 def test_qseries_mul_runs_no_cyclotomic_multiply(monkeypatch):

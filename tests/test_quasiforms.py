@@ -1,7 +1,6 @@
 """Y-calculus, the raising operator, Eisenstein bases, exact span
 solving, and the peeling certificates."""
 import random
-import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisenlab import cyclotomic, quasiforms
+from eisenlab import eisenstein
 from eisenlab.cyclotomic import Cyclotomic
-from eisenlab.eisenstein import EisIndex, QSeries, sturm_truncation
-from eisenlab.oracles import exact_rref, exact_span_solve, rows_of
+from eisenlab.eisenstein import (EisIndex, QSeries, cusp_constants, cusps,
+                                 proven_truncation, sturm_truncation)
+from eisenlab.oracles import exact_rref, exact_span_solve, kept_members
 from eisenlab.quasiforms import (
     MAX_DEPTH,
     DepthOverflow,
@@ -24,6 +24,8 @@ from eisenlab.quasiforms import (
     UnsupportedWeight,
     certify_orthogonal,
     check_s_transform,
+    columns,
+    cusp_values,
     delta,
     eis_basis,
     eis_series,
@@ -161,6 +163,9 @@ def test_series_and_basis_caches_are_bounded():
     bases = eis_basis.cache_parameters()["maxsize"]
     assert series is not None and series >= 252
     assert bases is not None and bases >= 7
+    # the cusp tables are per level and weight, the constants per index
+    for cache in (cusps, cusp_constants, eisenstein.constant_term):
+        assert cache.cache_parameters()["maxsize"] is not None
 
 
 # -- the row reduction against the Gauss-Jordan oracle ----------------------
@@ -169,198 +174,39 @@ def test_series_and_basis_caches_are_bounded():
 GRID = [(k, n) for k in range(1, 5) for n in range(1, 9)]
 
 
+def grid_basis(weight, level):
+    """The grid's basis at the least truncation that proves its relations,
+    where the truncated members are as independent as the forms."""
+    return eis_basis(weight, level, proven_truncation(weight, level))
+
+
 @lru_cache(maxsize=None)
 def oracle_rows(weight, level):
-    """exact_rref of the grid's basis at (weight, level, level + 4)."""
-    return exact_rref(eis_basis(weight, level, level + 4).members)
+    return exact_rref(grid_basis(weight, level).members)
 
 
 @pytest.mark.parametrize("weight, level", GRID)
 def test_rref_matches_oracle(weight, level):
-    # pivots and tracks equal the oracle's, and so does each row rebuilt
-    # from its track
-    basis = EisBasis(weight, level, level + 4)
-    assert rows_of(basis.members, basis.rref()) == oracle_rows(weight, level)
+    basis = EisBasis(weight, level, proven_truncation(weight, level))
+    assert kept_members(basis.rref()) == kept_members(oracle_rows(weight, level))
 
 
 @pytest.mark.slow
 def test_rref_matches_oracle_at_the_sturm_bound():
     basis = EisBasis(2, 7, sturm_truncation(2, 7))
     assert basis.truncation == 203
-    assert rows_of(basis.members, basis.rref()) == exact_rref(basis.members)
+    assert kept_members(basis.rref()) == kept_members(exact_rref(basis.members))
 
 
-def _watch_attempts(monkeypatch, change=None, windows=None):
-    """Record how each proof attempt ends; change, if given, alters the
-    first proposal in place before it is proved; windows, if given,
-    collects the (bits, window) of each proposal.  A fourth proposal
-    fails the test: every case here needs at most three."""
-    real_propose, real_prove = quasiforms._propose, quasiforms._prove
-    outcomes = []
-    windows = [] if windows is None else windows
-
-    def propose(packed, n, keys, window, bits):
-        assert len(windows) < 3, f"no proof after {windows}"
-        windows.append((bits, window))
-        proposal = real_propose(packed, n, keys, window, bits)
-        if change is not None and not outcomes:
-            change(*proposal)
-        return proposal
-
-    def prove(*args):
-        try:
-            rows = real_prove(*args)
-        except quasiforms._Rejected:
-            outcomes.append("rejected")
-            raise
-        outcomes.append("proved")
-        return rows
-
-    monkeypatch.setattr(quasiforms, "_propose", propose)
-    monkeypatch.setattr(quasiforms, "_prove", prove)
-    return outcomes
-
-
-@pytest.mark.parametrize("weight, level", [
-    (8, 5), (5, 7),
-    pytest.param(3, 12, marks=pytest.mark.slow),
-    pytest.param(4, 10, marks=pytest.mark.slow)])
-def test_rref_retries_on_a_larger_prime(weight, level, monkeypatch):
-    # the tracks here are too tall to reconstruct modulo a 65-bit prime
-    basis = EisBasis(weight, level, 60)
-    real_propose = quasiforms._propose
-    sizes = []
-
-    def propose(packed, n, keys, window, bits):
-        sizes.append(bits)
-        return real_propose(packed, n, keys, window, bits)
-
-    monkeypatch.setattr(quasiforms, "_propose", propose)
-    assert rows_of(basis.members, basis.rref()) == exact_rref(basis.members)
-    assert sizes[:2] == [64, 128]
-
-
-def test_rref_widens_the_window_until_the_proof_passes(monkeypatch):
-    # m_0 = 1 + q^3 and m_1 = 1 + 2 q^3 agree below the first window,
-    # e < 2 (two members), so that proposal drops m_1 by m_1 - m_0 = q^3,
-    # which the proof over every key rejects; e < 4 holds every key
-    one = Cyclotomic.one(1)
-    members = [QuasiForm(2, 1, 3, (QSeries(1, 3, {0: one, 3: c * one}),))
-               for c in (1, 2)]
-    windows = []
-    outcomes = _watch_attempts(monkeypatch, windows=windows)
-    pairs = quasiforms._row_reduce(members, 1)
-    assert list(zip(windows, outcomes)) == [((64, 2), "rejected"),
-                                            ((64, 4), "proved")]
-    assert [pivot for pivot, _ in pairs] == [(0, 0), (0, 3)]
-    assert rows_of(members, pairs) == exact_rref(members)
-
-
-@pytest.mark.parametrize("which", ["row track", "dropped relation",
-                                   "kept first track"])
-def test_rref_rejects_a_changed_track_entry(which, monkeypatch):
-    def change(pivots, firsts, tracks):
-        dropped, kept = (next(t for t, p in enumerate(pivots)
-                              if (p is None) == drop and len(firsts[t]) > 1)
-                         for drop in (True, False))
-        combo = {"row track": tracks[1], "dropped relation": firsts[dropped],
-                 "kept first track": firsts[kept]}[which]
-        key = min(combo)
-        combo[key] = combo[key] + 1
-
-    basis = EisBasis(2, 3, 20)
-    outcomes = _watch_attempts(monkeypatch, change)
-    assert rows_of(basis.members, basis.rref()) == exact_rref(basis.members)
-    assert outcomes == ["rejected", "proved"]
-
-
-@pytest.mark.parametrize("how", ["doubled", "plus the next row"])
-def test_rref_rejects_a_row_that_is_not_reduced(how, monkeypatch):
-    # doubled: 2 at its pivot; plus the row with the next pivot: 1 there
-    def change(pivots, firsts, tracks):
-        kept = [t for t, p in enumerate(pivots) if p is not None]
-        low, next_ = sorted(range(len(kept)), key=lambda i: pivots[kept[i]])[:2]
-        extra = dict(tracks[low] if how == "doubled" else tracks[next_])
-        for t, c in extra.items():
-            tracks[low][t] = tracks[low][t] + c if t in tracks[low] else c
-
-    basis = EisBasis(2, 3, 20)
-    outcomes = _watch_attempts(monkeypatch, change)
-    assert rows_of(basis.members, basis.rref()) == exact_rref(basis.members)
-    assert outcomes == ["rejected", "proved"]
-
-
-def test_rref_rejects_pivots_found_in_another_order(monkeypatch):
-    # Gauss-Jordan pivots m_0 = 1 + q^2 at q^0 and m_1 = 1 at q^2.  Pairing
-    # m_0 with q^2 and m_1 with q^0 gives the same rows and tracks in the
-    # other order; only m_0's first track, not 0 below q^2, shows it.
-    one = Cyclotomic.one(1)
-    members = [QuasiForm(2, 1, 2, (QSeries(1, 2, {0: one, 2: one}),)),
-               QuasiForm(2, 1, 2, (QSeries(1, 2, {0: one}),))]
-
-    def change(pivots, firsts, tracks):
-        pivots[:] = [1, 0]
-        firsts[:] = [{0: one}, {1: one}]
-        tracks[:] = [{0: one, 1: -one}, {1: one}]
-
-    outcomes = _watch_attempts(monkeypatch, change)
-    pairs = quasiforms._row_reduce(members, 1)
-    assert [pivot for pivot, _ in pairs] == [(0, 0), (0, 2)]
-    assert rows_of(members, pairs) == exact_rref(members)
-    assert outcomes == ["rejected", "proved"]
-
-
-def test_rref_rejects_a_relation_with_a_later_member(monkeypatch):
-    # E_(0,2) = E_(0,1) at even weight: the honest proposal keeps member 1
-    # and drops member 2 by the relation m_2 - m_1.  Swapping their roles
-    # keeps every combination the same, but member 1's relation then uses
-    # the later member 2, which the greedy order forbids.
-    basis = EisBasis(2, 3, 20)
-    assert basis.members[1] == basis.members[2]
-
-    def change(pivots, firsts, tracks):
-        assert pivots[1] is not None and pivots[2] is None
-        moved = {(2 if s == 1 else s): c for s, c in firsts[1].items()}
-        pivots[1], pivots[2] = None, pivots[1]
-        one = Cyclotomic.one(3)
-        firsts[1], firsts[2] = {1: one, 2: -one}, moved
-        for track in tracks:
-            if 1 in track:
-                track[2] = track.pop(1)
-
-    outcomes = _watch_attempts(monkeypatch, change)
-    assert rows_of(basis.members, basis.rref()) == exact_rref(basis.members)
-    assert outcomes == ["rejected", "proved"]
-
-
-def test_rref_makes_no_cyclotomic_products_or_inverses(monkeypatch):
-    basis = EisBasis(2, 7, sturm_truncation(2, 7))  # uncached, unreduced
-    calls = []
-    real_invert, real_mul = cyclotomic.cyclo_invert, Cyclotomic.__mul__
-
-    def counting_invert(x):
-        calls.append("cyclo_invert")
-        return real_invert(x)
-
-    def counting_mul(self, other):
-        calls.append("__mul__")
-        return real_mul(self, other)
-
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "eisenlab"
-                and getattr(module, "cyclo_invert", None) is real_invert):
-            monkeypatch.setattr(module, "cyclo_invert", counting_invert)
-    monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
-    monkeypatch.setattr(Cyclotomic, "__rmul__", counting_mul)
-    rows = basis.rref()
-    assert len(rows) == 24
-    assert calls == []
+def values_of(terms, weight, level):
+    """What span_solve reads for a form with the formal sum terms."""
+    return columns(cusp_values(terms, level), weight, 0)
 
 
 def test_span_solve_recovers_a_member():
     basis = eis_basis(2, 3, 20)
     target = basis.members[2]
-    sol = span_solve(target, basis)
+    sol = span_solve(target, basis, values_of([(1, basis.indices[2])], 2, 3))
     assert sol.in_span
     rebuilt = None
     for idx, c in sol.coefficients.items():
@@ -372,13 +218,13 @@ def test_span_solve_recovers_a_member():
 def test_span_solve_zero_target():
     basis = EisBasis(2, 3, 20)  # uncached, unreduced
     z = QuasiForm(2, 3, 20, ())
-    sol = span_solve(z, basis)
+    sol = span_solve(z, basis, values_of([], 2, 3))
     assert sol.in_span and not sol.coefficients
     assert sol.residual == z
     assert basis._rref is None  # zero needs no row reduction
     for other in (QuasiForm(3, 3, 20, ()), QuasiForm(2, 3, 21, ())):
         with pytest.raises(ValueError):
-            span_solve(other, basis)
+            span_solve(other, basis, values_of([], 2, 3))
 
 
 small_coeffs = st.lists(
@@ -395,39 +241,44 @@ def test_span_solve_soundness(coeffs, perturb):
     for c, member in zip(coeffs, basis.members):
         if c:
             target = target + member.scale(c)
+    values = values_of(list(zip(coeffs, basis.indices)), 1, 3)
     if perturb:
         bump = QSeries(3, 15, {11: Cyclotomic.zeta(3)})
         target = target + QuasiForm(1, 3, 15, (bump,))
-    sol = span_solve(target, basis)
+    sol = span_solve(target, basis, values)
     recon = QuasiForm(1, 3, 15, (sol.residual.component(0),))
     for idx, c in sol.coefficients.items():
         recon = recon + basis.by_index[idx].scale(c)
     assert recon == target
-    if not perturb:
-        assert sol.in_span
+    assert sol.in_span != perturb
 
 
 def test_span_solve_weight_two_sees_the_y_row():
-    # a bare holomorphic copy of a completed series is NOT in the span:
-    # the Y rows force coefficient sums to zero
+    # a bare holomorphic copy of a completed series is NOT in the span,
+    # even read with the completed series' own values: its missing Y part
+    # is left over
     basis = eis_basis(2, 1, 20)
     holo_only = QuasiForm(2, 1, 20, (basis.members[0].component(0),))
-    sol = span_solve(holo_only, basis)
+    sol = span_solve(holo_only, basis, values_of([(1, basis.indices[0])], 2, 1))
     assert not sol.in_span
 
 
 def test_span_solve_frame_checks():
     basis = eis_basis(2, 3, 20)
+    values = values_of([], 2, 3)
     with pytest.raises(ValueError):
-        span_solve(QuasiForm(2, 3, 21, ()), basis)
+        span_solve(QuasiForm(2, 3, 21, ()), basis, values)
     with pytest.raises(ValueError):
-        span_solve(QuasiForm(4, 3, 20, ()), basis)
+        span_solve(QuasiForm(4, 3, 20, ()), basis, values)
+    with pytest.raises(ValueError):
+        span_solve(basis.members[0], basis, values[:-1])
 
 
 def random_target(basis, rng, in_span):
     """A random combination of about half the members with small
-    coefficients in Q(zeta_N); out of the span, plus random entries at
-    two random keys of Y-degree 0 or 1."""
+    coefficients in Q(zeta_N), and its formal sum; out of the span, plus
+    random entries at two random keys of Y-degree 0 or 1, which the
+    formal sum leaves out."""
     k, n, b = basis.weight, basis.level, basis.truncation
     phi = len(Cyclotomic.one(n).coeffs)
 
@@ -435,34 +286,41 @@ def random_target(basis, rng, in_span):
         return Cyclotomic(n, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                    for _ in range(phi)))
 
-    target = QuasiForm(k, n, b, ())
-    for member in basis.members:
+    target, terms = QuasiForm(k, n, b, ()), []
+    for idx, member in zip(basis.indices, basis.members):
         if rng.random() < 0.5:
-            target = target + member.scale(number())
+            c = number()
+            target = target + member.scale(c)
+            terms.append((c, idx))
     if not in_span:
         for _ in range(2):
             comps = [QSeries.zero(n, b), QSeries.zero(n, b)]
             comps[rng.randint(0, 1)] = QSeries(n, b, {rng.randint(0, b): number()})
             target = target + QuasiForm(k, n, b, tuple(comps))
-    return target
+    return target, terms
 
 
 @pytest.mark.parametrize("weight, level", GRID)
 def test_span_solve_matches_the_gauss_jordan_oracle(weight, level):
-    basis = eis_basis(weight, level, level + 4)
+    # in the span, the coefficients are the oracle's; outside it, the
+    # solve never claims the target, and target = combination + residual
+    basis = grid_basis(weight, level)
     rng = random.Random(1000 * weight + level)
     for in_span in (True, False, True, False):
-        target = random_target(basis, rng, in_span)
-        sol = span_solve(target, basis)
-        want = exact_span_solve(target, basis, oracle_rows(weight, level))
-        assert sol.coefficients == want.coefficients
-        assert sol.residual == want.residual
-        assert sol.in_span or not in_span
+        target, terms = random_target(basis, rng, in_span)
+        sol = span_solve(target, basis, values_of(terms, weight, level))
+        assert sol.in_span == in_span
+        if in_span:
+            want = exact_span_solve(target, basis, oracle_rows(weight, level))
+            assert sol.coefficients == want.coefficients
+        rebuilt = sol.residual
+        for idx, c in sol.coefficients.items():
+            rebuilt = rebuilt + basis.by_index[idx].scale(c)
+        assert rebuilt == target
 
 
 def test_span_solve_makes_no_cyclotomic_products(monkeypatch):
-    # the coefficients and the residual both run on integer vectors; the
-    # Gauss-Jordan solve made about rank x |kept| products per target
+    # the coefficients and the residual both run on integer vectors
     basis = eis_basis(2, 5, sturm_truncation(2, 5))
     basis.rref()
     calls = []
@@ -473,10 +331,11 @@ def test_span_solve_makes_no_cyclotomic_products(monkeypatch):
         return real_mul(self, other)
 
     for in_span in (True, False):
-        target = random_target(basis, random.Random(in_span), in_span)
+        target, terms = random_target(basis, random.Random(in_span), in_span)
+        values = values_of(terms, 2, 5)
         monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
         monkeypatch.setattr(Cyclotomic, "__rmul__", counting_mul)
-        sol = span_solve(target, basis)
+        sol = span_solve(target, basis, values)
         monkeypatch.undo()
         assert sol.in_span == in_span
         assert sol.coefficients
@@ -484,16 +343,22 @@ def test_span_solve_makes_no_cyclotomic_products(monkeypatch):
 
 
 def test_peel_passthrough_depth_zero():
-    f = eis_series(EisIndex(3, 2, 1, 0), 18)
-    remainder, cert = peel(f)
+    idx = EisIndex(3, 2, 1, 0)
+    f = eis_series(idx, 18)
+    remainder, cert = peel(f, cusp_values([(1, idx)], 2))
     assert remainder == f.component(0)
     assert cert == []
 
 
 def test_peel_inverts_delta():
-    src = eis_series(EisIndex(1, 3, 1, 0), 21)
+    idx = EisIndex(1, 3, 1, 0)
+    src = eis_series(idx, 21)
     f = delta(src)  # weight 3, depth 1
-    remainder, cert = peel(f)
+    # delta_1 E has the constants (0, -c0(E|gamma), 0) at gamma
+    zero = Cyclotomic.zero(3)
+    row = cusp_constants(1, 3)[1, 0]
+    values = [[zero, -row.get(col, zero), zero] for col in range(len(cusps(3)))]
+    remainder, cert = peel(f, values)
     assert remainder.is_zero()
     assert cert
     rebuilt = QuasiForm(f.weight, f.level, f.truncation, (remainder,))
@@ -503,9 +368,10 @@ def test_peel_inverts_delta():
 
 
 def test_peel_depth_two_certificate():
-    e2 = eis_series(EisIndex(2, 1, 0, 0), 14)
+    idx = EisIndex(2, 1, 0, 0)
+    e2 = eis_series(idx, 14)
     f = quasi_mul(e2, e2)
-    remainder, cert = peel(f)
+    remainder, cert = peel(f, cusp_values([(1, idx, idx)], 1))
     assert any(idx.weight == 2 for idx, _ in cert)
     rebuilt = QuasiForm(4, 1, 14, (remainder,))
     for idx, scale in cert:
@@ -517,53 +383,68 @@ def test_peel_unsupported_weights():
     b = 10
     zero = QSeries.zero(1, b)
     one = const_series(1, b, 1)
+    values = cusp_values([], 1)
     with pytest.raises(UnsupportedWeight):
-        peel(QuasiForm(5, 1, b, (zero, zero, one)))  # depth 2 needs k = 4
+        peel(QuasiForm(5, 1, b, (zero, zero, one)), values)  # depth 2 needs k = 4
     with pytest.raises(UnsupportedWeight):
-        peel(QuasiForm(2, 1, b, (zero, one)))  # depth 1 needs k >= 3
+        peel(QuasiForm(2, 1, b, (zero, one)), values)  # depth 1 needs k >= 3
 
 
 def test_peel_rejects_foreign_components():
     b = 14
     q1 = QSeries(1, b, {1: Cyclotomic.one(1)})
+    values = cusp_values([], 1)
     with pytest.raises(TopComponentNotEisenstein):
-        peel(QuasiForm(4, 1, b, (QSeries.zero(1, b), QSeries.zero(1, b), q1)))
+        peel(QuasiForm(4, 1, b, (QSeries.zero(1, b), QSeries.zero(1, b), q1)),
+             values)
     with pytest.raises(TopComponentNotEisenstein):
-        peel(QuasiForm(3, 1, b, (QSeries.zero(1, b), q1)))
+        peel(QuasiForm(3, 1, b, (QSeries.zero(1, b), q1)), values)
 
 
 def test_certify_orthogonal_tautology():
-    f = eis_series(EisIndex(2, 3, 1, 1), 20)
-    sol, cert = certify_orthogonal(f)
+    idx = EisIndex(2, 3, 1, 1)
+    sol, cert = certify_orthogonal(eis_series(idx, 20), [(1, idx)])
     assert sol.in_span
-    assert list(sol.coefficients) == [EisIndex(2, 3, 1, 1)]
+    assert list(sol.coefficients) == [idx]
 
 
-def test_certify_orthogonal_builds_no_basis_for_a_zero_target(basis_builds):
+def test_certify_orthogonal_builds_no_basis_for_a_zero_target(basis_builds,
+                                                              monkeypatch):
+    calls = []
+    real_constant_term = eisenstein.constant_term
+
+    def counting_constant_term(idx):
+        calls.append(idx)
+        return real_constant_term(idx)
+
+    monkeypatch.setattr(eisenstein, "constant_term", counting_constant_term)
+    eisenstein.cusp_constants.cache_clear()
     for weight, level in ((2, 3), (3, 4), (4, 2)):
         zero = QuasiForm(weight, level, 12, ())
-        sol, cert = certify_orthogonal(zero)
+        terms = [(1, EisIndex(1, level, 1, 0), EisIndex(weight - 1, level, 0, 1))]
+        sol, cert = certify_orthogonal(zero, terms)
         assert sol.in_span and not sol.coefficients and not cert
         assert sol.residual == zero
     assert basis_builds == []
+    assert calls == []  # no cusp value either
     # a nonzero form of depth 0 needs its weight's basis and no other
-    certify_orthogonal(eis_series(EisIndex(3, 4, 1, 0), 12))
+    idx = EisIndex(3, 4, 1, 0)
+    certify_orthogonal(eis_series(idx, 12), [(1, idx)])
     assert basis_builds == [(3, 4, 12)]
+    assert calls
 
 
 def test_certify_single_product_genus_split():
     # one weight-2 product: inside the Eisenstein span at level 5 (no
     # cusp forms), outside at level 6 (genus 1)
-    b5 = sturm_truncation(2, 5)
-    f5 = quasi_mul(eis_series(EisIndex(1, 5, 1, 0), b5),
-                   eis_series(EisIndex(1, 5, 0, 1), b5))
-    sol5, _ = certify_orthogonal(f5)
+    results = []
+    for n in (5, 6):
+        b = sturm_truncation(2, n)
+        a, c = EisIndex(1, n, 1, 0), EisIndex(1, n, 0, 1)
+        f = quasi_mul(eis_series(a, b), eis_series(c, b))
+        results.append(certify_orthogonal(f, [(1, a, c)])[0])
+    sol5, sol6 = results
     assert sol5.in_span
-
-    b6 = sturm_truncation(2, 6)
-    f6 = quasi_mul(eis_series(EisIndex(1, 6, 1, 0), b6),
-                   eis_series(EisIndex(1, 6, 0, 1), b6))
-    sol6, _ = certify_orthogonal(f6)
     assert not sol6.in_span
     assert sol6.residual.component(0).nonzero_exponents()
 

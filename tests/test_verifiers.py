@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisenlab.cli import report_payload
-from eisenlab.eisenstein import EisIndex, NotDivisible, sturm_truncation
+from eisenlab.eisenstein import (EisIndex, NotDivisible, proven_truncation,
+                                 sturm_truncation)
 from eisenlab.hull import NonCoprimeShear, hull_chain
 from eisenlab.quasiforms import eis_series, quasi_mul
 from eisenlab.verifiers import (
@@ -153,6 +154,26 @@ def test_two_term_report_shape():
 def test_two_term_truncation_override():
     report = verify_two_term(TorsionPoint(3, 1, 2), TorsionPoint(3, 2, 0), 3, 9)
     assert report.truncation == 9
+
+
+def test_no_verified_below_the_proven_truncation():
+    # each claim holds, and is VERIFIED at the bound itself; one exponent
+    # less proves nothing, whatever the comparison finds
+    lam, mu = TorsionPoint(5, 1, 0), TorsionPoint(5, 0, 1)
+    one = TorsionPoint(1, 0, 0)
+    prop21 = LParams(TorsionPoint(3, 1, 0), TorsionPoint(3, 0, 1), 1, 2, 3)
+    claims = [  # (claim at truncation b, weight, level)
+        (lambda b: verify_two_term(lam, mu, 5, b), 2, 5),
+        (lambda b: verify_three_term_w2(lam, mu, 5, b), 2, 5),
+        (lambda b: verify_prop21(prop21, 3, b), 3, 3),
+        (lambda b: verify_hecke_trace(2, 1, one, one, 2, 1, 1, b), 2, 2),
+    ]
+    for claim, weight, level in claims:
+        bound = proven_truncation(weight, level)
+        assert claim(bound).status == VERIFIED
+        below = claim(bound - 1)
+        assert below.status == INCONCLUSIVE
+        assert below.defect.in_span
 
 
 # -- three-term ------------------------------------------------------------
