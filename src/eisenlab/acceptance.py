@@ -188,7 +188,8 @@ def criterion_07_three_term() -> tuple[bool, str]:
         # the independent Gauss-Jordan oracle on the q-expansions checks
         # the certifier's kept members and every defect's coefficients
         basis = eis_basis(2, n, report.truncation)
-        rows = exact_rref(basis.members)
+        rows = exact_rref([eis_series(idx, basis.truncation)
+                           for idx in basis.indices])
         if kept_members(basis.rref()) != kept_members(rows):
             return False, f"weight-2 kept members differ from the oracle's at N={n}"
         for total, report in solved:

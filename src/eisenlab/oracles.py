@@ -211,8 +211,8 @@ def kept_members(rows) -> list[int]:
 
 
 def exact_span_solve(target: QuasiForm, basis, rows) -> SpanSolution:
-    """Gauss-Jordan reduction of the target against rows =
-    `exact_rref(basis.members)`, in their order, in `Cyclotomic`
+    """Gauss-Jordan reduction of the target against rows = `exact_rref`
+    of the series of basis.indices, in their order, in `Cyclotomic`
     arithmetic: the coefficients are the tracks weighted by the values
     the target has at each pivot when its row comes."""
     vec = _stack(target)

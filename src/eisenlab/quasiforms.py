@@ -148,13 +148,11 @@ def theta(f: QuasiForm) -> QuasiForm:
     return QuasiForm(f.weight + 2, f.level, f.truncation, tuple(comps))
 
 
-def delta(f: QuasiForm, w: int | None = None) -> QuasiForm:
-    """Weight-raising operator delta_w = theta - w Y; w defaults to the
-    form's own weight, the only value under which products obey Leibniz."""
-    if w is None:
-        w = f.weight
+def delta(f: QuasiForm) -> QuasiForm:
+    """Weight-raising operator delta_w = theta - w Y at the form's own
+    weight w, the only weight under which products obey Leibniz."""
     lowered = theta(f)
-    shifted = mul_y(f).scale(w)
+    shifted = mul_y(f).scale(f.weight)
     comps = tuple(lowered.component(j) - shifted.component(j)
                   for j in range(max(lowered.depth, shifted.depth) + 1))
     return QuasiForm(f.weight + 2, f.level, f.truncation, comps)
@@ -177,38 +175,32 @@ def eis_series(idx: EisIndex, truncation: int | None = None) -> QuasiForm:
 
 
 class EisBasis:
-    """All level-N weight-k Eisenstein series at one truncation.
+    """The torsion indices of the level-N weight-k Eisenstein series at
+    one truncation; a member's series is `eis_series(idx, truncation)`,
+    built only where a solution needs it.
 
-    Every torsion index is retained, including indices whose series
-    vanishes identically, with one exception: (0, 0) is dropped when its
-    series is zero, so the basis never contains the zero form at the
-    index that cannot be distinguished from "no series at all".
+    Every index is kept, including indices whose series vanishes
+    identically, except (0, 0) at odd weight: E_{k,0} = (-1)^k E_{k,0}
+    is zero there, and a zero member at the index that cannot be told
+    from "no series at all" would only pad the basis.
+
+    >>> len(EisBasis(3, 4, 12)), len(EisBasis(2, 4, 12))
+    (15, 16)
     """
 
-    __slots__ = ("weight", "level", "truncation", "indices", "members",
-                 "by_index", "_rref")
+    __slots__ = ("weight", "level", "truncation", "indices", "_rref")
 
     def __init__(self, weight: int, level: int, truncation: int):
         self.weight = weight
         self.level = level
         self.truncation = truncation
-        indices = []
-        members = []
-        for c1 in range(level):
-            for c2 in range(level):
-                idx = EisIndex(weight, level, c1, c2)
-                form = eis_series(idx, truncation)
-                if (c1, c2) == (0, 0) and form.is_zero():
-                    continue
-                indices.append(idx)
-                members.append(form)
-        self.indices = tuple(indices)
-        self.members = tuple(members)
-        self.by_index = dict(zip(self.indices, self.members))
+        self.indices = tuple(EisIndex(weight, level, c1, c2)
+                             for c1 in range(level) for c2 in range(level)
+                             if (c1, c2) != (0, 0) or weight % 2 == 0)
         self._rref = None
 
     def __len__(self):
-        return len(self.members)
+        return len(self.indices)
 
     def rref(self) -> list:
         """The (pivot column, den, track) triples of a Gauss-Jordan
@@ -382,27 +374,19 @@ class SpanSolution:
         return self.residual.is_zero()
 
 
-def span_solve(target: QuasiForm, basis: EisBasis, values) -> SpanSolution:
-    """Exact projection: target = sum(coefficients * members) + residual,
-    with the coefficients read from the target's values on the columns
-    of `EisBasis.rref()` (`columns`).
+def _read(basis: EisBasis, values) -> dict:
+    """The coefficients sum_i values[p_i] T_i over the rows (p_i, den_i,
+    T_i) of `EisBasis.rref()`, nonzero only, keyed by basis index in
+    basis order; values as `columns` gives them.
 
-    The rows R_i are 1 at their own pivot p_i and 0 at the others, so the
-    coefficients are sum_i values[p_i] T_i over the tracks: for a target
-    in the span they are its own, the value map being injective there.
-    The residual, the target minus that combination of the members, is
-    computed exactly over every exponent, so no verdict rests on the
-    values.  Both run in integers over one denominator each."""
-    if target.level != basis.level or target.truncation != basis.truncation:
-        raise ValueError("target and basis level/truncation mismatch")
-    if target.weight != basis.weight:
-        raise ValueError("target and basis weight mismatch")
-    n = target.level
-    if len(values) != len(cusps(n)) + (target.weight == 2):
-        raise ValueError("one value per cusp, and at weight 2 one for Y")
-    if target.is_zero():
-        # zero is its own normal form: no row reduction needed
-        return SpanSolution({}, target)
+    The rows are 1 at their own pivot and 0 at the others, so for the
+    values of a combination of the members these are its own
+    coefficients, the value map being injective on the span.  Values
+    that are all 0 need no row reduction.  Runs in integers over one
+    denominator."""
+    if not any(values):
+        return {}
+    n = basis.level
     terms = []  # c_i T_i = (v times the vectors of track) / d
     for pivot, d, track in basis.rref():
         if values[pivot]:
@@ -412,26 +396,49 @@ def span_solve(target: QuasiForm, basis: EisBasis, values) -> SpanSolution:
     combo: dict[int, list[int]] = {}
     for d, v, track in terms:
         _add_products(combo, _multiplier(n, v), track, den // d)
-    combo = {t: combo[t] for t in sorted(combo) if any(combo[t])}
-    return SpanSolution(
-        coefficients={basis.indices[t]: Cyclotomic(n, tuple(Fraction(x, den)
-                                                            for x in c))
-                      for t, c in combo.items()},
-        residual=_subtract(target, basis.members, den, combo))
+    return {basis.indices[t]: Cyclotomic(n, tuple(Fraction(x, den)
+                                                  for x in combo[t]))
+            for t in sorted(combo) if any(combo[t])}
 
 
-def _subtract(target: QuasiForm, members, den: int, combo: dict) -> QuasiForm:
-    """target - sum_t (combo[t] / den) members[t], for integer vectors
-    combo[t], in integers: one common denominator per Y-degree."""
+def span_solve(target: QuasiForm, basis: EisBasis, values,
+               certificate) -> SpanSolution:
+    """Exact projection: target = sum(coefficients * members) +
+    sum(scale * delta(eis_series(idx, B))) over the certificate entries
+    (idx, scale) + residual, B the truncation.
+
+    The coefficients are read (`_read`) from the target's values on the
+    columns of `EisBasis.rref()` (`columns`, Y-degree 0).  A delta term
+    has no Y^0 constant at any cusp, so these are also the values of the
+    target less its delta terms.  The residual is computed exactly over
+    every exponent and Y-degree, in integers, so no verdict rests on the
+    values."""
+    if target.level != basis.level or target.truncation != basis.truncation:
+        raise ValueError("target and basis level/truncation mismatch")
+    if target.weight != basis.weight:
+        raise ValueError("target and basis weight mismatch")
+    if len(values) != len(cusps(target.level)) + (target.weight == 2):
+        raise ValueError("one value per cusp, and at weight 2 one for Y")
+    b = target.truncation
+    coefficients = _read(basis, values)
+    parts = [(eis_series(idx, b), c) for idx, c in coefficients.items()]
+    parts += [(delta(eis_series(idx, b)), scale) for idx, scale in certificate]
+    return SpanSolution(coefficients, _subtract(target, parts))
+
+
+def _subtract(target: QuasiForm, parts) -> QuasiForm:
+    """target - sum(scale * form) over the (form, scale) of parts, in
+    integers: one common denominator per Y-degree."""
     n, b = target.level, target.truncation
+    den, vecs = _integral(dict(enumerate(scale for _, scale in parts)))
     comps = []
     for j in range(MAX_DEPTH + 1):
         h = target.component(j)
-        parts = [(members[t].component(j), c) for t, c in combo.items()]
-        parts = [(g, c) for g, c in parts if g.vecs]
-        common = lcm(h.den, *(den * g.den for g, _ in parts))
+        terms = [(form.component(j), vecs[i]) for i, (form, _) in enumerate(parts)]
+        terms = [(g, c) for g, c in terms if g.vecs]
+        common = lcm(h.den, *(den * g.den for g, _ in terms))
         out = {e: [common // h.den * x for x in v] for e, v in h.vecs.items()}
-        for g, c in parts:
+        for g, c in terms:
             _add_products(out, _multiplier(n, c), g.vecs,
                           -(common // (den * g.den)))
         comps.append(QSeries._of(n, b, common,
@@ -451,90 +458,71 @@ def _add_products(out: dict, rows: list, vecs: dict, k: int) -> None:
 # -- peeling nonholomorphic components -------------------------------------
 
 
-def peel(f: QuasiForm, values) -> tuple[QSeries, list[tuple[EisIndex, Cyclotomic]]]:
-    """Strip the positive Y-components of f as images of delta.
+def peel(f: QuasiForm, values) -> list[tuple[EisIndex, Cyclotomic]]:
+    """The delta-certificate of f, read from its cusp values
+    (`cusp_values`) alone: entries (idx, scale) such that f less
+    sum(scale * delta(eis_series(idx, B))) is holomorphic when f is
+    peelable at all, B being f's truncation.  Each idx indexes an
+    Eisenstein series of weight f.weight - 2; `span_solve` checks the
+    certificate with the exact residual.
 
-    Returns (remainder, certificate) with
-        f = remainder + sum(scale * delta(eis_series(idx, B)) for each
-                            (idx, scale) entry),
-    B being f's truncation and the remainder purely holomorphic.  Each
-    idx indexes an Eisenstein series of weight f.weight - 2, solved from
-    f's cusp values (`cusp_values`).  Raises TopComponentNotEisenstein
-    when a Y-component is not expressible and UnsupportedWeight when no
-    delta of the needed source weight exists.
+    Only delta_2 of a completed weight-2 series produces Y^2, and its Y^2
+    part is the constant -1, so a depth-2 form first takes minus its Y^2
+    constant as the scale of E_{2,0}, and the values lose that term's.
+    What is left is delta_w of a weight-(k-2) combination sum c E, whose
+    Y^1 values are those of -w sum c E (at w = 2 with the Y^2 constant
+    left, 0, as the Y column), so the c are read (`_read`) from them and
+    divided by -w.  Raises UnsupportedWeight when no delta of the needed
+    source weight exists.
     """
-    level, b, k = f.level, f.truncation, f.weight
+    level, k = f.level, f.weight
     cert: list[tuple[EisIndex, Cyclotomic]] = []
-    current = f
-
-    if current.depth == 2:
-        # Only delta_2 of a weight-2 completed series produces Y^2, and
-        # its Y^2 coefficient is the constant -1; the depth-2 component
-        # must therefore be a constant.
+    if f.depth == 2:
         if k != 4:
             raise UnsupportedWeight(
                 f"depth-2 peel needs weight 4, got {k}")
-        top = current.component(2)
-        if any(n != 0 for n in top.vecs):
-            raise TopComponentNotEisenstein(
-                "Y^2 component is not a constant series")
-        c = top.coeff(0)
-        basis2 = eis_basis(2, level, b)
-        scale = -c
-        current = current - delta(basis2.members[0]).scale(scale)
-        cert.append((basis2.indices[0], scale))
+        idx = EisIndex(2, level, 0, 0)
+        scale = -values[0][2]
+        cert.append((idx, scale))
         # delta commutes with slashing and theta kills constants, so at
         # every cusp delta_2(E_2) has the constants (0, -2 c0(E_2), -1):
         # (0, 0) is fixed by every gamma
-        shift = 2 * scale * constant_term(basis2.indices[0])
+        shift = 2 * scale * constant_term(idx)
         values = [[y0, y1 + shift, y2 + scale] for y0, y1, y2 in values]
-
-    if current.depth == 1:
+    if f.depth:
         if k < 3:
             raise UnsupportedWeight(
                 f"depth-1 peel needs weight >= 3, got {k}")
         w = k - 2
-        basis = eis_basis(w, level, b)
-        wrapped = QuasiForm(w, level, b, (current.component(1),))
-        sol = span_solve(wrapped, basis, columns(values, w, 1))
-        if not sol.in_span:
-            raise TopComponentNotEisenstein(
-                "Y component is outside the Eisenstein span")
-        for idx, coeff in sol.coefficients.items():
-            member = basis.by_index[idx]
-            scale = -(coeff / w)
-            current = current - delta(member).scale(scale)
-            cert.append((idx, scale))
-
-    if current.depth != 0:
-        raise TopComponentNotEisenstein("peel left a nonholomorphic part")
-    return current.component(0), cert
+        basis = eis_basis(w, level, f.truncation)
+        cert += [(idx, -(coeff / w))
+                 for idx, coeff in _read(basis, columns(values, w, 1)).items()]
+    return cert
 
 
 def certify_orthogonal(
         f: QuasiForm, terms) -> tuple[SpanSolution, list[tuple[EisIndex, Cyclotomic]]]:
-    """Peel Y-components, then project the remainder onto the Eisenstein
-    space of f's weight, both solved from the cusp values of f's formal
-    sum terms (`cusp_values`).  Returns (solution, certificate); the
-    claim behind f holds modulo Eisenstein series iff solution.residual
-    is 0.
+    """Solve the delta-certificate (`peel`) and the Eisenstein
+    coefficients of f from the cusp values of its formal sum terms
+    (`cusp_values`), and check both with one exact residual
+    (`span_solve`).  Returns (solution, certificate); the claim behind f
+    holds modulo Eisenstein series iff solution.residual is 0.
 
     At weight 2 the basis members carry the Y-component themselves, so
-    nothing is peeled.  A zero form needs no cusp value and no basis, a
-    zero remainder no basis.  The peeled delta terms have no Y^0
-    constant, so the remainder's cusp values are the Y^0 ones of f."""
+    nothing is peeled.  At any other weight a Y-component left in the
+    residual is a nonholomorphic part that no delta term explains, and
+    raises TopComponentNotEisenstein.  A zero form needs no cusp value
+    and no basis."""
     if f.is_zero():
         return SpanSolution({}, f), []
     values = cusp_values(terms, f.level)
-    if f.weight == 2:
-        form, cert = f, []
-    else:
-        remainder, cert = peel(f, values)
-        form = QuasiForm(f.weight, f.level, f.truncation, (remainder,))
-        if form.is_zero():
-            return SpanSolution({}, form), cert
-    return span_solve(form, eis_basis(f.weight, f.level, f.truncation),
-                      columns(values, f.weight, 0)), cert
+    cert = [] if f.weight == 2 else peel(f, values)
+    sol = span_solve(f, eis_basis(f.weight, f.level, f.truncation),
+                     columns(values, f.weight, 0), cert)
+    if f.weight != 2 and sol.residual.depth:
+        raise TopComponentNotEisenstein(
+            "a Y-component is outside the span of the delta terms")
+    return sol, cert
 
 
 # -- numerics --------------------------------------------------------------

@@ -3,9 +3,9 @@ import doctest
 
 import pytest
 
-from eisenlab import cli, cyclotomic, eisenstein, hull, ratfunc
+from eisenlab import cli, cyclotomic, eisenstein, hull, quasiforms, ratfunc
 
-MODULES = (cyclotomic, ratfunc, hull, eisenstein, cli)
+MODULES = (cyclotomic, ratfunc, hull, eisenstein, quasiforms, cli)
 
 
 @pytest.mark.parametrize("module", MODULES,

@@ -4,7 +4,11 @@ golden/.
 
 Together they cover an empty certificate, depth-1 and depth-2 peel
 certificates (prop21_k3_n3, prop21_k4_n2), defect coefficients
-(three_term_n5) and residual exponents (three_term_inconclusive).
+(three_term_n5) and residual exponents (three_term_inconclusive).  Two
+claims below the proven truncation go through the solver and end
+INCONCLUSIVE: a depth-2 plus depth-1 certificate
+(prop21_k4_n5_below_bound) and defect coefficients
+(three_term_n5_below_bound).
 """
 import contextlib
 import io
@@ -15,15 +19,21 @@ from pathlib import Path
 import pytest
 
 from eisenlab.cli import emit_report
-from eisenlab.verifiers import TorsionPoint, verify_three_term_w2
+from eisenlab.verifiers import (LParams, TorsionPoint, verify_prop21,
+                                verify_three_term_w2)
 
 GOLDEN = Path(__file__).parent / "golden"
 SHOWCASE = Path(__file__).parents[1] / "scripts" / "verify_showcase.py"
 
-# the one golden report the showcase script does not write
+# the golden reports the showcase script does not write
 DIRECT = {
     "three_term_inconclusive": lambda: verify_three_term_w2(
         TorsionPoint(5, 0, 0), TorsionPoint(5, 0, 1), 5),
+    "prop21_k4_n5_below_bound": lambda: verify_prop21(
+        LParams(TorsionPoint(5, 1, 0), TorsionPoint(5, 0, 1), 1, 1, 4), 5,
+        truncation=12),
+    "three_term_n5_below_bound": lambda: verify_three_term_w2(
+        TorsionPoint(5, 1, 0), TorsionPoint(5, 0, 1), 5, truncation=9),
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisenlab import eisenstein
+from eisenlab import eisenstein, quasiforms
 from eisenlab.cyclotomic import Cyclotomic
 from eisenlab.eisenstein import (EisIndex, QSeries, cusp_constants, cusps,
                                  proven_truncation, sturm_truncation)
@@ -35,6 +35,7 @@ from eisenlab.quasiforms import (
     span_solve,
     theta,
 )
+from eisenlab.verifiers import LParams, TorsionPoint, _report, verify_prop21
 
 
 def const_series(level, b, value):
@@ -151,9 +152,63 @@ def test_eis_basis_membership():
     # series are identically zero by parity
     b2 = eis_basis(1, 2, 12)
     assert len(b2) == 3
-    assert all(m.is_zero() for m in b2.members)
+    assert all(eis_series(idx, 12).is_zero() for idx in b2.indices)
     b3 = eis_basis(1, 3, 12)
     assert len(b3) == 8
+
+
+def test_basis_indices_keep_the_nonzero_series_rule():
+    # (0, 0) is dropped exactly when its series is zero, which is exactly
+    # at odd weight
+    for k in range(1, 7):
+        for n in range(1, 9):
+            want = tuple(EisIndex(k, n, c1, c2) for c1 in range(n)
+                         for c2 in range(n)
+                         if (c1, c2) != (0, 0)
+                         or not eis_series(EisIndex(k, n, 0, 0), 12).is_zero())
+            assert EisBasis(k, n, 12).indices == want, (k, n)
+
+
+def test_basis_builds_no_series(monkeypatch):
+    # a basis and its row reduction read indices and constants only
+    calls = []
+
+    def no_series(*args):
+        calls.append(args)
+        raise AssertionError("series built")
+
+    monkeypatch.setattr(quasiforms, "eis_qseries", no_series)
+    monkeypatch.setattr(quasiforms, "eis_series", no_series)
+    for k, n in ((1, 5), (2, 6), (3, 4), (4, 7)):
+        basis = EisBasis(k, n, sturm_truncation(k, n))
+        assert len(basis) and basis.rref()
+    assert calls == []
+
+
+def test_zero_eisenstein_part_needs_no_reduction_and_no_members(monkeypatch):
+    # the showcase prop21 claim at weight 3 peels to a zero remainder: its
+    # cusp values of Y-degree 0 all vanish, so nothing at weight 3 is
+    # reduced and no member series is built, only the weight-1 series of
+    # its delta terms
+    reduced, series = [], []
+    real_rref, real_series = EisBasis.rref, quasiforms.eis_series
+
+    def rref(self):
+        reduced.append(self.weight)
+        return real_rref(self)
+
+    def eis(idx, truncation=None):
+        series.append(idx.weight)
+        return real_series(idx, truncation)
+
+    monkeypatch.setattr(EisBasis, "rref", rref)
+    monkeypatch.setattr(quasiforms, "eis_series", eis)
+    report = verify_prop21(LParams(TorsionPoint(3, 1, 0), TorsionPoint(3, 0, 1),
+                                   2, -1, 3), 3)
+    assert report.status == "VERIFIED"
+    assert report.certificate and not report.defect.coefficients
+    assert 3 not in reduced and 3 not in series
+    assert set(reduced) == set(series) == {1}
 
 
 def test_series_and_basis_caches_are_bounded():
@@ -180,9 +235,14 @@ def grid_basis(weight, level):
     return eis_basis(weight, level, proven_truncation(weight, level))
 
 
+def members(basis):
+    """The series of the basis's members, in basis order."""
+    return [eis_series(idx, basis.truncation) for idx in basis.indices]
+
+
 @lru_cache(maxsize=None)
 def oracle_rows(weight, level):
-    return exact_rref(grid_basis(weight, level).members)
+    return exact_rref(members(grid_basis(weight, level)))
 
 
 @pytest.mark.parametrize("weight, level", GRID)
@@ -195,7 +255,7 @@ def test_rref_matches_oracle(weight, level):
 def test_rref_matches_oracle_at_the_sturm_bound():
     basis = EisBasis(2, 7, sturm_truncation(2, 7))
     assert basis.truncation == 203
-    assert kept_members(basis.rref()) == kept_members(exact_rref(basis.members))
+    assert kept_members(basis.rref()) == kept_members(exact_rref(members(basis)))
 
 
 def values_of(terms, weight, level):
@@ -205,12 +265,13 @@ def values_of(terms, weight, level):
 
 def test_span_solve_recovers_a_member():
     basis = eis_basis(2, 3, 20)
-    target = basis.members[2]
-    sol = span_solve(target, basis, values_of([(1, basis.indices[2])], 2, 3))
+    target = eis_series(basis.indices[2], 20)
+    sol = span_solve(target, basis, values_of([(1, basis.indices[2])], 2, 3),
+                     [])
     assert sol.in_span
     rebuilt = None
     for idx, c in sol.coefficients.items():
-        term = basis.by_index[idx].scale(c)
+        term = eis_series(idx, 20).scale(c)
         rebuilt = term if rebuilt is None else rebuilt + term
     assert rebuilt == target
 
@@ -218,13 +279,13 @@ def test_span_solve_recovers_a_member():
 def test_span_solve_zero_target():
     basis = EisBasis(2, 3, 20)  # uncached, unreduced
     z = QuasiForm(2, 3, 20, ())
-    sol = span_solve(z, basis, values_of([], 2, 3))
+    sol = span_solve(z, basis, values_of([], 2, 3), [])
     assert sol.in_span and not sol.coefficients
     assert sol.residual == z
     assert basis._rref is None  # zero needs no row reduction
     for other in (QuasiForm(3, 3, 20, ()), QuasiForm(2, 3, 21, ())):
         with pytest.raises(ValueError):
-            span_solve(other, basis, values_of([], 2, 3))
+            span_solve(other, basis, values_of([], 2, 3), [])
 
 
 small_coeffs = st.lists(
@@ -238,17 +299,17 @@ def test_span_solve_soundness(coeffs, perturb):
     """target = sum(coefficients * members) + residual, exactly."""
     basis = eis_basis(1, 3, 15)
     target = QuasiForm(1, 3, 15, ())
-    for c, member in zip(coeffs, basis.members):
+    for c, member in zip(coeffs, members(basis)):
         if c:
             target = target + member.scale(c)
     values = values_of(list(zip(coeffs, basis.indices)), 1, 3)
     if perturb:
         bump = QSeries(3, 15, {11: Cyclotomic.zeta(3)})
         target = target + QuasiForm(1, 3, 15, (bump,))
-    sol = span_solve(target, basis, values)
+    sol = span_solve(target, basis, values, [])
     recon = QuasiForm(1, 3, 15, (sol.residual.component(0),))
     for idx, c in sol.coefficients.items():
-        recon = recon + basis.by_index[idx].scale(c)
+        recon = recon + eis_series(idx, 15).scale(c)
     assert recon == target
     assert sol.in_span != perturb
 
@@ -258,8 +319,9 @@ def test_span_solve_weight_two_sees_the_y_row():
     # even read with the completed series' own values: its missing Y part
     # is left over
     basis = eis_basis(2, 1, 20)
-    holo_only = QuasiForm(2, 1, 20, (basis.members[0].component(0),))
-    sol = span_solve(holo_only, basis, values_of([(1, basis.indices[0])], 2, 1))
+    holo_only = QuasiForm(2, 1, 20, (eis_series(basis.indices[0], 20).component(0),))
+    sol = span_solve(holo_only, basis, values_of([(1, basis.indices[0])], 2, 1),
+                     [])
     assert not sol.in_span
 
 
@@ -267,11 +329,17 @@ def test_span_solve_frame_checks():
     basis = eis_basis(2, 3, 20)
     values = values_of([], 2, 3)
     with pytest.raises(ValueError):
-        span_solve(QuasiForm(2, 3, 21, ()), basis, values)
+        span_solve(QuasiForm(2, 3, 21, ()), basis, values, [])
     with pytest.raises(ValueError):
-        span_solve(QuasiForm(4, 3, 20, ()), basis, values)
+        span_solve(QuasiForm(4, 3, 20, ()), basis, values, [])
     with pytest.raises(ValueError):
-        span_solve(basis.members[0], basis, values[:-1])
+        span_solve(eis_series(basis.indices[0], 20), basis, values[:-1], [])
+
+
+def small_number(n, rng):
+    """A random element of Q(zeta_n) with small coordinates."""
+    return Cyclotomic(n, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                               for _ in Cyclotomic.one(n).coeffs))
 
 
 def random_target(basis, rng, in_span):
@@ -280,22 +348,17 @@ def random_target(basis, rng, in_span):
     random entries at two random keys of Y-degree 0 or 1, which the
     formal sum leaves out."""
     k, n, b = basis.weight, basis.level, basis.truncation
-    phi = len(Cyclotomic.one(n).coeffs)
-
-    def number():
-        return Cyclotomic(n, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                                   for _ in range(phi)))
-
     target, terms = QuasiForm(k, n, b, ()), []
-    for idx, member in zip(basis.indices, basis.members):
+    for idx, member in zip(basis.indices, members(basis)):
         if rng.random() < 0.5:
-            c = number()
+            c = small_number(n, rng)
             target = target + member.scale(c)
             terms.append((c, idx))
     if not in_span:
         for _ in range(2):
             comps = [QSeries.zero(n, b), QSeries.zero(n, b)]
-            comps[rng.randint(0, 1)] = QSeries(n, b, {rng.randint(0, b): number()})
+            comps[rng.randint(0, 1)] = QSeries(n, b, {rng.randint(0, b):
+                                                      small_number(n, rng)})
             target = target + QuasiForm(k, n, b, tuple(comps))
     return target, terms
 
@@ -308,14 +371,14 @@ def test_span_solve_matches_the_gauss_jordan_oracle(weight, level):
     rng = random.Random(1000 * weight + level)
     for in_span in (True, False, True, False):
         target, terms = random_target(basis, rng, in_span)
-        sol = span_solve(target, basis, values_of(terms, weight, level))
+        sol = span_solve(target, basis, values_of(terms, weight, level), [])
         assert sol.in_span == in_span
         if in_span:
             want = exact_span_solve(target, basis, oracle_rows(weight, level))
             assert sol.coefficients == want.coefficients
         rebuilt = sol.residual
         for idx, c in sol.coefficients.items():
-            rebuilt = rebuilt + basis.by_index[idx].scale(c)
+            rebuilt = rebuilt + eis_series(idx, basis.truncation).scale(c)
         assert rebuilt == target
 
 
@@ -335,19 +398,30 @@ def test_span_solve_makes_no_cyclotomic_products(monkeypatch):
         values = values_of(terms, 2, 5)
         monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
         monkeypatch.setattr(Cyclotomic, "__rmul__", counting_mul)
-        sol = span_solve(target, basis, values)
+        sol = span_solve(target, basis, values, [])
         monkeypatch.undo()
         assert sol.in_span == in_span
         assert sol.coefficients
     assert calls == []
 
 
+def rebuild(sol, cert, truncation):
+    """residual + sum(c * E) + sum(s * delta(E)), in QuasiForm arithmetic."""
+    out = sol.residual
+    for idx, c in sol.coefficients.items():
+        out = out + eis_series(idx, truncation).scale(c)
+    for idx, scale in cert:
+        out = out + delta(eis_series(idx, truncation)).scale(scale)
+    return out
+
+
 def test_peel_passthrough_depth_zero():
     idx = EisIndex(3, 2, 1, 0)
     f = eis_series(idx, 18)
-    remainder, cert = peel(f, cusp_values([(1, idx)], 2))
-    assert remainder == f.component(0)
-    assert cert == []
+    assert peel(f, cusp_values([(1, idx)], 2)) == []
+    sol, cert = certify_orthogonal(f, [(1, idx)])
+    assert cert == [] and sol.in_span
+    assert rebuild(sol, cert, 18) == f
 
 
 def test_peel_inverts_delta():
@@ -358,25 +432,52 @@ def test_peel_inverts_delta():
     zero = Cyclotomic.zero(3)
     row = cusp_constants(1, 3)[1, 0]
     values = [[zero, -row.get(col, zero), zero] for col in range(len(cusps(3)))]
-    remainder, cert = peel(f, values)
-    assert remainder.is_zero()
-    assert cert
-    rebuilt = QuasiForm(f.weight, f.level, f.truncation, (remainder,))
-    for idx, scale in cert:
-        rebuilt = rebuilt + delta(eis_series(idx, f.truncation)).scale(scale)
-    assert rebuilt == f
+    cert = peel(f, values)
+    assert cert == [(idx, 1)]
+    sol = span_solve(f, eis_basis(3, 3, 21), columns(values, 3, 0), cert)
+    assert sol.in_span and not sol.coefficients
+    assert rebuild(sol, cert, 21) == f
 
 
 def test_peel_depth_two_certificate():
     idx = EisIndex(2, 1, 0, 0)
     e2 = eis_series(idx, 14)
     f = quasi_mul(e2, e2)
-    remainder, cert = peel(f, cusp_values([(1, idx, idx)], 1))
-    assert any(idx.weight == 2 for idx, _ in cert)
-    rebuilt = QuasiForm(4, 1, 14, (remainder,))
-    for idx, scale in cert:
-        rebuilt = rebuilt + delta(eis_series(idx, f.truncation)).scale(scale)
-    assert rebuilt == f
+    # (E_2 + Y)^2 has Y^2 part 1, so delta_2 E_2 enters with scale -1
+    cert = peel(f, cusp_values([(1, idx, idx)], 1))
+    assert cert[0] == (idx, -1)
+    sol, same = certify_orthogonal(f, [(1, idx, idx)])
+    assert same == cert and sol.in_span
+    assert rebuild(sol, cert, 14) == f
+
+
+def test_peel_makes_no_series(monkeypatch):
+    # the certificate, depth-2 and depth-1 entries alike, comes from the
+    # cusp values alone: peel builds no QSeries and no QuasiForm
+    level, b = 2, proven_truncation(4, 2)
+    a, c = EisIndex(2, level, 1, 0), EisIndex(2, level, 0, 1)
+    terms = [(1, a, c)]
+    f = quasi_mul(eis_series(a, b), eis_series(c, b))
+    values = cusp_values(terms, level)
+    built = []
+    real_of, real_series, real_form = (QSeries._of, QSeries.__init__,
+                                       QuasiForm.__init__)
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            built.append(real)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(QSeries, "_of", staticmethod(counting(real_of)))
+    monkeypatch.setattr(QSeries, "__init__", counting(real_series))
+    monkeypatch.setattr(QuasiForm, "__init__", counting(real_form))
+    cert = peel(f, values)
+    monkeypatch.undo()
+    assert built == []
+    assert cert[0][0] == EisIndex(2, level, 0, 0) and len(cert) > 1
+    sol, same = certify_orthogonal(f, terms)
+    assert same == cert and sol.in_span
 
 
 def test_peel_unsupported_weights():
@@ -391,14 +492,71 @@ def test_peel_unsupported_weights():
 
 
 def test_peel_rejects_foreign_components():
+    # a Y^2 part that is not constant, or a Y part outside the weight-1
+    # span: the residual keeps a Y-component, the certifier raises, and
+    # the report is INCONCLUSIVE with the whole form as the residual
     b = 14
+    zero = QSeries.zero(1, b)
     q1 = QSeries(1, b, {1: Cyclotomic.one(1)})
-    values = cusp_values([], 1)
-    with pytest.raises(TopComponentNotEisenstein):
-        peel(QuasiForm(4, 1, b, (QSeries.zero(1, b), QSeries.zero(1, b), q1)),
-             values)
-    with pytest.raises(TopComponentNotEisenstein):
-        peel(QuasiForm(3, 1, b, (QSeries.zero(1, b), q1)), values)
+    for f in (QuasiForm(4, 1, b, (zero, zero, q1)),
+              QuasiForm(3, 1, b, (zero, q1))):
+        with pytest.raises(TopComponentNotEisenstein):
+            certify_orthogonal(f, [])
+        report = _report("foreign", {}, f, [], 0.0)
+        assert report.status == "INCONCLUSIVE"
+        assert report.certificate == [] and not report.defect.coefficients
+        assert report.defect.residual == f
+
+
+def test_certify_orthogonal_subtracts_once(monkeypatch):
+    # one exact residual per claim, with the delta terms and the
+    # Eisenstein combination together; the depth-2 claim below has both
+    calls = []
+    real = quasiforms._subtract
+
+    def counting(target, parts):
+        calls.append(len(parts))
+        return real(target, parts)
+
+    monkeypatch.setattr(quasiforms, "_subtract", counting)
+    report = verify_prop21(LParams(TorsionPoint(5, 1, 0), TorsionPoint(5, 0, 1),
+                                   1, 1, 4), 5, truncation=12)
+    assert len(report.certificate) == 5
+    assert calls == [5]
+
+
+@pytest.mark.parametrize("weight, level",
+                         [(k, n) for k in (3, 4) for n in range(1, 9)])
+def test_certificate_and_defect_rebuild_the_target(weight, level):
+    # targets: weight-k members plus delta of weight-(k-2) members, read
+    # through their cusp values, and out of the span two stray entries of
+    # Y-degree 0 or 1 that the values leave out
+    basis = grid_basis(weight, level)
+    w, n, b = weight - 2, level, basis.truncation
+    source = eis_basis(w, n, b)
+    rng = random.Random(100 * weight + level)
+    zero = Cyclotomic.zero(n)
+
+    for in_span in (True, False, True, False):
+        target, terms = random_target(basis, rng, in_span)
+        values = [[x, zero, zero] for x in values_of(terms, weight, level)]
+        holomorphic = target
+        for idx in source.indices:
+            if rng.random() < 0.5:
+                s = small_number(n, rng)
+                target = target + delta(eis_series(idx, b)).scale(s)
+                # delta_w E has the constants (0, -w c0(E|gamma), -[w = 2])
+                row = cusp_constants(w, n)[idx.c1, idx.c2]
+                for col, v in enumerate(values):
+                    v[1] = v[1] - s * w * row.get(col, zero)
+                    v[2] = v[2] - s * (w == 2)
+        cert = peel(target, values)
+        sol = span_solve(target, basis, columns(values, weight, 0), cert)
+        assert rebuild(sol, cert, b) == target
+        assert sol.in_span == in_span
+        if in_span:
+            want = exact_span_solve(holomorphic, basis, oracle_rows(weight, level))
+            assert sol.coefficients == want.coefficients
 
 
 def test_certify_orthogonal_tautology():
