@@ -110,12 +110,13 @@ def emit_report(report: VerificationReport, path: str) -> None:
                             ensure_ascii=False) + "\n")
 
 
-def _print_report(report: VerificationReport) -> None:
+def _print_report(report: VerificationReport, suffix: str = "") -> None:
     defect_n = len(report.defect.coefficients)
     residual_n = len(_residual_exponents(report.defect.residual))
     print(f"{report.claim_id}: {report.status}  "
           f"(level {report.level}, truncation {report.truncation}, "
-          f"defect coefficients {defect_n}, residual entries {residual_n})")
+          f"defect coefficients {defect_n}, residual entries {residual_n})"
+          f"{suffix}")
     if report.status == INCONCLUSIVE and residual_n:
         print("  residual exponents (Y-degree, q-exponent): "
               + ", ".join(f"({j},{n})"
@@ -237,8 +238,9 @@ def cmd_expand(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _finish(report: VerificationReport, cfg: argparse.Namespace) -> int:
-    _print_report(report)
+def _finish(report: VerificationReport, cfg: argparse.Namespace,
+            suffix: str = "") -> int:
+    _print_report(report, suffix)
     if cfg.out:
         emit_report(report, cfg.out)
     return status_exit(report.status)
@@ -260,17 +262,20 @@ def cmd_three_term(cfg: argparse.Namespace) -> int:
 
 
 def _run_claims(cfg: argparse.Namespace, verify) -> int:
-    """Run verify(p, q) on the --p/--q pair, or on each default sample.
-    The worst verdict sets the exit code: REFUTED (2) beats INCONCLUSIVE
-    (3), which beats VERIFIED (0)."""
+    """Run verify(p, q) on the --p/--q pair, or on each default sample,
+    whose summary line ends with its pair.  The worst verdict sets the
+    exit code: REFUTED (2) beats INCONCLUSIVE (3), which beats VERIFIED
+    (0)."""
     if (cfg.p is None) != (cfg.q is None):
         print("error: provide both --p and --q, or neither", file=sys.stderr)
         return 1
     if cfg.p is None and cfg.out:
         print("error: --out needs an explicit --p/--q pair", file=sys.stderr)
         return 1
-    pairs = PQ_SAMPLES if cfg.p is None else [(cfg.p, cfg.q)]
-    codes = [_finish(verify(p, q), cfg) for p, q in pairs]
+    if cfg.p is not None:
+        return _finish(verify(cfg.p, cfg.q), cfg)
+    codes = [_finish(verify(p, q), cfg, f"  at (p, q) = ({p}, {q})")
+             for p, q in PQ_SAMPLES]
     return max(codes, key=(0, 3, 2).index)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Sequence, Union
 
 Rational = Fraction
@@ -76,6 +77,16 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=32)
+def _zeta_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta_n^j reduced mod Phi_n for 0 <= j < n, each row as its nonzero
+    (coordinate, integer) pairs: a unit pair below phi(n), then the rows
+    of `_power_table`."""
+    deg = euler_phi(n)
+    return tuple(((j, 1),) for j in range(deg)) + tuple(
+        tuple((i, r) for i, r in enumerate(row) if r) for row in _power_table(n))
+
+
 def _reduce_vector(conductor: int, raw: Sequence[Scalar],
                    zero: Scalar = Fraction(0)) -> tuple[Scalar, ...]:
     """Fold raw mod x^conductor - 1, then reduce mod Phi_conductor.
@@ -106,6 +117,37 @@ def _multiplier(conductor: int, vec: Sequence[int]) -> list[list[int]]:
     cols = [_reduce_vector(conductor, [0] * i + list(vec), 0)
             for i in range(euler_phi(conductor))]
     return [list(row) for row in zip(*cols)]
+
+
+def _norm_inverse(conductor: int, vec: Sequence[int]) -> tuple[list[int], int]:
+    """(w, d) with vec w = d for a nonzero integer vector vec, d > 0: the
+    inverse of vec is w / d.
+
+    w = +-prod sigma_s(vec) over the units s != 1 mod the conductor,
+    sigma_s mapping zeta to zeta^s, so d = +-N(vec), the norm: a rational
+    integer, nonzero because vec is.  A rational vec needs no conjugate:
+    there w = +-1 and d = |vec|.
+    """
+    w = [1] + [0] * (len(vec) - 1)
+    if any(vec[1:]):
+        for s in range(2, conductor):
+            if gcd(s, conductor) == 1:
+                conj = [0] * conductor
+                for i, x in enumerate(vec):
+                    conj[s * i % conductor] += x
+                w = _times(conductor, w, conj)
+    d = _times(conductor, vec, w)[0]
+    return ([-x for x in w], -d) if d < 0 else (w, d)
+
+
+def _times(conductor: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The product of two integer vectors of powers of zeta, reduced."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+    return _reduce_vector(conductor, conv, 0)
 
 
 @dataclass(frozen=True)

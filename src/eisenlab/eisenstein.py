@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import comb, floor, gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
-from .cyclotomic import (Cyclotomic, _multiplier, _reduce_vector, cyclo_reduce,
+from .cyclotomic import (Cyclotomic, _multiplier, _reduce_vector, _zeta_rows,
                          euler_phi)
 
 
@@ -349,19 +349,6 @@ def bernoulli(k: int) -> Fraction:
     return -total / (k + 1)
 
 
-def periodic_bernoulli(k: int, x: Fraction) -> Fraction:
-    """Bbar_k(x) = B_k(x - floor(x)), taking Bbar_1 = 0 at the integers.
-
-    >>> periodic_bernoulli(2, Fraction(4, 3)), periodic_bernoulli(1, Fraction(0))
-    (Fraction(-1, 18), Fraction(0, 1))
-    """
-    x -= floor(x)
-    if k == 1 and x == 0:
-        return Fraction(0)
-    return sum((comb(k, j) * bernoulli(j) * x ** (k - j) for j in range(k + 1)),
-               Fraction(0))
-
-
 def index_mu(n: int) -> int:
     """Index of the level-n principal congruence subgroup in PSL2(Z)."""
     if n == 1:
@@ -457,14 +444,20 @@ def cusp_constants(k: int, n: int) -> dict[tuple[int, int], dict[int, Cyclotomic
 
     E_{k,v}|gamma = E_{k,v gamma}, with v a row vector: the expansion
     gives it for T, and the numeric S-transform check for S.  So the
-    constant at gamma is `constant_term` of the index v gamma."""
+    constant at gamma is `constant_term` of the index v gamma, asked for
+    once per index."""
+    terms: dict[tuple[int, int], Cyclotomic] = {}
     table = {}
     for c1 in range(n):
         for c2 in range(n):
-            row = (constant_term(EisIndex(k, n, c1 * a + c2 * c,
-                                          c1 * b + c2 * d))
-                   for a, b, c, d in cusps(n))
-            table[c1, c2] = {col: x for col, x in enumerate(row) if x}
+            row = table[c1, c2] = {}
+            for col, (a, b, c, d) in enumerate(cusps(n)):
+                key = ((c1 * a + c2 * c) % n, (c1 * b + c2 * d) % n)
+                x = terms.get(key)
+                if x is None:
+                    x = terms[key] = constant_term(EisIndex(k, n, *key))
+                if x:
+                    row[col] = x
     return table
 
 
@@ -475,39 +468,62 @@ def constant_term(idx: EisIndex) -> Cyclotomic:
     For c1 = 0 it is -(-1)^k N^{k-1}/k sum_{a mod N} zeta^{-a c2} Bbar_k(a/N):
     the Fourier series Bbar_k(x) = -k!/(2 pi i)^k sum_{m != 0} e^{2 pi i m x}/m^k
     turns the horizontal row sum over m = c2 mod N of m^{-k}, times the
-    normalization (k-1)! (-2 pi i)^{-k}, into this finite sum.
+    normalization (k-1)! (-2 pi i)^{-k}, into this finite sum.  It is
+    summed in integers, as -(-1)^k / (k N d) sum_a zeta^{-a c2} T[a] with
+    the table (d, T) of `_bernoulli_row`, and reduced once.
     """
     k, n, c1, c2 = idx.weight, idx.level, idx.c1, idx.c2
     if c1 != 0:
         if k == 1:
-            return Cyclotomic.from_rational(n, -periodic_bernoulli(1, Fraction(c1, n)))
+            # -Bbar_1(c1/N), c1/N strictly between 0 and 1
+            return Cyclotomic.from_rational(n, Fraction(1, 2) - Fraction(c1, n))
         return Cyclotomic.zero(n)
-    raw = [Fraction(0)] * n
-    for a in range(n):
-        raw[-a * c2 % n] += periodic_bernoulli(k, Fraction(a, n))
-    factor = Fraction(-(-1) ** k * n ** (k - 1), k)
-    return cyclo_reduce(n, [x * factor for x in raw])
+    d, table = _bernoulli_row(k, n)
+    raw = [0] * n
+    for a, t in enumerate(table):
+        raw[-a * c2 % n] += t
+    scale = Fraction(-(-1) ** k, k * n * d)
+    return Cyclotomic(n, tuple(x * scale for x in _reduce_vector(n, raw, 0)))
+
+
+@lru_cache(maxsize=64)
+def _bernoulli_row(k: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """(d, T) with T[a] = d N^k Bbar_k(a/N) for 0 <= a < N, integers for d
+    the lcm of the denominators of B_0, ..., B_k:
+    d N^k B_k(a/N) = sum_j C(k, j) (d B_j) a^(k-j) N^j, and Bbar_1(0) = 0."""
+    d = lcm(*(bernoulli(j).denominator for j in range(k + 1)))
+    terms = [(comb(k, j) * int(d * bernoulli(j)), k - j, n ** j)
+             for j in range(k + 1)]
+    table = [sum(c * a ** e * m for c, e, m in terms) for a in range(n)]
+    if k == 1:
+        table[0] = 0
+    return d, tuple(table)
 
 
 def eis_qseries(idx: EisIndex, truncation: int) -> QSeries:
     """Holomorphic part of the normalized Eisenstein series to the given
-    q_N-exponent bound; the weight-2 completion adds 1/(4 pi y) outside."""
+    q_N-exponent bound; the weight-2 completion adds 1/(4 pi y) outside.
+
+    Sums the row terms of the module docstring in integers over the
+    denominator d of the constant term: each +-m^{k-1} zeta^{m c2} goes,
+    times d, straight into its exponent's reduced vector, read from the
+    reduced rows of zeta^j (`cyclotomic._zeta_rows`); the constant term
+    sits at exponent 0, which no row term reaches.
+    """
     k, n, c1, c2 = idx.weight, idx.level, idx.c1, idx.c2
-    raw: dict[int, list[int]] = {}
-
-    def add_rows(start: int, zeta_mult: int, sign: int):
-        a_num = start
-        while a_num <= truncation and a_num > 0:
-            for m in range(1, truncation // a_num + 1):
-                vec = raw.setdefault(m * a_num, [0] * n)
-                vec[(m * zeta_mult) % n] += sign * m ** (k - 1)
-            a_num += n
-        return
-
-    add_rows(c1 if c1 else n, c2, 1)
-    add_rows(n - c1, -c2, (-1) ** k)
-
-    rows = QSeries._of(n, truncation, 1,
-                       {e: _reduce_vector(n, vec, 0) for e, vec in raw.items()})
-    return rows + QSeries.const(n, truncation, constant_term(idx))
-
+    den, const = _integral({0: constant_term(idx)})
+    rows, phi = _zeta_rows(n), euler_phi(n)
+    vecs: dict[int, list[int]] = {}
+    for start, step, sign in ((c1 or n, c2, den), (n - c1, -c2, (-1) ** k * den)):
+        # the row terms of m, scaled: zeta^{m step} times sign m^{k-1}
+        terms = [tuple((i, sign * m ** (k - 1) * r) for i, r in rows[m * step % n])
+                 for m in range(1, truncation // start + 1)]
+        for a in range(start, truncation + 1, n):
+            for e, term in zip(range(a, truncation + 1, a), terms):
+                vec = vecs.get(e)
+                if vec is None:
+                    vec = vecs[e] = [0] * phi
+                for i, x in term:
+                    vec[i] += x
+    vecs[0] = const[0]
+    return QSeries._of(n, truncation, den, {e: tuple(v) for e, v in vecs.items()})

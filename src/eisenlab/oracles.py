@@ -3,7 +3,9 @@ suite.
 
 Everything here deliberately avoids the code paths under test: Bernoulli
 numbers come from the Akiyama-Tanigawa triangle instead of the package's
-power-sum recurrence, hulls from a monotone chain in sheared coordinates
+power-sum recurrence, expansions from the row sums gathered by divisor
+and reduced by long division by Phi_N instead of the table of reduced
+powers of zeta, hulls from a monotone chain in sheared coordinates
 instead of gift wrapping, constant terms / point values from direct
 (conditionally or absolutely convergent) lattice sums, and row reductions
 and span solves from a plain Gauss-Jordan elimination of the q-expansions
@@ -13,10 +15,11 @@ constant terms at the cusps and its integer solve from them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, floor
 
 import mpmath
 
-from .cyclotomic import Cyclotomic, cyclo_invert
+from .cyclotomic import Cyclotomic, cyclo_invert, cyclo_reduce, cyclotomic_poly
 from .eisenstein import QSeries
 from .quasiforms import MAX_DEPTH, QuasiForm, SpanSolution
 
@@ -48,6 +51,59 @@ def bernoulli_akiyama(n: int) -> Fraction:
         for m in range(n + 1 - j):
             row[m] = (m + 1) * (row[m] - row[m + 1])
     return row[0]
+
+
+def periodic_bernoulli(k: int, x: Fraction) -> Fraction:
+    """Bbar_k(x) = B_k(x - floor(x)), Bbar_1 = 0 at the integers, from the
+    Bernoulli polynomial with the Akiyama-Tanigawa numbers."""
+    x -= floor(x)
+    if k == 1 and x == 0:
+        return Fraction(0)
+    return sum((comb(k, j) * bernoulli_akiyama(j) * x ** (k - j)
+                for j in range(k + 1)), Fraction(0))
+
+
+def row_sum_constant(idx) -> Cyclotomic:
+    """The constant term of `eisenstein`'s module docstring, in Fraction
+    arithmetic: -(-1)^k N^{k-1}/k sum_a zeta^{-a c2} Bbar_k(a/N) for
+    c1 = 0, else 1/2 - c1/N at weight 1 and 0 above."""
+    k, n, c1, c2 = idx.weight, idx.level, idx.c1, idx.c2
+    if c1:
+        return Cyclotomic.from_rational(
+            n, -periodic_bernoulli(1, Fraction(c1, n)) if k == 1 else 0)
+    raw = [Fraction(0)] * n
+    for a in range(n):
+        raw[-a * c2 % n] += periodic_bernoulli(k, Fraction(a, n))
+    return cyclo_reduce(n, raw) * Fraction(-(-1) ** k * n ** (k - 1), k)
+
+
+def row_sum_expansion(idx, truncation: int) -> QSeries:
+    """The holomorphic series of idx from the row sums of `eisenstein`'s
+    module docstring, gathered by m: the q_N^e coefficient is the sum of
+    m^{k-1} zeta^{m c2} over the m dividing e with e/m = c1 mod N, plus
+    (-1)^k m^{k-1} zeta^{-m c2} over those with e/m = -c1 mod N.  Each
+    coefficient is reduced once, by long division by Phi_N; the constant
+    is `row_sum_constant`."""
+    k, n, c1, c2 = idx.weight, idx.level, idx.c1, idx.c2
+    raw: dict[int, list[int]] = {}
+    for m in range(1, truncation + 1):
+        for side, sign in ((1, 1), (-1, (-1) ** k)):
+            # the quotients e/m = side c1 mod N, from the least positive one
+            for a in range(side * c1 % n or n, truncation // m + 1, n):
+                vec = raw.setdefault(a * m, [0] * n)
+                vec[side * m * c2 % n] += sign * m ** (k - 1)
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    coeffs = {}
+    for e, vec in raw.items():
+        for top in range(n - 1, deg - 1, -1):
+            c = vec[top]
+            if c:
+                for j, p in enumerate(phi):
+                    vec[top - deg + j] -= c * p
+        coeffs[e] = Cyclotomic(n, tuple(map(Fraction, vec[:deg])))
+    coeffs[0] = row_sum_constant(idx)
+    return QSeries(n, truncation, coeffs)
 
 
 def row_constant(k: int, n: int, c2: int) -> mpmath.mpc:

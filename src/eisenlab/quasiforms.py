@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .cyclotomic import (Cyclotomic, _multiplier, cyclo_embed, cyclo_invert,
+from .cyclotomic import (Cyclotomic, _multiplier, _norm_inverse, cyclo_embed,
                          euler_phi)
 from .eisenstein import (EisIndex, QSeries, _integral, constant_term,
                          cusp_constants, cusps, eis_qseries, sturm_truncation)
@@ -164,14 +164,26 @@ def eis_series(idx: EisIndex, truncation: int | None = None) -> QuasiForm:
 
     Weight 2 carries the Hecke-summation completion: its Y-component is
     the constant series 1, independently of the torsion index.
+
+    Only the first index of each +- pair, in (c1, c2) order, is expanded:
+    E_{k,-v} = (-1)^k E_{k,v}, the same series at even k and its negative
+    at odd k.
     """
     b = sturm_truncation(idx.weight, idx.level) if truncation is None else truncation
+    neg = idx.negate()
+    if (neg.c1, neg.c2) < (idx.c1, idx.c2):
+        first = _eis_series(neg, b)
+        return first if idx.weight % 2 == 0 else -first
     holo = eis_qseries(idx, b)
     if idx.weight == 2:
         comps = (holo, QSeries.const(idx.level, b, 1))
     else:
         comps = (holo,)
     return QuasiForm(idx.weight, idx.level, b, comps)
+
+
+# the cache itself, which a wrapper set on the module name does not replace
+_eis_series = eis_series
 
 
 class EisBasis:
@@ -240,7 +252,8 @@ def eis_basis(weight: int, level: int, truncation: int | None = None) -> EisBasi
 def _reduce(basis: EisBasis) -> list:
     """`EisBasis.rref`, on sparse rows of integer vectors: a row is
     (den, vec, track), its values vec[col] / den and coefficients
-    track[t] / den, in lowest terms."""
+    track[t] / den, in lowest terms.  A pivot is inverted over its norm
+    (`cyclotomic._norm_inverse`)."""
     k, n = basis.weight, basis.level
     table = cusp_constants(k, n)
     position = {(idx.c1, idx.c2): t for t, idx in enumerate(basis.indices)}
@@ -260,9 +273,8 @@ def _reduce(basis: EisBasis) -> list:
         if not vec:
             continue
         pivot = min(vec)
-        di, inv = _integral({0: cyclo_invert(Cyclotomic(n, tuple(
-            Fraction(x) for x in vec[pivot])))})
-        times_inv = _multiplier(n, inv[0])
+        inv, di = _norm_inverse(n, vec[pivot])
+        times_inv = _multiplier(n, inv)
         for part in parts:
             for v in part.values():
                 v[:] = [sum(map(mul, r, v)) for r in times_inv]

@@ -173,9 +173,20 @@ def test_prop21_weight2_runs_default_samples(capsys):
                   "--mu", "0,1@3"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    # one report line per default (p, q) sample
+    # one report line per default (p, q) sample, each naming its pair
     assert len(lines) == 3
     assert all(line.startswith("three_term_w2: VERIFIED") for line in lines)
+    assert [line.rsplit("  at ", 1)[1] for line in lines] == [
+        "(p, q) = (1, 1)", "(p, q) = (2, -1)", "(p, q) = (3, 5)"]
+
+
+def test_explicit_pair_line_names_no_pair(capsys):
+    rc = run_cli(["prop21", "--weight", "5", "--lam", "1,0@3",
+                  "--mu", "0,1@3", "--p", "2", "--q", "-1"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "prop21: VERIFIED  (level 3, truncation 18, defect coefficients 0,"
+        " residual entries 0)\n")
 
 
 def test_prop21_out_needs_explicit_pq(tmp_path, capsys):

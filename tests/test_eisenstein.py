@@ -28,6 +28,8 @@ from eisenlab.oracles import (
     lattice_value,
     naive_convolution,
     row_constant,
+    row_sum_constant,
+    row_sum_expansion,
     sigma,
 )
 from eisenlab.quasiforms import delta, eis_series
@@ -407,6 +409,17 @@ def test_constant_cotangent_vs_row_sum(k, n, c2):
         assert abs(got - want) < mpmath.mpf("1e-30")
 
 
+def test_constant_term_matches_the_fraction_formula():
+    # the integer Bernoulli table against the periodic Bernoulli function
+    # in Fractions, with the Akiyama-Tanigawa numbers
+    for k in range(1, 8):
+        for n in range(1, 13):
+            for c1 in range(n):
+                for c2 in range(n):
+                    idx = EisIndex(k, n, c1, c2)
+                    assert constant_term(idx) == row_sum_constant(idx), idx
+
+
 def test_constants_live_in_the_right_field():
     # the periodic-Bernoulli sum runs over powers of zeta_N only, so it
     # must never leave Q(zeta_N)
@@ -431,9 +444,22 @@ def test_weight_two_classical_start():
     assert vals == [Fraction(-1, 12), 2, 6, 8, 14, 12]
 
 
+@pytest.mark.parametrize("level", range(1, 13))
+def test_expansion_matches_the_row_sum_oracle(level):
+    # every index of weights 1-5, at the proven truncation or, where that
+    # is below 4 N (levels 1-4), at 4 N
+    for k in range(1, 6):
+        b = max(proven_truncation(k, level), 4 * level)
+        for c1 in range(level):
+            for c2 in range(level):
+                idx = EisIndex(k, level, c1, c2)
+                assert eis_qseries(idx, b) == row_sum_expansion(idx, b), idx
+
+
 @settings(max_examples=40)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 5), st.integers(0, 5))
 def test_parity(k, n, c1, c2):
+    # expands both indices: `eis_series` reads one from the other
     idx = EisIndex(k, n, c1, c2)
     b = 3 * n
     assert eis_qseries(idx.negate(), b) == eis_qseries(idx, b).scale((-1) ** k)

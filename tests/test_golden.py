@@ -19,16 +19,39 @@ from pathlib import Path
 import pytest
 
 from eisenlab.cli import emit_report
-from eisenlab.verifiers import (LParams, TorsionPoint, verify_prop21,
-                                verify_three_term_w2)
+from eisenlab.eisenstein import proven_truncation
+from eisenlab.verifiers import (LParams, TorsionPoint, verify_hecke_trace,
+                                verify_prop21, verify_three_term_w2,
+                                verify_two_term)
 
 GOLDEN = Path(__file__).parent / "golden"
 SHOWCASE = Path(__file__).parents[1] / "scripts" / "verify_showcase.py"
 
+LAM5, MU5 = TorsionPoint(5, 1, 0), TorsionPoint(5, 0, 1)
+LAM3, MU3 = TorsionPoint(3, 1, 0), TorsionPoint(3, 0, 1)
+LAM2, MU2 = TorsionPoint(2, 1, 0), TorsionPoint(2, 0, 1)
+ZERO = TorsionPoint(1, 0, 0)
+
+# the golden claims at or above the proven truncation, given a truncation
+# (None: the default); the showcase script runs the same claims
+AT_TRUNCATION = {
+    "two_term_n5": lambda b: verify_two_term(LAM5, MU5, 5, b),
+    "three_term_n5": lambda b: verify_three_term_w2(LAM5, MU5, 5, b),
+    "three_term_inconclusive": lambda b: verify_three_term_w2(
+        TorsionPoint(5, 0, 0), MU5, 5, b),
+    "prop21_k3_n3": lambda b: verify_prop21(LParams(LAM3, MU3, 2, -1, 3), 3,
+                                            b),
+    "prop21_k4_n2": lambda b: verify_prop21(LParams(LAM2, MU2, 1, 1, 4), 2,
+                                            b),
+    "hecke_5_3_w2": lambda b: verify_hecke_trace(5, 3, ZERO, ZERO, 2, 1, 1,
+                                                 b),
+    "hecke_2_1_w3": lambda b: verify_hecke_trace(2, 1, LAM2, MU2, 3, 1, 1, b),
+}
+
 # the golden reports the showcase script does not write
 DIRECT = {
-    "three_term_inconclusive": lambda: verify_three_term_w2(
-        TorsionPoint(5, 0, 0), TorsionPoint(5, 0, 1), 5),
+    "three_term_inconclusive": lambda: AT_TRUNCATION[
+        "three_term_inconclusive"](None),
     "prop21_k4_n5_below_bound": lambda: verify_prop21(
         LParams(TorsionPoint(5, 1, 0), TorsionPoint(5, 0, 1), 1, 1, 4), 5,
         truncation=12),
@@ -64,3 +87,21 @@ def test_report_matches_golden(name, showcase_dir, tmp_path):
     else:
         out = showcase_dir / f"{name}.json"
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_proven_truncation_gives_the_default_verdicts():
+    # every golden claim not below the proven truncation reaches the
+    # same verdict, defect coefficients and certificate at
+    # the default truncation and at the proven one
+    golden = {p.stem for p in GOLDEN.glob("*.json")}
+    assert set(AT_TRUNCATION) == {name for name in golden
+                                  if not name.endswith("_below_bound")}
+    for name, claim in AT_TRUNCATION.items():
+        default = claim(None)
+        b = proven_truncation(default.defect.residual.weight, default.level)
+        assert b < default.truncation, name
+        proven = claim(b)
+        assert proven.truncation == b
+        assert proven.status == default.status, name
+        assert proven.defect.coefficients == default.defect.coefficients, name
+        assert proven.certificate == default.certificate, name

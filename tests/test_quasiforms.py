@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisenlab import eisenstein, quasiforms
-from eisenlab.cyclotomic import Cyclotomic
+from eisenlab import cyclotomic, eisenstein, quasiforms
+from eisenlab.cyclotomic import (Cyclotomic, _norm_inverse, cyclo_invert,
+                                 euler_phi)
 from eisenlab.eisenstein import (EisIndex, QSeries, cusp_constants, cusps,
-                                 proven_truncation, sturm_truncation)
+                                 eis_qseries, proven_truncation,
+                                 sturm_truncation)
 from eisenlab.oracles import exact_rref, exact_span_solve, kept_members
 from eisenlab.quasiforms import (
     MAX_DEPTH,
@@ -35,7 +37,8 @@ from eisenlab.quasiforms import (
     span_solve,
     theta,
 )
-from eisenlab.verifiers import LParams, TorsionPoint, _report, verify_prop21
+from eisenlab.verifiers import (LParams, TorsionPoint, _report, verify_hecke_trace,
+                                verify_prop21)
 
 
 def const_series(level, b, value):
@@ -246,9 +249,62 @@ def oracle_rows(weight, level):
 
 
 @pytest.mark.parametrize("weight, level", GRID)
-def test_rref_matches_oracle(weight, level):
+def test_rref_matches_oracle(weight, level, monkeypatch):
+    # the pivots are inverted over their norms, in integers: no
+    # Cyclotomic inverse
+    want = kept_members(oracle_rows(weight, level))
+
+    def no_inverse(x):
+        raise AssertionError("cyclo_invert called")
+
+    monkeypatch.setattr(cyclotomic, "cyclo_invert", no_inverse)
+    monkeypatch.setattr(quasiforms, "cyclo_invert", no_inverse, raising=False)
     basis = EisBasis(weight, level, proven_truncation(weight, level))
-    assert kept_members(basis.rref()) == kept_members(oracle_rows(weight, level))
+    assert kept_members(basis.rref()) == want
+
+
+def test_norm_inverse():
+    for n in range(1, 16):
+        rng = random.Random(n)
+        for _ in range(5):
+            vec = [rng.randint(-5, 5) for _ in range(euler_phi(n))]
+            if not any(vec):
+                continue
+            w, d = _norm_inverse(n, vec)
+            assert d > 0
+            x = Cyclotomic(n, tuple(map(Fraction, vec)))
+            assert Cyclotomic(n, tuple(Fraction(c, d) for c in w)) == cyclo_invert(x)
+
+
+def test_level_ten_trace_expands_one_series_per_pm_class(monkeypatch):
+    # with cold caches the level-10 trace expands 54 series, the first
+    # index of each +- pair it uses, and reads the others from them
+    calls = []
+    real = quasiforms.eis_qseries
+
+    def counting(idx, truncation):
+        calls.append(idx)
+        return real(idx, truncation)
+
+    monkeypatch.setattr(quasiforms, "eis_qseries", counting)
+    eis_series.cache_clear()
+    report = verify_hecke_trace(5, 3, TorsionPoint(2, 1, 0),
+                                TorsionPoint(2, 0, 1), 3, 1, 1, 91)
+    assert report.status == "VERIFIED"
+    assert len(calls) == len(set(calls)) == 54
+    assert all((idx.c1, idx.c2) <= (-idx.c1 % 10, -idx.c2 % 10)
+               for idx in calls)
+
+
+def test_eis_series_shares_each_pm_pair():
+    for k in range(1, 5):
+        first = eis_series(EisIndex(k, 5, 1, 2), 20)
+        other = eis_series(EisIndex(k, 5, 4, 3), 20)
+        if k % 2:
+            assert other == -first
+        else:
+            assert other is first
+        assert other.component(0) == eis_qseries(EisIndex(k, 5, 4, 3), 20)
 
 
 @pytest.mark.slow
