@@ -369,7 +369,14 @@ def index_mu(n: int) -> int:
 
 
 def sturm_truncation(k: int, n: int) -> int:
-    """Default q_n-exponent bound certifying weight-k identities at level n."""
+    """The default truncation of weight-k claims at level n,
+    n (ceil(k mu / 12) + 1) with mu = index_mu(n).  It is more than n
+    times `proven_truncation`, the bound that certifies, and is the
+    default only because `perfbench/expected.json` records it.
+
+    >>> sturm_truncation(3, 10), proven_truncation(3, 10)
+    (910, 90)
+    """
     mu = index_mu(n)
     return n * (-(-k * mu // 12) + 1)
 

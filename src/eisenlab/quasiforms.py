@@ -124,17 +124,6 @@ def quasi_mul(f: QuasiForm, g: QuasiForm) -> QuasiForm:
     return QuasiForm(f.weight + g.weight, f.level, f.truncation, tuple(comps))
 
 
-def mul_y(f: QuasiForm) -> QuasiForm:
-    """Multiply by Y, shifting every component up one depth."""
-    if f.is_zero():
-        return QuasiForm(f.weight + 2, f.level, f.truncation, ())
-    if f.depth + 1 > MAX_DEPTH:
-        raise DepthOverflow("Y-multiplication exceeds depth 2")
-    zero = QSeries.zero(f.level, f.truncation)
-    return QuasiForm(f.weight + 2, f.level, f.truncation,
-                     (zero,) + f.components)
-
-
 def theta(f: QuasiForm) -> QuasiForm:
     """Raising derivation: theta(h Y^j) = (theta h) Y^j + j h Y^{j+1}."""
     top = f.depth + (1 if f.depth and not f.components[-1].is_zero() else 0)
@@ -151,11 +140,9 @@ def theta(f: QuasiForm) -> QuasiForm:
 def delta(f: QuasiForm) -> QuasiForm:
     """Weight-raising operator delta_w = theta - w Y at the form's own
     weight w, the only weight under which products obey Leibniz."""
-    lowered = theta(f)
-    shifted = mul_y(f).scale(f.weight)
-    comps = tuple(lowered.component(j) - shifted.component(j)
-                  for j in range(max(lowered.depth, shifted.depth) + 1))
-    return QuasiForm(f.weight + 2, f.level, f.truncation, comps)
+    n, b = f.level, f.truncation
+    times_y = QuasiForm(f.weight + 2, n, b, (QSeries.zero(n, b),) + f.components)
+    return combine([(theta(f), 1), (times_y, -f.weight)], f.weight + 2, n, b)
 
 
 @lru_cache(maxsize=1024)
@@ -422,9 +409,8 @@ def span_solve(target: QuasiForm, basis: EisBasis, values,
     The coefficients are read (`_read`) from the target's values on the
     columns of `EisBasis.rref()` (`columns`, Y-degree 0).  A delta term
     has no Y^0 constant at any cusp, so these are also the values of the
-    target less its delta terms.  The residual is computed exactly over
-    every exponent and Y-degree, in integers, so no verdict rests on the
-    values."""
+    target less its delta terms.  The residual is one exact `combine`
+    over every exponent and Y-degree, so no verdict rests on the values."""
     if target.level != basis.level or target.truncation != basis.truncation:
         raise ValueError("target and basis level/truncation mismatch")
     if target.weight != basis.weight:
@@ -433,29 +419,44 @@ def span_solve(target: QuasiForm, basis: EisBasis, values,
         raise ValueError("one value per cusp, and at weight 2 one for Y")
     b = target.truncation
     coefficients = _read(basis, values)
-    parts = [(eis_series(idx, b), c) for idx, c in coefficients.items()]
-    parts += [(delta(eis_series(idx, b)), scale) for idx, scale in certificate]
-    return SpanSolution(coefficients, _subtract(target, parts))
+    parts = [(target, 1)]
+    parts += [(eis_series(idx, b), -c) for idx, c in coefficients.items()]
+    parts += [(delta(eis_series(idx, b)), -scale) for idx, scale in certificate]
+    return SpanSolution(coefficients,
+                        combine(parts, target.weight, target.level, b))
 
 
-def _subtract(target: QuasiForm, parts) -> QuasiForm:
-    """target - sum(scale * form) over the (form, scale) of parts, in
-    integers: one common denominator per Y-degree."""
-    n, b = target.level, target.truncation
-    den, vecs = _integral(dict(enumerate(scale for _, scale in parts)))
+def combine(parts, weight: int, level: int, truncation: int) -> QuasiForm:
+    """sum(scale * form) over the (form, scale) of parts, each scale
+    rational or in Q(zeta_level), in integers: one common denominator per
+    Y-degree.  No parts give the zero form of the given weight."""
+    for form, _ in parts:
+        if form.level != level or form.truncation != truncation:
+            raise ValueError("level/truncation mismatch")
+        if form.weight != weight:
+            raise ValueError("cannot add forms of different weights")
+    den, vecs = _integral({i: s if isinstance(s, Cyclotomic)
+                           else Cyclotomic.from_rational(level, s)
+                           for i, (_, s) in enumerate(parts)})
     comps = []
     for j in range(MAX_DEPTH + 1):
-        h = target.component(j)
-        terms = [(form.component(j), vecs[i]) for i, (form, _) in enumerate(parts)]
-        terms = [(g, c) for g, c in terms if g.vecs]
-        common = lcm(h.den, *(den * g.den for g, _ in terms))
-        out = {e: [common // h.den * x for x in v] for e, v in h.vecs.items()}
+        terms = [(form.components[j], vecs[i]) for i, (form, _) in enumerate(parts)
+                 if j < len(form.components) and form.components[j].vecs]
+        common = lcm(*(den * g.den for g, _ in terms))
+        out: dict[int, list[int]] = {}
         for g, c in terms:
-            _add_products(out, _multiplier(n, c), g.vecs,
-                          -(common // (den * g.den)))
-        comps.append(QSeries._of(n, b, common,
+            k = common // (den * g.den)
+            if any(c[1:]):
+                _add_products(out, _multiplier(level, c), g.vecs, k)
+                continue
+            k *= c[0]
+            for e, v in g.vecs.items():
+                acc = out.get(e)
+                out[e] = ([k * x for x in v] if acc is None
+                          else [a + k * x for a, x in zip(acc, v)])
+        comps.append(QSeries._of(level, truncation, common,
                                  {e: tuple(v) for e, v in out.items()}))
-    return QuasiForm(target.weight, n, b, tuple(comps))
+    return QuasiForm(weight, level, truncation, tuple(comps))
 
 
 def _add_products(out: dict, rows: list, vecs: dict, k: int) -> None:

@@ -153,9 +153,6 @@ class MultiPoly:
         """Degree in variable index var; -1 for the zero polynomial."""
         return _degree(self.ints, var) if self.ints else -1
 
-    def active_vars(self) -> tuple[int, ...]:
-        return _active(self.ints)
-
     def leading(self) -> tuple[Exponent, Fraction]:
         e = max(self.ints)
         return e, Fraction(self.ints[e], self.den)

@@ -1,8 +1,9 @@
 """Composite-expression builders and the verification entry points.
 
-Every verifier assembles a finite combination of Eisenstein products,
-runs either an exact series comparison or the cusp-orthogonality
-certifier, and wraps the outcome in a VerificationReport.  Statuses:
+Every verifier writes its claim once, as a formal sum of Eisenstein
+products, expands it with `build_L`, runs either an exact series
+comparison or the cusp-orthogonality certifier, and wraps the outcome
+in a VerificationReport.  Statuses:
 
   VERIFIED      the claim holds with an explicit exact decomposition;
   REFUTED       an exact q-series equality failed (only exact claims
@@ -15,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import factorial, gcd
 
 from .cyclotomic import Cyclotomic, Rational
@@ -27,6 +29,7 @@ from .quasiforms import (
     TopComponentNotEisenstein,
     UnsupportedWeight,
     certify_orthogonal,
+    combine,
     eis_series,
     quasi_mul,
 )
@@ -127,8 +130,10 @@ class VerificationReport:
 
 
 def L_terms(params: LParams, n_work: int) -> list[tuple[Fraction, EisIndex, EisIndex]]:
-    """The formal sum of `build_L`: one (scale, index l, index m) term
-    for each splitting l + m = k whose scale is not zero."""
+    """The formal sum of the weighted sum over splittings l + m = k of
+    p^{l-1} q^{m-1} / ((l-1)! (m-1)!) * E_{l,lam} * E_{m,mu}, both
+    torsion points rescaled to denominator n_work: one (scale, index l,
+    index m) term for each splitting whose scale is not zero."""
     k = params.weight
     lam = params.lam.rescale(n_work)
     mu = params.mu.rescale(n_work)
@@ -142,29 +147,21 @@ def L_terms(params: LParams, n_work: int) -> list[tuple[Fraction, EisIndex, EisI
     return terms
 
 
-def build_L(params: LParams, n_work: int, truncation: int | None = None) -> QuasiForm:
-    """Weighted sum over splittings l + m = k of products
-    p^{l-1} q^{m-1} / ((l-1)! (m-1)!) * E_{l,lam} * E_{m,mu},
-    with both torsion points rescaled to denominator n_work."""
-    k = params.weight
-    b = sturm_truncation(k, n_work) if truncation is None else truncation
-    total = None
-    for scale, x, y in L_terms(params, n_work):
-        term = quasi_mul(eis_series(x, b), eis_series(y, b)).scale(scale)
-        total = term if total is None else total + term
-    if total is None:
-        # every splitting vanished (possible only with p = q = 0, k > 2)
-        total = QuasiForm(k, n_work, b, ())
-    return total
+def build_L(terms, weight: int, level: int, truncation: int | None) -> QuasiForm:
+    """The form of a formal sum: scale times the product of the series
+    eis_series(idx, B) over each term (scale, idx, ...), summed by one
+    `combine`, B the truncation or, for None, `sturm_truncation`.  The
+    two-term relation's sum is the zero form:
 
-
-def _sum_L(parts: list[LParams], n_work: int, b: int):
-    """The sum of `build_L` over parts, and its formal sum."""
-    total = None
-    for params in parts:
-        term = build_L(params, n_work, b)
-        total = term if total is None else total + term
-    return total, [t for params in parts for t in L_terms(params, n_work)]
+    >>> lam, mu = TorsionPoint(3, 1, 0), TorsionPoint(3, 0, 1)
+    >>> terms = [(1, lam.to_index(1), mu.to_index(1)),
+    ...          (1, mu.to_index(1), (-lam).to_index(1))]
+    >>> build_L(terms, 2, 3, 12).is_zero()
+    True
+    """
+    b = sturm_truncation(weight, level) if truncation is None else truncation
+    return combine([(reduce(quasi_mul, (eis_series(idx, b) for idx in factors)),
+                     scale) for scale, *factors in terms], weight, level, b)
 
 
 def _report(claim_id: str, parameters: dict, total: QuasiForm, terms: list,
@@ -203,13 +200,11 @@ def verify_two_term(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
     """Exact check of the weight-2 two-term relation
     E_{1,lam} E_{1,mu} + E_{1,mu} E_{1,-lam} = 0."""
     started = time.perf_counter()
-    b = sturm_truncation(2, n_work) if truncation is None else truncation
     lam_w = lam.rescale(n_work)
     mu_w = mu.rescale(n_work)
     terms = [(1, lam_w.to_index(1), mu_w.to_index(1)),
              (1, mu_w.to_index(1), (-lam_w).to_index(1))]
-    f, g = (quasi_mul(eis_series(x, b), eis_series(y, b)) for _, x, y in terms)
-    total = f + g
+    total = build_L(terms, 2, n_work, truncation)
     return _report(
         "two_term",
         {"lam": lam.label(), "mu": mu.label(), "n_work": n_work},
@@ -222,15 +217,13 @@ def verify_three_term_w2(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
     E_{1,lam} E_{1,mu} + E_{1,mu} E_{1,nu} + E_{1,nu} E_{1,lam} == 0
     modulo the weight-2 Eisenstein space, where nu = -lam-mu."""
     started = time.perf_counter()
-    b = sturm_truncation(2, n_work) if truncation is None else truncation
     lam_w = lam.rescale(n_work)
     mu_w = mu.rescale(n_work)
     nu_w = -(lam_w + mu_w)
     params = {"lam": lam.label(), "mu": mu.label(), "n_work": n_work}
-    # at weight 2, L(lam, mu, p, q) is the bare product E_{1,lam} E_{1,mu}
-    total, terms = _sum_L([LParams(x, y, 1, 1, 2) for x, y in
-                           ((lam_w, mu_w), (mu_w, nu_w), (nu_w, lam_w))],
-                          n_work, b)
+    terms = [(1, x.to_index(1), y.to_index(1))
+             for x, y in ((lam_w, mu_w), (mu_w, nu_w), (nu_w, lam_w))]
+    total = build_L(terms, 2, n_work, truncation)
 
     if lam_w.is_zero() or mu_w.is_zero() or nu_w.is_zero():
         # a vanishing torsion point collapses the claim to a statement
@@ -251,19 +244,19 @@ def verify_prop21(params: LParams, n_work: int,
         return verify_three_term_w2(params.lam, params.mu, n_work, truncation)
     started = time.perf_counter()
     k = params.weight
-    b = sturm_truncation(k, n_work) if truncation is None else truncation
     lam = params.lam.rescale(n_work)
     mu = params.mu.rescale(n_work)
     nu = -(lam + mu)
     p, q = params.p, params.q
     r = -p - q
-    total, terms = _sum_L([LParams(lam, mu, p, q, k), LParams(mu, nu, q, r, k),
-                           LParams(nu, lam, r, p, k)], n_work, b)
+    terms = [t for part in (LParams(lam, mu, p, q, k), LParams(mu, nu, q, r, k),
+                            LParams(nu, lam, r, p, k))
+             for t in L_terms(part, n_work)]
     return _report(
         "prop21",
         {"lam": params.lam.label(), "mu": params.mu.label(),
          "p": str(params.p), "q": str(params.q), "k": k, "n_work": n_work},
-        total, terms, started)
+        build_L(terms, k, n_work, truncation), terms, started)
 
 
 def torsion_translates(n_sub: int, m: int) -> list[TorsionPoint]:
@@ -290,25 +283,22 @@ def verify_hecke_trace(n_sub: int, shear: int, lam: TorsionPoint,
     m = lam.denominator
     n_work = n_sub * m
     k = weight
-    b = sturm_truncation(k, n_work) if truncation is None else truncation
     p = Fraction(p)
     q = Fraction(q)
     lam_w = lam.rescale(n_work)
     mu_w = mu.rescale(n_work)
 
-    lhs, lhs_terms = _sum_L(
-        [LParams(lam_w + tau, mu_w - shear * tau, p, q, k)
-         for tau in torsion_translates(n_sub, m)], n_work, b)
-    rhs, rhs_terms = _sum_L(
-        [LParams(a * lam_w + bb * mu_w, c * lam_w + d * mu_w,
-                 a * p + bb * q, c * p + d * q, k)
-         for (a, bb), (c, d) in hull_chain(n_sub, shear).pairs()], n_work, b)
-    terms = ([(s / n_sub, x, y) for s, x, y in lhs_terms]
-             + [(-s, x, y) for s, x, y in rhs_terms])
+    lhs = [LParams(lam_w + tau, mu_w - shear * tau, p, q, k)
+           for tau in torsion_translates(n_sub, m)]
+    rhs = [LParams(a * lam_w + bb * mu_w, c * lam_w + d * mu_w,
+                   a * p + bb * q, c * p + d * q, k)
+           for (a, bb), (c, d) in hull_chain(n_sub, shear).pairs()]
+    terms = ([(s / n_sub, x, y) for part in lhs for s, x, y in L_terms(part, n_work)]
+             + [(-s, x, y) for part in rhs for s, x, y in L_terms(part, n_work)])
 
     return _report(
         "hecke_trace",
         {"n_sub": n_sub, "shear": shear % n_sub, "lam": lam.label(),
          "mu": mu.label(), "p": str(p), "q": str(q), "k": k,
          "n_work": n_work},
-        lhs.scale(Fraction(1, n_sub)) - rhs, terms, started)
+        build_L(terms, k, n_work, truncation), terms, started)

@@ -3,9 +3,10 @@ import doctest
 
 import pytest
 
-from eisenlab import cli, cyclotomic, eisenstein, hull, quasiforms, ratfunc
+from eisenlab import (cli, cyclotomic, eisenstein, hull, quasiforms, ratfunc,
+                      verifiers)
 
-MODULES = (cyclotomic, ratfunc, hull, eisenstein, quasiforms, cli)
+MODULES = (cyclotomic, ratfunc, hull, eisenstein, quasiforms, verifiers, cli)
 
 
 @pytest.mark.parametrize("module", MODULES,

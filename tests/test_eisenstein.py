@@ -32,8 +32,8 @@ from eisenlab.oracles import (
     row_sum_expansion,
     sigma,
 )
-from eisenlab.quasiforms import delta, eis_series
-from eisenlab.verifiers import LParams, TorsionPoint, build_L
+from eisenlab.quasiforms import combine, delta, eis_series
+from eisenlab.verifiers import L_terms, LParams, TorsionPoint, build_L
 
 
 # -- constants -------------------------------------------------------------
@@ -243,8 +243,8 @@ def test_unpack_reads_any_run_of_slots(width, data):
 
 def test_qseries_mul_runs_no_cyclotomic_multiply(monkeypatch):
     """Products, sums, theta, scaling by a non-rational element, delta
-    images and a whole build_L run in integers: no `Cyclotomic` multiply
-    or add, through any binding."""
+    images, their combination and a whole build_L run in integers: no
+    `Cyclotomic` multiply or add, through any binding."""
     f = eis_qseries(EisIndex(3, 6, 1, 2), sturm_truncation(3, 6))
     g = eis_qseries(EisIndex(3, 6, 5, 3), sturm_truncation(3, 6))
     member = eis_series(EisIndex(2, 6, 1, 2))
@@ -267,7 +267,9 @@ def test_qseries_mul_runs_no_cyclotomic_multiply(monkeypatch):
     assert len(prod.nonzero_exponents()) > 50
     assert not (f + g).is_zero() and not f.theta().is_zero()
     assert delta(member).scale(c).depth == 2
-    assert build_L(params, 6).weight == 4
+    assert combine([(delta(member), c), (delta(member), 1)], 4, 6,
+                   member.truncation).depth == 2
+    assert build_L(L_terms(params, 6), 4, 6, sturm_truncation(4, 6)).weight == 4
     assert calls == []
 
 

@@ -14,10 +14,12 @@ import contextlib
 import io
 import runpy
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from eisenlab import acceptance
 from eisenlab.cli import emit_report
 from eisenlab.eisenstein import proven_truncation
 from eisenlab.verifiers import (LParams, TorsionPoint, verify_hecke_trace,
@@ -89,14 +91,40 @@ def test_report_matches_golden(name, showcase_dir, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
-def test_proven_truncation_gives_the_default_verdicts():
-    # every golden claim not below the proven truncation reaches the
-    # same verdict, defect coefficients and certificate at
-    # the default truncation and at the proven one
+def recorded_claims(criterion, monkeypatch):
+    """The claims the acceptance criterion runs, each as (label, claim)
+    with claim(b) its report at truncation b, recorded while it runs."""
+    claims = []
+    for name in ("verify_two_term", "verify_three_term_w2", "verify_prop21",
+                 "verify_hecke_trace"):
+        def record(*args, _real=getattr(acceptance, name)):
+            claims.append((f"{_real.__name__}{args}", partial(_real, *args)))
+            return _real(*args)
+        monkeypatch.setattr(acceptance, name, record)
+    ok, detail = criterion()
+    monkeypatch.undo()
+    assert ok, detail
+    return claims
+
+
+CRITERIA = {cid: fn for cid, _, fn in acceptance.CRITERIA
+            if cid in ("criterion-06", "criterion-07", "criterion-08",
+                       "criterion-09")}
+
+
+@pytest.mark.parametrize("group", ["golden", *CRITERIA])
+def test_proven_truncation_gives_the_default_verdicts(group, monkeypatch):
+    # every claim of the group reaches the same verdict, defect
+    # coefficients and certificate at the default truncation and at the
+    # proven one: the golden claims not below the proven truncation, or
+    # the claims of acceptance criteria 06-09
     golden = {p.stem for p in GOLDEN.glob("*.json")}
     assert set(AT_TRUNCATION) == {name for name in golden
                                   if not name.endswith("_below_bound")}
-    for name, claim in AT_TRUNCATION.items():
+    claims = (list(AT_TRUNCATION.items()) if group == "golden"
+              else recorded_claims(CRITERIA[group], monkeypatch))
+    assert claims
+    for name, claim in claims:
         default = claim(None)
         b = proven_truncation(default.defect.residual.weight, default.level)
         assert b < default.truncation, name

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisenlab import cyclotomic, eisenstein, quasiforms
+from eisenlab import cyclotomic, eisenstein, quasiforms, verifiers
 from eisenlab.cyclotomic import (Cyclotomic, _norm_inverse, cyclo_invert,
                                  euler_phi)
 from eisenlab.eisenstein import (EisIndex, QSeries, cusp_constants, cusps,
@@ -37,8 +37,8 @@ from eisenlab.quasiforms import (
     span_solve,
     theta,
 )
-from eisenlab.verifiers import (LParams, TorsionPoint, _report, verify_hecke_trace,
-                                verify_prop21)
+from eisenlab.verifiers import (L_terms, LParams, TorsionPoint, _report, build_L,
+                                verify_hecke_trace, verify_prop21)
 
 
 def const_series(level, b, value):
@@ -565,20 +565,96 @@ def test_peel_rejects_foreign_components():
 
 
 def test_certify_orthogonal_subtracts_once(monkeypatch):
-    # one exact residual per claim, with the delta terms and the
-    # Eisenstein combination together; the depth-2 claim below has both
+    # one integer combination builds the claim from its formal sum, one
+    # per certificate entry is its delta image, and one more is the exact
+    # residual, with the target, the delta terms and the Eisenstein
+    # combination together; the depth-2 claim below has both
     calls = []
-    real = quasiforms._subtract
+    real = quasiforms.combine
 
-    def counting(target, parts):
+    def counting(parts, weight, level, truncation):
         calls.append(len(parts))
-        return real(target, parts)
+        return real(parts, weight, level, truncation)
 
-    monkeypatch.setattr(quasiforms, "_subtract", counting)
+    monkeypatch.setattr(quasiforms, "combine", counting)
+    monkeypatch.setattr(verifiers, "combine", counting)
     report = verify_prop21(LParams(TorsionPoint(5, 1, 0), TorsionPoint(5, 0, 1),
                                    1, 1, 4), 5, truncation=12)
     assert len(report.certificate) == 5
-    assert calls == [5]
+    assert not report.defect.coefficients
+    assert calls == [9] + [2] * 5 + [1 + 5]
+
+
+# -- one integer linear combination ----------------------------------------
+
+
+def reference_sum(parts, weight, level, truncation):
+    """sum(scale * form) in the QuasiForm + and scale arithmetic."""
+    out = QuasiForm(weight, level, truncation, ())
+    for form, scale in parts:
+        out = out + form.scale(scale)
+    return out
+
+
+def random_form(weight, level, b, depth, rng):
+    """Random entries at a few exponents of each Y-degree up to depth."""
+    return QuasiForm(weight, level, b, tuple(
+        QSeries(level, b, {e: small_number(level, rng)
+                           for e in rng.sample(range(b + 1), rng.randint(1, 4))})
+        for _ in range(depth + 1)))
+
+
+@pytest.mark.parametrize("level", [1, 3, 5, 8])
+def test_combine_matches_the_reference_sum(level):
+    rng = random.Random(level)
+    b = 9
+    for _ in range(12):
+        parts = []
+        for _ in range(rng.randint(1, 5)):
+            form = random_form(3, level, b, rng.randint(0, MAX_DEPTH), rng)
+            scale = (Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                     if rng.random() < 0.5 else small_number(level, rng))
+            parts.append((form, scale))
+        assert (quasiforms.combine(parts, 3, level, b)
+                == reference_sum(parts, 3, level, b))
+
+
+def test_combine_cancels_to_the_zero_form():
+    # the trace's shape: n_sub copies at 1/n_sub less the same form once
+    rng = random.Random(7)
+    b = 8
+    f = random_form(4, 5, b, 2, rng)
+    c = small_number(5, rng)
+    for parts in ([(f, Fraction(1, 3))] * 3 + [(f, -1)],
+                  [(f, c), (f.scale(2), -c / 2)]):
+        assert quasiforms.combine(parts, 4, 5, b) == QuasiForm(4, 5, b, ())
+
+
+def test_combine_of_no_parts_is_the_zero_form_of_its_weight():
+    total = quasiforms.combine([], 5, 4, 10)
+    assert total == QuasiForm(5, 4, 10, ()) and total.weight == 5
+
+
+def test_combine_rejects_a_frame_mismatch():
+    f = eis_series(EisIndex(2, 3, 1, 0), 6)
+    for weight, level, b in ((2, 4, 6), (2, 3, 7), (4, 3, 6)):
+        with pytest.raises(ValueError):
+            quasiforms.combine([(f, 1)], weight, level, b)
+
+
+def test_build_L_expands_products_by_the_reference_arithmetic():
+    # the level-6 trace (2, 1) at weight 3: translates at 1/2 less the
+    # chain, each product in QuasiForm arithmetic, against one combine
+    lam, mu = TorsionPoint(6, 1, 0), TorsionPoint(6, 0, 1)
+    b = 12
+    terms = [(Fraction(s, 2), x, y) for s, x, y in
+             L_terms(LParams(lam, mu, 1, 1, 3), 6)]
+    terms += [(-s, x, y) for s, x, y in
+              L_terms(LParams(lam + mu, mu, 2, 1, 3), 6)]
+    want = reference_sum([(quasi_mul(eis_series(x, b), eis_series(y, b)), s)
+                          for s, x, y in terms], 3, 6, b)
+    assert build_L(terms, 3, 6, b) == want
+    assert build_L([], 3, 6, b) == QuasiForm(3, 6, b, ())
 
 
 @pytest.mark.parametrize("weight, level",

@@ -15,6 +15,7 @@ from eisenlab.verifiers import (
     INCONCLUSIVE,
     VERIFIED,
     LParams,
+    L_terms,
     TorsionPoint,
     build_L,
     torsion_translates,
@@ -68,6 +69,11 @@ def test_lparams_validation():
 # -- the weighted product sum ----------------------------------------------
 
 
+def L_form(params, n_work, b):
+    """The form of one weighted sum, expanded from its formal sum."""
+    return build_L(L_terms(params, n_work), params.weight, n_work, b)
+
+
 def test_build_L_weight_two_ignores_pq():
     lam = TorsionPoint(3, 1, 0)
     mu = TorsionPoint(3, 0, 1)
@@ -75,7 +81,7 @@ def test_build_L_weight_two_ignores_pq():
     direct = quasi_mul(eis_series(lam.to_index(1), b),
                        eis_series(mu.to_index(1), b))
     for p, q in ((0, 0), (1, 1), (7, -3)):
-        assert build_L(LParams(lam, mu, p, q, 2), 3, b) == direct
+        assert L_form(LParams(lam, mu, p, q, 2), 3, b) == direct
 
 
 def test_build_L_weight_three_expansion():
@@ -83,7 +89,7 @@ def test_build_L_weight_three_expansion():
     mu = TorsionPoint(3, 0, 1)
     b = 20
     p, q = Fraction(2), Fraction(-5)
-    got = build_L(LParams(lam, mu, p, q, 3), 3, b)
+    got = L_form(LParams(lam, mu, p, q, 3), 3, b)
     want = (quasi_mul(eis_series(lam.to_index(1), b),
                       eis_series(mu.to_index(2), b)).scale(q)
             + quasi_mul(eis_series(lam.to_index(2), b),
@@ -98,8 +104,8 @@ def test_build_L_pq_scale_covariance():
     b = 16
     t = Fraction(3)
     for k in (3, 4, 5):
-        base = build_L(LParams(lam, mu, 2, -1, k), 2, b)
-        scaled = build_L(LParams(lam, mu, 2 * t, -t, k), 2, b)
+        base = L_form(LParams(lam, mu, 2, -1, k), 2, b)
+        scaled = L_form(LParams(lam, mu, 2 * t, -t, k), 2, b)
         assert scaled == base.scale(t ** (k - 2))
 
 
@@ -108,19 +114,19 @@ def test_build_L_depth_profile():
     mu = TorsionPoint(2, 0, 1)
     b = 16
     # both weight-2 factors meet only at k = 4
-    assert build_L(LParams(lam, mu, 1, 1, 4), 2, b).depth == 2
-    assert build_L(LParams(lam, mu, 1, 1, 5), 2, b).depth <= 1
+    assert L_form(LParams(lam, mu, 1, 1, 4), 2, b).depth == 2
+    assert L_form(LParams(lam, mu, 1, 1, 5), 2, b).depth <= 1
     # p = q = 0 zeroes every splitting of odd weight >= 3
-    assert build_L(LParams(lam, mu, 0, 0, 3), 2, b).is_zero()
+    assert L_form(LParams(lam, mu, 0, 0, 3), 2, b).is_zero()
     # at k = 4 the middle splitting carries p*q, so it dies as well
-    assert build_L(LParams(lam, mu, 0, 0, 4), 2, b).is_zero()
+    assert L_form(LParams(lam, mu, 0, 0, 4), 2, b).is_zero()
 
 
 def test_build_L_rescales_points():
     lam = TorsionPoint(2, 1, 0)
     mu = TorsionPoint(2, 0, 1)
     b = 24
-    got = build_L(LParams(lam, mu, 1, 1, 2), 4, b)
+    got = L_form(LParams(lam, mu, 1, 1, 2), 4, b)
     want = quasi_mul(eis_series(EisIndex(1, 4, 2, 0), b),
                      eis_series(EisIndex(1, 4, 0, 2), b))
     assert got == want
