@@ -59,6 +59,7 @@ from .verifiers import (
     TorsionPoint,
     VerificationReport,
     build_L,
+    canonical_sum,
     torsion_translates,
     verify_hecke_trace,
     verify_prop21,

@@ -18,7 +18,7 @@ from math import gcd
 from pathlib import Path
 
 from .cyclotomic import Cyclotomic
-from .eisenstein import EisIndex
+from .eisenstein import EisIndex, eis_qseries
 from .hull import hull_chain, sublattice_points, verify_pair_bijection
 from .oracles import (exact_rref, exact_span_solve, hull_oracle,
                       kept_members, lattice_value, naive_convolution, sigma)
@@ -93,10 +93,14 @@ def criterion_04_expansion() -> tuple[bool, str]:
         for k in range(1, 7):
             for c1 in range(n):
                 for c2 in range(n):
+                    # both indices expanded: `eis_series` reads one
+                    # from the other by `EisIndex.representative`
                     idx = EisIndex(k, n, c1, c2)
-                    lhs = eis_series(idx.negate())
-                    rhs = eis_series(idx).scale((-1) ** k)
-                    if lhs != rhs:
+                    sign, first = idx.representative()
+                    series = eis_qseries(idx, 3 * n)
+                    if (eis_qseries(idx.negate(), 3 * n)
+                            != series.scale((-1) ** k)
+                            or eis_qseries(first, 3 * n).scale(sign) != series):
                         return False, f"parity failed at {idx}"
     for k, const in ((2, Fraction(-1, 12)), (4, Fraction(1, 120))):
         series = eis_series(EisIndex(k, 1, 0, 0), 60).component(0)
@@ -119,7 +123,8 @@ def criterion_04_expansion() -> tuple[bool, str]:
     err = abs(complex(value) - oracle)
     if err > 1e-8:
         return False, f"lattice-sum oracle error {err:.3e}"
-    return True, (f"parity exact for k<=6, N<=6; divisor sums to q^60; "
+    return True, (f"parity and +- representatives exact for k<=6, N<=6; "
+                  f"divisor sums to q^60; "
                   f"level-7 product and scaling equal the schoolbook; "
                   f"lattice oracle error {err:.1e}")
 

@@ -61,6 +61,24 @@ class EisIndex:
     def negate(self) -> EisIndex:
         return EisIndex(self.weight, self.level, -self.c1, -self.c2)
 
+    def representative(self) -> tuple[int, EisIndex]:
+        """(sign, first) with E_self = sign * E_first, first the index of
+        the +- pair {v, -v} that comes first in (c1, c2) order:
+        E_{k,-v} = (-1)^k E_{k,v}.  At odd k with v = -v the series is its
+        own negative, so zero, and sign is 0.
+
+        >>> EisIndex(3, 5, 4, 3).representative()
+        (-1, EisIndex(weight=3, level=5, c1=1, c2=2))
+        >>> EisIndex(3, 4, 2, 0).representative()[0]
+        0
+        """
+        neg = self.negate()
+        if (neg.c1, neg.c2) < (self.c1, self.c2):
+            return (-1) ** self.weight, neg
+        if neg == self and self.weight % 2:
+            return 0, self
+        return 1, self
+
     def s_transform(self) -> EisIndex:
         return EisIndex(self.weight, self.level, self.c2, -self.c1)
 

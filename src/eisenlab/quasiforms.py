@@ -152,15 +152,18 @@ def eis_series(idx: EisIndex, truncation: int | None = None) -> QuasiForm:
     Weight 2 carries the Hecke-summation completion: its Y-component is
     the constant series 1, independently of the torsion index.
 
-    Only the first index of each +- pair, in (c1, c2) order, is expanded:
-    E_{k,-v} = (-1)^k E_{k,v}, the same series at even k and its negative
-    at odd k.
+    Only the first index of each +- pair, in (c1, c2) order, is expanded
+    (`EisIndex.representative`): E_{k,-v} = (-1)^k E_{k,v}, the same
+    series at even k and its negative at odd k, and zero at odd k when
+    v = -v.
     """
     b = sturm_truncation(idx.weight, idx.level) if truncation is None else truncation
-    neg = idx.negate()
-    if (neg.c1, neg.c2) < (idx.c1, idx.c2):
-        first = _eis_series(neg, b)
-        return first if idx.weight % 2 == 0 else -first
+    sign, first = idx.representative()
+    if not sign:
+        return QuasiForm(idx.weight, idx.level, b, ())
+    if first != idx:
+        first = _eis_series(first, b)
+        return first if sign == 1 else -first
     holo = eis_qseries(idx, b)
     if idx.weight == 2:
         comps = (holo, QSeries.const(idx.level, b, 1))
@@ -178,13 +181,12 @@ class EisBasis:
     one truncation; a member's series is `eis_series(idx, truncation)`,
     built only where a solution needs it.
 
-    Every index is kept, including indices whose series vanishes
-    identically, except (0, 0) at odd weight: E_{k,0} = (-1)^k E_{k,0}
-    is zero there, and a zero member at the index that cannot be told
-    from "no series at all" would only pad the basis.
+    Every index is kept except those `EisIndex.representative` reports
+    zero, v = -v at odd weight: E_{k,v} = (-1)^k E_{k,v} is zero there,
+    and a member known to be zero would only pad the basis.
 
     >>> len(EisBasis(3, 4, 12)), len(EisBasis(2, 4, 12))
-    (15, 16)
+    (12, 16)
     """
 
     __slots__ = ("weight", "level", "truncation", "indices", "_rref")
@@ -193,9 +195,10 @@ class EisBasis:
         self.weight = weight
         self.level = level
         self.truncation = truncation
-        self.indices = tuple(EisIndex(weight, level, c1, c2)
-                             for c1 in range(level) for c2 in range(level)
-                             if (c1, c2) != (0, 0) or weight % 2 == 0)
+        self.indices = tuple(idx for idx in (EisIndex(weight, level, c1, c2)
+                                             for c1 in range(level)
+                                             for c2 in range(level))
+                             if idx.representative()[0])
         self._rref = None
 
     def __len__(self):
@@ -213,8 +216,8 @@ class EisBasis:
         the Y-component, 1 for every member.  Each member in turn is
         reduced against the rows so far and, if something is left, becomes
         a row, 1 at its least column and cleared from every earlier row.
-        A member whose -v came earlier is dropped unreduced: E_{k,-v} =
-        (-1)^k E_{k,v}.
+        A member that is not the first of its +- pair is dropped
+        unreduced (`EisIndex.representative`): E_{k,-v} = (-1)^k E_{k,v}.
 
         The value map is injective on the members' span, so the kept
         members, and the coefficients of a target in the span, are those
@@ -243,10 +246,9 @@ def _reduce(basis: EisBasis) -> list:
     (`cyclotomic._norm_inverse`)."""
     k, n = basis.weight, basis.level
     table = cusp_constants(k, n)
-    position = {(idx.c1, idx.c2): t for t, idx in enumerate(basis.indices)}
     rows: list[tuple[int, int, dict, dict]] = []
     for t, idx in enumerate(basis.indices):
-        if position.get((-idx.c1 % n, -idx.c2 % n), t) < t:
+        if idx.representative()[1] != idx:
             continue
         row = dict(table[idx.c1, idx.c2])
         if k == 2:

@@ -1,9 +1,12 @@
 """Composite-expression builders and the verification entry points.
 
 Every verifier writes its claim once, as a formal sum of Eisenstein
-products, expands it with `build_L`, runs either an exact series
-comparison or the cusp-orthogonality certifier, and wraps the outcome
-in a VerificationReport.  Statuses:
+products, reduces it to canonical products with `canonical_sum`,
+expands that with `build_L`, runs either an exact series comparison or
+the cusp-orthogonality certifier on the same canonical sum, and wraps
+the outcome in a VerificationReport.  A claim whose canonical sum is
+empty holds formally: its form is zero, and no series is expanded.
+Statuses:
 
   VERIFIED      the claim holds with an explicit exact decomposition;
   REFUTED       an exact q-series equality failed (only exact claims
@@ -147,16 +150,48 @@ def L_terms(params: LParams, n_work: int) -> list[tuple[Fraction, EisIndex, EisI
     return terms
 
 
+def canonical_sum(terms) -> list[tuple]:
+    """The formal sum terms [(scale, idx, ...)], scales rational or in
+    Q(zeta_N), reduced to canonical products with the same form.
+
+    Each factor becomes the first index of its +- pair and the scale
+    takes its sign (`EisIndex.representative`); a term with a zero
+    factor, odd weight at v = -v, is dropped; the factors, which
+    commute, are sorted; equal products are merged and zero scales
+    dropped.  Products keep the order of their first term.  The
+    two-term relation cancels, E_{1,-lam} = -E_{1,lam}:
+
+    >>> lam, mu = TorsionPoint(3, 1, 0), TorsionPoint(3, 0, 1)
+    >>> canonical_sum([(1, lam.to_index(1), mu.to_index(1)),
+    ...                (1, mu.to_index(1), (-lam).to_index(1))])
+    []
+    """
+    merged: dict[tuple, object] = {}
+    for scale, *factors in terms:
+        product = []
+        for idx in factors:
+            sign, first = idx.representative()
+            if not sign:
+                break
+            if sign < 0:
+                scale = -scale
+            product.append(first)
+        else:
+            product.sort(key=lambda idx: (idx.weight, idx.c1, idx.c2))
+            key = tuple(product)
+            merged[key] = merged.get(key, 0) + scale
+    return [(scale, *product) for product, scale in merged.items() if scale]
+
+
 def build_L(terms, weight: int, level: int, truncation: int | None) -> QuasiForm:
     """The form of a formal sum: scale times the product of the series
     eis_series(idx, B) over each term (scale, idx, ...), summed by one
     `combine`, B the truncation or, for None, `sturm_truncation`.  The
-    two-term relation's sum is the zero form:
+    verifiers pass the `canonical_sum` of their claim, so each product
+    is expanded once; an empty sum is the zero form, built from no
+    series.
 
-    >>> lam, mu = TorsionPoint(3, 1, 0), TorsionPoint(3, 0, 1)
-    >>> terms = [(1, lam.to_index(1), mu.to_index(1)),
-    ...          (1, mu.to_index(1), (-lam).to_index(1))]
-    >>> build_L(terms, 2, 3, 12).is_zero()
+    >>> build_L([], 2, 3, 12).is_zero()
     True
     """
     b = sturm_truncation(weight, level) if truncation is None else truncation
@@ -202,8 +237,8 @@ def verify_two_term(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
     started = time.perf_counter()
     lam_w = lam.rescale(n_work)
     mu_w = mu.rescale(n_work)
-    terms = [(1, lam_w.to_index(1), mu_w.to_index(1)),
-             (1, mu_w.to_index(1), (-lam_w).to_index(1))]
+    terms = canonical_sum([(1, lam_w.to_index(1), mu_w.to_index(1)),
+                           (1, mu_w.to_index(1), (-lam_w).to_index(1))])
     total = build_L(terms, 2, n_work, truncation)
     return _report(
         "two_term",
@@ -221,8 +256,8 @@ def verify_three_term_w2(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
     mu_w = mu.rescale(n_work)
     nu_w = -(lam_w + mu_w)
     params = {"lam": lam.label(), "mu": mu.label(), "n_work": n_work}
-    terms = [(1, x.to_index(1), y.to_index(1))
-             for x, y in ((lam_w, mu_w), (mu_w, nu_w), (nu_w, lam_w))]
+    terms = canonical_sum([(1, x.to_index(1), y.to_index(1)) for x, y in
+                           ((lam_w, mu_w), (mu_w, nu_w), (nu_w, lam_w))])
     total = build_L(terms, 2, n_work, truncation)
 
     if lam_w.is_zero() or mu_w.is_zero() or nu_w.is_zero():
@@ -249,9 +284,10 @@ def verify_prop21(params: LParams, n_work: int,
     nu = -(lam + mu)
     p, q = params.p, params.q
     r = -p - q
-    terms = [t for part in (LParams(lam, mu, p, q, k), LParams(mu, nu, q, r, k),
-                            LParams(nu, lam, r, p, k))
-             for t in L_terms(part, n_work)]
+    terms = canonical_sum(
+        t for part in (LParams(lam, mu, p, q, k), LParams(mu, nu, q, r, k),
+                       LParams(nu, lam, r, p, k))
+        for t in L_terms(part, n_work))
     return _report(
         "prop21",
         {"lam": params.lam.label(), "mu": params.mu.label(),
@@ -293,8 +329,9 @@ def verify_hecke_trace(n_sub: int, shear: int, lam: TorsionPoint,
     rhs = [LParams(a * lam_w + bb * mu_w, c * lam_w + d * mu_w,
                    a * p + bb * q, c * p + d * q, k)
            for (a, bb), (c, d) in hull_chain(n_sub, shear).pairs()]
-    terms = ([(s / n_sub, x, y) for part in lhs for s, x, y in L_terms(part, n_work)]
-             + [(-s, x, y) for part in rhs for s, x, y in L_terms(part, n_work)])
+    terms = canonical_sum(
+        [(s / n_sub, x, y) for part in lhs for s, x, y in L_terms(part, n_work)]
+        + [(-s, x, y) for part in rhs for s, x, y in L_terms(part, n_work)])
 
     return _report(
         "hecke_trace",

@@ -4,9 +4,11 @@ golden/.
 
 Together they cover an empty certificate, depth-1 and depth-2 peel
 certificates (prop21_k3_n3, prop21_k4_n2), defect coefficients
-(three_term_n5) and residual exponents (three_term_inconclusive).  Two
-claims below the proven truncation go through the solver and end
-INCONCLUSIVE: a depth-2 plus depth-1 certificate
+(three_term_n5), residual exponents (three_term_inconclusive) and the
+level-10 trace, which cancels as a formal sum (hecke_5_3_level10,
+recorded from the full expansion of its 56 terms).  Two claims below
+the proven truncation go through the solver and end INCONCLUSIVE: a
+depth-2 plus depth-1 certificate
 (prop21_k4_n5_below_bound) and defect coefficients
 (three_term_n5_below_bound).
 """
@@ -48,6 +50,8 @@ AT_TRUNCATION = {
     "hecke_5_3_w2": lambda b: verify_hecke_trace(5, 3, ZERO, ZERO, 2, 1, 1,
                                                  b),
     "hecke_2_1_w3": lambda b: verify_hecke_trace(2, 1, LAM2, MU2, 3, 1, 1, b),
+    "hecke_5_3_level10": lambda b: verify_hecke_trace(5, 3, LAM2, MU2, 3, 1, 1,
+                                                      b),
 }
 
 # the golden reports the showcase script does not write

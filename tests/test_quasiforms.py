@@ -15,7 +15,8 @@ from eisenlab.cyclotomic import (Cyclotomic, _norm_inverse, cyclo_invert,
 from eisenlab.eisenstein import (EisIndex, QSeries, cusp_constants, cusps,
                                  eis_qseries, proven_truncation,
                                  sturm_truncation)
-from eisenlab.oracles import exact_rref, exact_span_solve, kept_members
+from eisenlab.oracles import (exact_rref, exact_span_solve, kept_members,
+                              row_sum_expansion)
 from eisenlab.quasiforms import (
     MAX_DEPTH,
     DepthOverflow,
@@ -38,7 +39,8 @@ from eisenlab.quasiforms import (
     theta,
 )
 from eisenlab.verifiers import (L_terms, LParams, TorsionPoint, _report, build_L,
-                                verify_hecke_trace, verify_prop21)
+                                verify_hecke_trace, verify_prop21,
+                                verify_three_term_w2)
 
 
 def const_series(level, b, value):
@@ -151,25 +153,30 @@ def test_eis_basis_membership():
     assert b1.indices == (EisIndex(2, 1, 0, 0),)
     # level-1 odd weights vanish identically and (0,0) is dropped
     assert len(eis_basis(3, 1, 12)) == 0
-    # two-torsion weight 1: all three nonzero indices kept though the
-    # series are identically zero by parity
-    b2 = eis_basis(1, 2, 12)
-    assert len(b2) == 3
-    assert all(eis_series(idx, 12).is_zero() for idx in b2.indices)
+    # two-torsion weight 1: every index is its own negative, so every
+    # series is zero by parity and no member is kept
+    assert len(eis_basis(1, 2, 12)) == 0
+    assert all(row_sum_expansion(EisIndex(1, 2, c1, c2), 12).is_zero()
+               for c1 in range(2) for c2 in range(2))
     b3 = eis_basis(1, 3, 12)
     assert len(b3) == 8
 
 
 def test_basis_indices_keep_the_nonzero_series_rule():
-    # (0, 0) is dropped exactly when its series is zero, which is exactly
-    # at odd weight
+    # an index is dropped exactly when its series, expanded by the row
+    # sums, is zero, which is exactly at odd weight with v = -v, where
+    # `EisIndex.representative` reports sign 0
     for k in range(1, 7):
         for n in range(1, 9):
             want = tuple(EisIndex(k, n, c1, c2) for c1 in range(n)
                          for c2 in range(n)
-                         if (c1, c2) != (0, 0)
-                         or not eis_series(EisIndex(k, n, 0, 0), 12).is_zero())
+                         if not row_sum_expansion(EisIndex(k, n, c1, c2),
+                                                  12).is_zero())
             assert EisBasis(k, n, 12).indices == want, (k, n)
+            assert all((idx.representative()[0] == 0)
+                       == (idx not in want and k % 2 == 1)
+                       for idx in (EisIndex(k, n, c1, c2) for c1 in range(n)
+                                   for c2 in range(n))), (k, n)
 
 
 def test_basis_builds_no_series(monkeypatch):
@@ -276,9 +283,10 @@ def test_norm_inverse():
             assert Cyclotomic(n, tuple(Fraction(c, d) for c in w)) == cyclo_invert(x)
 
 
-def test_level_ten_trace_expands_one_series_per_pm_class(monkeypatch):
-    # with cold caches the level-10 trace expands 54 series, the first
-    # index of each +- pair it uses, and reads the others from them
+def test_three_term_expands_one_series_per_pm_class(monkeypatch):
+    # with cold caches the three-term claim at level 7 expands 25 series,
+    # the first index of each +- pair it uses (its 3 weight-1 factors and
+    # the 22 members of its defect), and reads the others from them
     calls = []
     real = quasiforms.eis_qseries
 
@@ -288,11 +296,13 @@ def test_level_ten_trace_expands_one_series_per_pm_class(monkeypatch):
 
     monkeypatch.setattr(quasiforms, "eis_qseries", counting)
     eis_series.cache_clear()
-    report = verify_hecke_trace(5, 3, TorsionPoint(2, 1, 0),
-                                TorsionPoint(2, 0, 1), 3, 1, 1, 91)
+    report = verify_three_term_w2(TorsionPoint(7, 1, 0), TorsionPoint(7, 0, 1),
+                                  7, proven_truncation(2, 7))
     assert report.status == "VERIFIED"
-    assert len(calls) == len(set(calls)) == 54
-    assert all((idx.c1, idx.c2) <= (-idx.c1 % 10, -idx.c2 % 10)
+    assert len(calls) == len(set(calls)) == 25
+    assert sum(idx.weight == 1 for idx in calls) == 3
+    assert len(report.defect.coefficients) == 22
+    assert all((idx.c1, idx.c2) <= (-idx.c1 % 7, -idx.c2 % 7)
                for idx in calls)
 
 

@@ -1,16 +1,22 @@
-"""Torsion-point algebra, the weighted product sums, and the four
-verification entry points."""
+"""Torsion-point algebra, the weighted product sums, their canonical
+formal sums, and the four verification entry points."""
+import importlib.util
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eisenlab import quasiforms, verifiers
 from eisenlab.cli import report_payload
-from eisenlab.eisenstein import (EisIndex, NotDivisible, proven_truncation,
-                                 sturm_truncation)
+from eisenlab.cyclotomic import Cyclotomic, euler_phi
+from eisenlab.eisenstein import (EisIndex, NotDivisible, QSeries,
+                                 proven_truncation, sturm_truncation)
 from eisenlab.hull import NonCoprimeShear, hull_chain
-from eisenlab.quasiforms import eis_series, quasi_mul
+from eisenlab.oracles import row_sum_expansion
+from eisenlab.quasiforms import QuasiForm, cusp_values, eis_series, quasi_mul
 from eisenlab.verifiers import (
     INCONCLUSIVE,
     VERIFIED,
@@ -18,6 +24,7 @@ from eisenlab.verifiers import (
     L_terms,
     TorsionPoint,
     build_L,
+    canonical_sum,
     torsion_translates,
     verify_hecke_trace,
     verify_prop21,
@@ -130,6 +137,152 @@ def test_build_L_rescales_points():
     want = quasi_mul(eis_series(EisIndex(1, 4, 2, 0), b),
                      eis_series(EisIndex(1, 4, 0, 2), b))
     assert got == want
+
+
+# -- canonical formal sums -------------------------------------------------
+
+
+def raw_factor(idx, b):
+    """The series of idx from the row sums of `oracles.row_sum_expansion`,
+    plus the constant Y part at weight 2: no +- fold."""
+    n = idx.level
+    comps = (row_sum_expansion(idx, b),)
+    if idx.weight == 2:
+        comps += (QSeries.const(n, b, 1),)
+    return QuasiForm(idx.weight, n, b, comps)
+
+
+def raw_sum(terms, weight, level, b):
+    """The form of terms, each product of `raw_factor`s scaled and added
+    one at a time."""
+    total = QuasiForm(weight, level, b, ())
+    for scale, *factors in terms:
+        product = raw_factor(factors[0], b)
+        for idx in factors[1:]:
+            product = quasi_mul(product, raw_factor(idx, b))
+        total = total + product.scale(scale)
+    return total
+
+
+@st.composite
+def formal_sums(draw):
+    """(terms, weight, level): a formal sum at level 1-8 and weight 1-4
+    whose products share a few points, odd-weight 2-torsion points among
+    them, with rational and Q(zeta_N) scales; some terms come back with
+    factors negated and permuted, repeated, cancelled or rescaled."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 4))
+    any_point = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    halves = [0, n // 2] if n % 2 == 0 else [0]
+    two_torsion = st.tuples(st.sampled_from(halves), st.sampled_from(halves))
+    pool = draw(st.lists(st.one_of(any_point, two_torsion), min_size=1,
+                         max_size=4))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    scales = st.one_of(small, st.lists(small, min_size=euler_phi(n),
+                                       max_size=euler_phi(n)).map(
+        lambda c: Cyclotomic(n, tuple(c))))
+    splits = [(k,)] + [(ell, k - ell) for ell in range(1, k)]
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = [EisIndex(w, n, *draw(st.sampled_from(pool)))
+                   for w in draw(st.sampled_from(splits))]
+        terms.append((draw(scales), *factors))
+    for scale, *factors in list(terms):
+        how = draw(st.sampled_from(("none", "repeat", "cancel", "rescale")))
+        if how == "none":
+            continue
+        flips = [draw(st.booleans()) for _ in factors]
+        sign = prod((-1) ** f.weight for f, flip in zip(factors, flips) if flip)
+        moved = [f.negate() if flip else f for f, flip in zip(factors, flips)]
+        new = {"repeat": scale * sign, "cancel": -scale * sign,
+               "rescale": draw(scales)}[how]
+        terms.append((new, *draw(st.permutations(moved))))
+    return draw(st.permutations(terms)), k, n
+
+
+@settings(max_examples=40)
+@given(formal_sums())
+def test_canonical_sum_is_exact(case):
+    terms, k, n = case
+    b = 2 * n + 3
+    canonical = canonical_sum(terms)
+    assert build_L(canonical, k, n, b) == raw_sum(terms, k, n, b)
+    assert cusp_values(canonical, n) == cusp_values(terms, n)
+    # canonical: first of each +- pair, sorted, distinct, nonzero
+    products = [tuple(factors) for _, *factors in canonical]
+    assert len(set(products)) == len(products)
+    for scale, *factors in canonical:
+        assert scale
+        assert all(idx.representative() == (1, idx) for idx in factors)
+        assert factors == sorted(factors,
+                                 key=lambda i: (i.weight, i.c1, i.c2))
+
+
+def test_canonical_sum_folds_pairs_and_drops_zero_factors():
+    lam, mu = EisIndex(1, 4, 1, 0), EisIndex(2, 4, 0, 1)
+    half = EisIndex(1, 4, 2, 0)
+    z = Cyclotomic.zeta(4)
+    terms = [(1, lam, mu), (2, mu.negate(), lam), (5, half, mu),
+             (z, mu, lam.negate()), (Fraction(1, 2), lam.negate(), mu)]
+    # 1 + 2 - z - 1/2 on lam * mu; the 2-torsion weight-1 factor is zero
+    assert canonical_sum(terms) == [(Fraction(5, 2) - z, lam, mu)]
+    assert canonical_sum([(1, lam, mu), (-1, mu, lam)]) == []
+    assert canonical_sum([(3, half)]) == []
+
+
+def sizes_of(claim, monkeypatch):
+    """(raw, canonical) term counts of every canonical sum claim() forms."""
+    sizes = []
+
+    def recording(terms, _real=verifiers.canonical_sum):
+        terms = list(terms)
+        out = _real(terms)
+        sizes.append((len(terms), len(out)))
+        return out
+
+    monkeypatch.setattr(verifiers, "canonical_sum", recording)
+    claim()
+    monkeypatch.undo()
+    return sizes
+
+
+def sweep_batch(seed):
+    """`perfbench/workloads.py`'s level-6 sweep batch, which is plain data."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.sweep_batch(seed)
+
+
+@pytest.mark.parametrize("claim, want", [
+    (lambda: verify_two_term(TorsionPoint(5, 1, 0), TorsionPoint(5, 0, 1), 5),
+     (2, 0)),
+    (lambda: verify_hecke_trace(5, 3, TorsionPoint(2, 1, 0),
+                                TorsionPoint(2, 0, 1), 3, 1, 1, 91), (56, 0)),
+    (lambda: verify_hecke_trace(5, 3, TorsionPoint(1, 0, 0),
+                                TorsionPoint(1, 0, 0), 2, 1, 1), (28, 0)),
+    (lambda: verify_hecke_trace(3, 1, TorsionPoint(2, 1, 0),
+                                TorsionPoint(2, 0, 1), 3, 1, 1), (22, 0)),
+    (lambda: verify_prop21(LParams(TorsionPoint(2, 1, 0),
+                                   TorsionPoint(2, 0, 1), 1, 1, 4), 2), (9, 3)),
+], ids=["two_term", "hecke_l10", "hecke_5_3_k2", "hecke_3_1_k3",
+        "prop21_k4_n2"])
+def test_canonical_sizes(claim, want, monkeypatch):
+    assert sizes_of(claim, monkeypatch) == [want]
+
+
+def test_canonical_sizes_of_the_sweep_batch(monkeypatch):
+    # the 26 prop21 claims of the level-6 sweep at seed 1
+    def sweep():
+        for c in sweep_batch(1):
+            lam, mu = (TorsionPoint(v[2], v[0], v[1]) for v in (c["lam"], c["mu"]))
+            report = verify_prop21(LParams(lam, mu, c["p"], c["q"], c["k"]), 6)
+            assert report.status == c["expect"]
+
+    sizes = sizes_of(sweep, monkeypatch)
+    assert len(sizes) == 26
+    assert [sum(col) for col in zip(*sizes)] == [195, 148]
 
 
 # -- two-term --------------------------------------------------------------
@@ -328,10 +481,20 @@ def test_hecke_nontrivial_torsion():
     assert report.level == 4
 
 
-@pytest.mark.slow
-def test_hecke_level_ten():
+def test_hecke_level_ten(basis_builds, monkeypatch):
+    # the trace cancels as a formal sum, so its form is zero at the
+    # default truncation without one series, product or basis
+    series = []
+    monkeypatch.setattr(verifiers, "eis_series",
+                        lambda *args: series.append(args))
+    monkeypatch.setattr(quasiforms, "eis_qseries",
+                        lambda *args: series.append(args))
+    monkeypatch.setattr(QSeries, "__mul__",
+                        lambda *args: series.append(args))
     report = verify_hecke_trace(5, 3, TorsionPoint(2, 1, 0),
                                 TorsionPoint(2, 0, 1), 3, 1, 1)
     assert report.status == VERIFIED
     assert report.level == 10
     assert report.truncation == 910
+    assert report.defect.residual.is_zero()
+    assert series == [] and basis_builds == []
