@@ -29,8 +29,8 @@ from itertools import count
 from math import comb, gcd, lcm
 from operator import mul
 
-from .cyclotomic import (Cyclotomic, _multiplier, _reduce_vector, _zeta_rows,
-                         euler_phi)
+from .cyclotomic import (Cyclotomic, _multiplier, _reduce_vector, _times,
+                         _zeta_rows, euler_phi)
 
 
 class InvalidIndex(ValueError):
@@ -511,6 +511,14 @@ def constant_term(idx: EisIndex) -> Cyclotomic:
     return Cyclotomic(n, tuple(x * scale for x in _reduce_vector(n, raw, 0)))
 
 
+@lru_cache(maxsize=4096)
+def _constant_vector(idx: EisIndex) -> tuple[int, tuple[int, ...]]:
+    """(d, d times `constant_term(idx)`), an integer vector for the least
+    such d."""
+    d, vec = _integral({0: constant_term(idx)})
+    return d, vec[0]
+
+
 @lru_cache(maxsize=64)
 def _bernoulli_row(k: int, n: int) -> tuple[int, tuple[int, ...]]:
     """(d, T) with T[a] = d N^k Bbar_k(a/N) for 0 <= a < N, integers for d
@@ -526,29 +534,103 @@ def _bernoulli_row(k: int, n: int) -> tuple[int, tuple[int, ...]]:
 
 
 def eis_qseries(idx: EisIndex, truncation: int) -> QSeries:
-    """Holomorphic part of the normalized Eisenstein series to the given
-    q_N-exponent bound; the weight-2 completion adds 1/(4 pi y) outside.
+    """Holomorphic part of the normalized Eisenstein series E_idx to the
+    given q_N-exponent bound: `eis_sum` of the one member idx.  The
+    weight-2 completion adds 1/(4 pi y) outside."""
+    return eis_sum({idx: 1}, idx.weight, idx.level, truncation)
 
-    Sums the row terms of the module docstring in integers over the
-    denominator d of the constant term: each +-m^{k-1} zeta^{m c2} goes,
-    times d, straight into its exponent's reduced vector, read from the
-    reduced rows of zeta^j (`cyclotomic._zeta_rows`); the constant term
-    sits at exponent 0, which no row term reaches.
+
+def eis_sum(coefficients: dict, weight: int, level: int,
+            truncation: int) -> QSeries:
+    """Holomorphic part of sum c_v E_{k,v} over the coefficients {v: c_v},
+    each rational or in Q(zeta_N), to the given q_N-exponent bound.  The
+    weight-2 completion adds (sum c_v) / (4 pi y) outside.
+
+    The sum is the Eisenstein series of the function v -> c_v on
+    (Z/N)^2.  Gathering the row terms of the module docstring by the
+    integer a = |row slope| N makes its q_N^e coefficient one divisor sum,
+        sum over e = a m, a, m >= 1, of m^{k-1} G(a mod N, m mod N),
+        G(alpha, mu) = sum_{c1 = alpha} c_v zeta^{mu c2}
+                       + (-1)^k sum_{c1 = -alpha} c_v zeta^{-mu c2}.
+    It runs in integers over one denominator d L: the c_v over d, and L
+    the lcm of the denominators of their constant terms.  The vectors
+    d L G(alpha, mu) are read from the reduced rows of zeta^j
+    (`cyclotomic._zeta_rows`), and the constant sum c_v c0(v) sits at
+    exponent 0, which no row term reaches.
+
+    A +- pair cancels at odd weight and doubles at even weight:
+
+    >>> v, w = EisIndex(3, 5, 1, 2), EisIndex(3, 5, 4, 3)
+    >>> eis_sum({v: 1, w: 1}, 3, 5, 20).is_zero()
+    True
+    >>> v, w = EisIndex(2, 5, 1, 2), EisIndex(2, 5, 4, 3)
+    >>> eis_sum({v: 1, w: 1}, 2, 5, 20) == eis_qseries(v, 20).scale(2)
+    True
     """
-    k, n, c1, c2 = idx.weight, idx.level, idx.c1, idx.c2
-    den, const = _integral({0: constant_term(idx)})
-    rows, phi = _zeta_rows(n), euler_phi(n)
-    vecs: dict[int, list[int]] = {}
-    for start, step, sign in ((c1 or n, c2, den), (n - c1, -c2, (-1) ** k * den)):
-        # the row terms of m, scaled: zeta^{m step} times sign m^{k-1}
-        terms = [tuple((i, sign * m ** (k - 1) * r) for i, r in rows[m * step % n])
-                 for m in range(1, truncation // start + 1)]
-        for a in range(start, truncation + 1, n):
-            for e, term in zip(range(a, truncation + 1, a), terms):
+    k, n, b = weight, level, truncation
+    members = []  # (index, coordinates of c_v, d0, d0 c0(v))
+    for idx, c in coefficients.items():
+        if idx.weight != k or idx.level != n:
+            raise ValueError("index outside the given weight and level")
+        if isinstance(c, Cyclotomic):
+            if c.conductor != n:
+                raise ValueError("coefficient conductor must equal level")
+            c = c.coeffs
+        else:
+            c = (c,)  # an int or a Fraction
+        members.append((idx, c, *_constant_vector(idx)))
+    den = lcm(*(x.denominator for _, c, _, _ in members for x in c))
+    scale = lcm(*(d0 for _, _, d0, _ in members))
+    rows, phi, sign = _zeta_rows(n), euler_phi(n), (-1) ** k
+    const = [0] * phi
+    parts: dict[int, list] = {}  # alpha -> [(step, pairs of d L c_v)]
+    for idx, c, d0, c0 in members:
+        vec = [x.numerator * (den // x.denominator) for x in c]
+        if any(c0):
+            prod = (_times(n, vec, c0) if any(vec[1:])
+                    else [vec[0] * y for y in c0])
+            for i, x in enumerate(prod):
+                const[i] += scale // d0 * x
+        pairs = [(i, scale * x) for i, x in enumerate(vec) if x]
+        parts.setdefault(idx.c1, []).append((idx.c2, pairs))
+        parts.setdefault(-idx.c1 % n, []).append(
+            (-idx.c2, [(i, sign * x) for i, x in pairs]))
+    vecs = {0: const}
+    for alpha, terms_of in parts.items():
+        start = alpha or n
+        count = b // start
+        # the row terms of m: m^{k-1} d L G(alpha, m mod N).  When one
+        # member alone meets alpha, G(alpha, m) = x zeta^(i + m step) is a
+        # zeta row, and nothing needs folding
+        step, pairs = terms_of[0]
+        if len(terms_of) == 1 and len(pairs) == 1:
+            (i, x), = pairs
+            terms = [tuple((p, m ** (k - 1) * x * r)
+                           for p, r in rows[(i + m * step) % n])
+                     for m in range(1, count + 1)]
+        else:
+            g = [_fold(terms_of, mu, rows, phi, n)
+                 for mu in range(min(n, count + 1))]
+            terms = [tuple((p, m ** (k - 1) * x) for p, x in g[m % n])
+                     for m in range(1, count + 1)]
+        for a in range(start, b + 1, n):
+            for e, term in zip(range(a, b + 1, a), terms):
                 vec = vecs.get(e)
                 if vec is None:
                     vec = vecs[e] = [0] * phi
-                for i, x in term:
-                    vec[i] += x
-    vecs[0] = const[0]
-    return QSeries._of(n, truncation, den, {e: tuple(v) for e, v in vecs.items()})
+                for p, x in term:
+                    vec[p] += x
+    return QSeries._of(n, b, den * scale,
+                       {e: tuple(v) for e, v in vecs.items()})
+
+
+def _fold(terms_of, mu: int, rows, phi: int, n: int) -> tuple:
+    """sum x zeta^(i + mu step) over the (step, pairs) of terms_of and the
+    (i, x) of each pairs, reduced, as its nonzero (coordinate, integer)
+    pairs."""
+    acc = [0] * phi
+    for step, pairs in terms_of:
+        for i, x in pairs:
+            for p, r in rows[(i + mu * step) % n]:
+                acc[p] += x * r
+    return tuple((p, x) for p, x in enumerate(acc) if x)

@@ -22,7 +22,8 @@ from operator import mul
 from .cyclotomic import (Cyclotomic, _multiplier, _norm_inverse, cyclo_embed,
                          euler_phi)
 from .eisenstein import (EisIndex, QSeries, _integral, constant_term,
-                         cusp_constants, cusps, eis_qseries, sturm_truncation)
+                         cusp_constants, cusps, eis_qseries, eis_sum,
+                         sturm_truncation)
 
 MAX_DEPTH = 2
 
@@ -176,10 +177,32 @@ def eis_series(idx: EisIndex, truncation: int | None = None) -> QuasiForm:
 _eis_series = eis_series
 
 
+def eis_form(coefficients: dict, weight: int, level: int,
+             truncation: int) -> QuasiForm:
+    """sum c_v E_{k,v} over the coefficients {v: c_v}, each rational or in
+    Q(zeta_level), as one form: its holomorphic part is one `eis_sum`,
+    and at weight 2 the completions add up to the constant Y-component
+    sum c_v.  No coefficients give the zero form.
+
+    >>> v, w = EisIndex(2, 5, 1, 2), EisIndex(2, 5, 4, 3)
+    >>> pair = eis_form({v: 1, w: 1}, 2, 5, 20)
+    >>> pair == eis_series(v, 20).scale(2)
+    True
+    >>> pair.component(1) == QSeries.const(5, 20, 2)
+    True
+    """
+    b = truncation
+    comps = (eis_sum(coefficients, weight, level, b),)
+    if weight == 2:
+        comps += (QSeries.const(level, b, sum(coefficients.values())),)
+    return QuasiForm(weight, level, b, comps)
+
+
 class EisBasis:
     """The torsion indices of the level-N weight-k Eisenstein series at
     one truncation; a member's series is `eis_series(idx, truncation)`,
-    built only where a solution needs it.
+    built only for a delta-certificate entry: a solution's combination of
+    members is expanded as one form (`eis_form`).
 
     Every index is kept except those `EisIndex.representative` reports
     zero, v = -v at odd weight: E_{k,v} = (-1)^k E_{k,v} is zero there,
@@ -411,8 +434,11 @@ def span_solve(target: QuasiForm, basis: EisBasis, values,
     The coefficients are read (`_read`) from the target's values on the
     columns of `EisBasis.rref()` (`columns`, Y-degree 0).  A delta term
     has no Y^0 constant at any cusp, so these are also the values of the
-    target less its delta terms.  The residual is one exact `combine`
-    over every exponent and Y-degree, so no verdict rests on the values."""
+    target less its delta terms.  The members' combination is expanded
+    as one form (`eis_form`), with the constant Y-component sum of the
+    coefficients at weight 2, and no member on its own.  The residual is
+    one exact `combine` of the target, that form and the delta terms over
+    every exponent and Y-degree, so no verdict rests on the values."""
     if target.level != basis.level or target.truncation != basis.truncation:
         raise ValueError("target and basis level/truncation mismatch")
     if target.weight != basis.weight:
@@ -422,7 +448,9 @@ def span_solve(target: QuasiForm, basis: EisBasis, values,
     b = target.truncation
     coefficients = _read(basis, values)
     parts = [(target, 1)]
-    parts += [(eis_series(idx, b), -c) for idx, c in coefficients.items()]
+    if coefficients:
+        parts.append((eis_form(coefficients, target.weight, target.level, b),
+                      -1))
     parts += [(delta(eis_series(idx, b)), -scale) for idx, scale in certificate]
     return SpanSolution(coefficients,
                         combine(parts, target.weight, target.level, b))

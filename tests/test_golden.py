@@ -1,10 +1,11 @@
 """Report bytes are the behaviour contract: the showcase script's reports
-and one INCONCLUSIVE claim must reproduce the JSON reports stored in
-golden/.
+and the claims below that it does not run must reproduce the JSON
+reports stored in golden/.
 
 Together they cover an empty certificate, depth-1 and depth-2 peel
 certificates (prop21_k3_n3, prop21_k4_n2), defect coefficients
-(three_term_n5), residual exponents (three_term_inconclusive) and the
+(three_term_n5, and the 22 of three_term_n7, which the showcase does
+not run), residual exponents (three_term_inconclusive) and the
 level-10 trace, which cancels as a formal sum (hecke_5_3_level10,
 recorded from the full expansion of its 56 terms).  Two claims below
 the proven truncation go through the solver and end INCONCLUSIVE: a
@@ -41,6 +42,8 @@ ZERO = TorsionPoint(1, 0, 0)
 AT_TRUNCATION = {
     "two_term_n5": lambda b: verify_two_term(LAM5, MU5, 5, b),
     "three_term_n5": lambda b: verify_three_term_w2(LAM5, MU5, 5, b),
+    "three_term_n7": lambda b: verify_three_term_w2(
+        TorsionPoint(7, 1, 0), TorsionPoint(7, 0, 1), 7, b),
     "three_term_inconclusive": lambda b: verify_three_term_w2(
         TorsionPoint(5, 0, 0), MU5, 5, b),
     "prop21_k3_n3": lambda b: verify_prop21(LParams(LAM3, MU3, 2, -1, 3), 3,
@@ -58,6 +61,7 @@ AT_TRUNCATION = {
 DIRECT = {
     "three_term_inconclusive": lambda: AT_TRUNCATION[
         "three_term_inconclusive"](None),
+    "three_term_n7": lambda: AT_TRUNCATION["three_term_n7"](None),
     "prop21_k4_n5_below_bound": lambda: verify_prop21(
         LParams(TorsionPoint(5, 1, 0), TorsionPoint(5, 0, 1), 1, 1, 4), 5,
         truncation=12),

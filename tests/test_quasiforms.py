@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eisenlab import cyclotomic, eisenstein, quasiforms, verifiers
@@ -31,6 +31,7 @@ from eisenlab.quasiforms import (
     cusp_values,
     delta,
     eis_basis,
+    eis_form,
     eis_series,
     eval_at,
     peel,
@@ -284,26 +285,41 @@ def test_norm_inverse():
 
 
 def test_three_term_expands_one_series_per_pm_class(monkeypatch):
-    # with cold caches the three-term claim at level 7 expands 25 series,
-    # the first index of each +- pair it uses (its 3 weight-1 factors and
-    # the 22 members of its defect), and reads the others from them
-    calls = []
+    # with cold caches the three-term claim at level 7 expands its 3
+    # weight-1 factors, the first index of each +- pair it uses, and
+    # builds no weight-2 series: its 22-member defect is one `eis_sum`
+    calls, weights, sums = [], [], []
     real = quasiforms.eis_qseries
+    real_series = quasiforms.eis_series
+    real_sum = quasiforms.eis_sum
 
     def counting(idx, truncation):
         calls.append(idx)
         return real(idx, truncation)
 
+    def counting_series(idx, truncation=None):
+        weights.append(idx.weight)
+        return real_series(idx, truncation)
+
+    def counting_sum(coefficients, weight, level, truncation):
+        sums.append(len(coefficients))
+        return real_sum(coefficients, weight, level, truncation)
+
     monkeypatch.setattr(quasiforms, "eis_qseries", counting)
+    monkeypatch.setattr(quasiforms, "eis_sum", counting_sum)
+    monkeypatch.setattr(quasiforms, "eis_series", counting_series)
+    monkeypatch.setattr(verifiers, "eis_series", counting_series)
     eis_series.cache_clear()
     report = verify_three_term_w2(TorsionPoint(7, 1, 0), TorsionPoint(7, 0, 1),
                                   7, proven_truncation(2, 7))
     assert report.status == "VERIFIED"
-    assert len(calls) == len(set(calls)) == 25
-    assert sum(idx.weight == 1 for idx in calls) == 3
-    assert len(report.defect.coefficients) == 22
+    assert len(calls) == len(set(calls)) == 3
+    assert all(idx.weight == 1 for idx in calls)
     assert all((idx.c1, idx.c2) <= (-idx.c1 % 7, -idx.c2 % 7)
                for idx in calls)
+    assert weights and 2 not in weights
+    assert len(report.defect.coefficients) == 22
+    assert sums == [22]
 
 
 def test_eis_series_shares_each_pm_pair():
@@ -578,7 +594,8 @@ def test_certify_orthogonal_subtracts_once(monkeypatch):
     # one integer combination builds the claim from its formal sum, one
     # per certificate entry is its delta image, and one more is the exact
     # residual, with the target, the delta terms and the Eisenstein
-    # combination together; the depth-2 claim below has both
+    # combination, one form, together; the depth-2 claim below has delta
+    # terms, the weight-2 one a combination
     calls = []
     real = quasiforms.combine
 
@@ -593,6 +610,14 @@ def test_certify_orthogonal_subtracts_once(monkeypatch):
     assert len(report.certificate) == 5
     assert not report.defect.coefficients
     assert calls == [9] + [2] * 5 + [1 + 5]
+    # a weight-2 claim subtracts its whole defect as one form: the
+    # target and the defect
+    calls.clear()
+    report = verify_three_term_w2(TorsionPoint(5, 1, 0), TorsionPoint(5, 0, 1),
+                                  5, proven_truncation(2, 5))
+    assert len(report.defect.coefficients) == 10
+    assert not report.certificate
+    assert calls == [3, 2]
 
 
 # -- one integer linear combination ----------------------------------------
@@ -650,6 +675,64 @@ def test_combine_rejects_a_frame_mismatch():
     for weight, level, b in ((2, 4, 6), (2, 3, 7), (4, 3, 6)):
         with pytest.raises(ValueError):
             quasiforms.combine([(f, 1)], weight, level, b)
+
+
+@st.composite
+def eisenstein_combination(draw):
+    """(k, N, B, {v: c_v}): a weight 1-5, a level 1-12, a truncation up to
+    3 N and up to 6 indices given by any residues, 0 and N/2 often (c1 = 0,
+    v = -v, second members of +- pairs), each with an int, a Fraction or
+    an element of Q(zeta_N), rational or not, one power-basis monomial
+    often."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    phi = euler_phi(n)
+    halves = [0, n] + ([n // 2, 3 * n // 2] if n % 2 == 0 else [])
+    residue = st.one_of(st.sampled_from(halves), st.integers(-n, 2 * n))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    scale = st.one_of(
+        st.integers(-3, 3), small,
+        st.lists(small, min_size=phi, max_size=phi).map(
+            lambda xs: Cyclotomic(n, tuple(xs))),
+        st.tuples(small, st.integers(0, phi - 1)).map(
+            lambda t: Cyclotomic(n, tuple(t[0] if i == t[1] else Fraction(0)
+                                          for i in range(phi)))))
+    coefficients = {EisIndex(k, n, draw(residue), draw(residue)): draw(scale)
+                    for _ in range(draw(st.integers(0, 6)))}
+    return k, n, draw(st.integers(0, 3 * n)), coefficients
+
+
+@settings(max_examples=200)
+@given(eisenstein_combination())
+@example((3, 5, 12, {EisIndex(3, 5, 1, 2): Cyclotomic.zeta(5, 2)}))
+@example((2, 6, 18, {EisIndex(2, 6, 0, 1): Cyclotomic.zeta(6, 1),
+                     EisIndex(2, 6, 3, 2): Fraction(1, 2)}))
+def test_eis_form_is_the_combination_of_its_members(case):
+    # one divisor sum against one series per member, combined, and against
+    # the row-sum oracle, with the Y-component sum c_v at weight 2
+    k, n, b, coefficients = case
+    got = eis_form(coefficients, k, n, b)
+    assert got == quasiforms.combine(
+        [(eis_series(idx, b), c) for idx, c in coefficients.items()], k, n, b)
+    holo = QSeries.zero(n, b)
+    for idx, c in coefficients.items():
+        holo = holo + row_sum_expansion(idx, b).scale(c)
+    comps = (holo,)
+    if k == 2:
+        comps += (QSeries.const(n, b, sum(coefficients.values())),)
+    assert got == QuasiForm(k, n, b, comps)
+
+
+def test_eis_form_of_no_coefficients_is_zero():
+    for k, n in ((1, 1), (2, 5), (3, 6)):
+        assert eis_form({}, k, n, 12) == QuasiForm(k, n, 12, ())
+
+
+def test_eis_sum_rejects_a_frame_mismatch():
+    for coefficients in ({EisIndex(3, 5, 1, 2): 1},
+                         {EisIndex(2, 4, 1, 2): 1},
+                         {EisIndex(2, 5, 1, 2): Cyclotomic.one(4)}):
+        with pytest.raises(ValueError):
+            eis_form(coefficients, 2, 5, 12)
 
 
 def test_build_L_expands_products_by_the_reference_arithmetic():
