@@ -93,8 +93,8 @@ def criterion_04_expansion() -> tuple[bool, str]:
         for k in range(1, 7):
             for c1 in range(n):
                 for c2 in range(n):
-                    # both indices expanded: `eis_series` reads one
-                    # from the other by `EisIndex.representative`
+                    # both indices expanded, to check the parity that
+                    # `canonical_sum` applies by `EisIndex.representative`
                     idx = EisIndex(k, n, c1, c2)
                     sign, first = idx.representative()
                     series = eis_qseries(idx, 3 * n)

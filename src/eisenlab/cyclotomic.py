@@ -2,15 +2,15 @@
 
 zeta_N means e^{2 pi i / N}.  An element is a vector of rationals on the
 power basis 1, zeta, ..., zeta^{phi(N)-1}, reduced modulo the N-th
-cyclotomic polynomial.  Rational scalars are `fractions.Fraction`
-throughout; two elements are equal iff their coefficient vectors are.
+cyclotomic polynomial, and stored as one denominator and an integer
+vector, as a `QSeries` coefficient is, so that the ring operations run in
+integers.  Inversion and the numeric embedding read Fraction coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence, Union
 
 Rational = Fraction
@@ -87,15 +87,11 @@ def _zeta_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         tuple((i, r) for i, r in enumerate(row) if r) for row in _power_table(n))
 
 
-def _reduce_vector(conductor: int, raw: Sequence[Scalar],
-                   zero: Scalar = Fraction(0)) -> tuple[Scalar, ...]:
-    """Fold raw mod x^conductor - 1, then reduce mod Phi_conductor.
-
-    Sums start from zero, so the result is a vector of Fractions; with
-    zero = 0 an int vector reduces in ints.
-    """
+def _reduce_vector(conductor: int, raw: Sequence[int]) -> tuple[int, ...]:
+    """Fold the integer vector raw mod x^conductor - 1, then reduce mod
+    Phi_conductor."""
     deg = euler_phi(conductor)
-    folded = [zero] * conductor
+    folded = [0] * conductor
     for j, c in enumerate(raw):
         if c:
             folded[j % conductor] += c
@@ -114,7 +110,7 @@ def _reduce_vector(conductor: int, raw: Sequence[Scalar],
 def _multiplier(conductor: int, vec: Sequence[int]) -> list[list[int]]:
     """Rows of the integer matrix of multiplication by the integer vector
     vec on the power basis: entry [p][i] is coordinate p of vec zeta^i."""
-    cols = [_reduce_vector(conductor, [0] * i + list(vec), 0)
+    cols = [_reduce_vector(conductor, [0] * i + list(vec))
             for i in range(euler_phi(conductor))]
     return [list(row) for row in zip(*cols)]
 
@@ -147,31 +143,57 @@ def _times(conductor: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...
         if x:
             for j, y in enumerate(b):
                 conv[i + j] += x * y
-    return _reduce_vector(conductor, conv, 0)
+    return _reduce_vector(conductor, conv)
 
 
-@dataclass(frozen=True)
 class Cyclotomic:
-    """An element of Q(zeta_conductor) on the reduced power basis."""
+    """An element of Q(zeta_conductor) on the reduced power basis, stored
+    as a positive denominator `den` and the integer tuple `vec` of den
+    times its phi(conductor) coordinates, in lowest terms: gcd(den, every
+    entry) = 1, so two elements are equal iff their fields are.  `coeffs`
+    reads the coordinates as Fractions.  Immutable by convention.
 
-    conductor: int
-    coeffs: tuple[Fraction, ...]
+    >>> x = Cyclotomic(6, (Fraction(1, 2), Fraction(1, 3)))
+    >>> x.den, x.vec
+    (6, (3, 2))
+    """
 
-    def __post_init__(self):
-        if self.conductor < 1:
+    __slots__ = ("conductor", "den", "vec")
+
+    def __init__(self, conductor: int, coeffs: Sequence[Scalar]):
+        if conductor < 1:
             raise ValueError("conductor must be >= 1")
-        if len(self.coeffs) != euler_phi(self.conductor):
+        if len(coeffs) != euler_phi(conductor):
             raise ValueError("coefficient vector has wrong length")
+        x = cyclo_reduce(conductor, coeffs)
+        self.conductor, self.den, self.vec = conductor, x.den, x.vec
+
+    @staticmethod
+    def _of(conductor: int, den: int, vec: Sequence[int]) -> Cyclotomic:
+        """The element vec / den, for den > 0 and an integer vector of
+        length phi(conductor): divides out gcd(den, every entry)."""
+        g = gcd(den, *vec)
+        if g > 1:
+            den //= g
+            vec = [x // g for x in vec]
+        out = Cyclotomic.__new__(Cyclotomic)
+        out.conductor, out.den, out.vec = conductor, den, tuple(vec)
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates on the power basis as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.vec)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(conductor: int) -> Cyclotomic:
-        return cyclo_reduce(conductor, ())
+        return Cyclotomic.from_rational(conductor, 0)
 
     @staticmethod
     def one(conductor: int) -> Cyclotomic:
-        return cyclo_reduce(conductor, (1,))
+        return Cyclotomic.from_rational(conductor, 1)
 
     @staticmethod
     def zeta(conductor: int, power: int = 1) -> Cyclotomic:
@@ -179,18 +201,20 @@ class Cyclotomic:
 
     @staticmethod
     def from_rational(conductor: int, value: Scalar) -> Cyclotomic:
-        return cyclo_reduce(conductor, (Fraction(value),))
+        f = Fraction(value)
+        return Cyclotomic._of(conductor, f.denominator,
+                              (f.numerator,) + (0,) * (euler_phi(conductor) - 1))
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.vec)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.vec[1:])
 
     # -- ring operations ---------------------------------------------------
 
@@ -209,14 +233,15 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(
-            self.conductor, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        den = lcm(self.den, o.den)
+        a, b = den // self.den, den // o.den
+        return Cyclotomic._of(self.conductor, den,
+                              [a * x + b * y for x, y in zip(self.vec, o.vec)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, tuple(-a for a in self.coeffs))
+        return Cyclotomic._of(self.conductor, self.den, [-x for x in self.vec])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -231,28 +256,19 @@ class Cyclotomic:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyclotomic(self.conductor, tuple(a * f for a in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = len(self.coeffs)
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        return cyclo_reduce(self.conductor, conv)
+        # `_times` skips the zero entries of its first factor, which are
+        # all but one for a rational factor
+        return Cyclotomic._of(self.conductor, self.den * o.den,
+                              _times(self.conductor, o.vec, self.vec))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return self * (Fraction(1) / Fraction(other))
+            return self * Fraction(1, other)  # raises ZeroDivisionError at 0
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -279,15 +295,14 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and Fraction(self.vec[0], self.den) == other
         if isinstance(other, Cyclotomic):
-            return (
-                self.conductor == other.conductor and self.coeffs == other.coeffs
-            )
+            return (self.conductor == other.conductor and self.den == other.den
+                    and self.vec == other.vec)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.conductor, self.coeffs))
+        return hash((self.conductor, self.den, self.vec))
 
     # -- display -----------------------------------------------------------
 
@@ -320,13 +335,17 @@ class Cyclotomic:
 
 def cyclo_reduce(conductor: int, raw) -> Cyclotomic:
     """Build an element from a dense coefficient sequence or a sparse
-    {power: coefficient} mapping, reducing mod Phi_conductor."""
-    if isinstance(raw, dict):
-        dense = [Fraction(0)] * conductor
-        for j, c in raw.items():
-            dense[j % conductor] += Fraction(c)
-        raw = dense
-    return Cyclotomic(conductor, _reduce_vector(conductor, raw))
+    {power: coefficient} mapping of rationals, reducing mod
+    Phi_conductor: the denominators are cleared first, and the integers
+    reduced."""
+    terms = [(j, Fraction(c))
+             for j, c in (raw.items() if isinstance(raw, dict) else enumerate(raw))
+             if c]
+    den = lcm(*(c.denominator for _, c in terms))
+    dense = [0] * conductor
+    for j, c in terms:
+        dense[j % conductor] += c.numerator * (den // c.denominator)
+    return Cyclotomic._of(conductor, den, _reduce_vector(conductor, dense))
 
 
 # -- inversion via extended Euclid against Phi_N ---------------------------

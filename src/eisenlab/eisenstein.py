@@ -157,7 +157,7 @@ class QSeries:
         v = self.vecs.get(n)
         if v is None:
             return Cyclotomic.zero(self.level)
-        return Cyclotomic(self.level, tuple(Fraction(x, self.den) for x in v))
+        return Cyclotomic._of(self.level, self.den, v)
 
     def is_zero(self) -> bool:
         return not self.vecs
@@ -196,23 +196,17 @@ class QSeries:
 
     def scale(self, factor) -> QSeries:
         """factor times the series, for a rational factor or one in
-        Q(zeta_level): a non-rational c = C / d scales every vector by
-        the integer matrix of C (`cyclotomic._multiplier`)."""
-        if isinstance(factor, Cyclotomic):
-            if factor.conductor != self.level:
-                raise ValueError("scale conductor must equal level")
-            if not factor.is_rational():
-                d, c = _integral({0: factor})
-                rows = _multiplier(self.level, c[0])
-                return QSeries._of(
-                    self.level, self.truncation, self.den * d,
-                    {e: tuple(sum(map(mul, row, v)) for row in rows)
-                     for e, v in self.vecs.items()})
-            factor = factor.coeffs[0]
-        f = Fraction(factor)
+        Q(zeta_level), c = C / d: C scales every vector by its integer
+        matrix (`cyclotomic._multiplier`)."""
+        if not isinstance(factor, Cyclotomic):
+            factor = Cyclotomic.from_rational(self.level, factor)
+        elif factor.conductor != self.level:
+            raise ValueError("scale conductor must equal level")
+        rows = _multiplier(self.level, factor.vec)
         return QSeries._of(
-            self.level, self.truncation, self.den * f.denominator,
-            {e: tuple(f.numerator * x for x in v) for e, v in self.vecs.items()})
+            self.level, self.truncation, self.den * factor.den,
+            {e: tuple(sum(map(mul, row, v)) for row in rows)
+             for e, v in self.vecs.items()})
 
     def __mul__(self, other: QSeries) -> QSeries:
         """Product to the common bound B, as one big-integer multiply
@@ -257,7 +251,7 @@ class QSeries:
         for e in range(b + 1):
             vec = digits[e * stride:(e + 1) * stride]
             if any(vec):
-                out[e] = _reduce_vector(n, vec, 0)
+                out[e] = _reduce_vector(n, vec)
         return QSeries._of(n, b, self.den * other.den, out)
 
     def theta(self) -> QSeries:
@@ -282,13 +276,13 @@ class QSeries:
         return f"QSeries(N={self.level}, B={self.truncation}, {head}...)"
 
 
-def _integral(coeffs: dict[int, Cyclotomic]) -> tuple[int, dict[int, tuple[int, ...]]]:
-    """(d, {e: d * coefficient}) with d the lcm of every denominator, so
-    each coefficient becomes an integer vector.  The pair is in lowest
-    terms: a prime power exactly dividing d exactly divides some reduced
-    denominator, and that entry's scaled numerator is prime to it."""
-    d = lcm(*(x.denominator for c in coeffs.values() for x in c.coeffs))
-    return d, {e: tuple(x.numerator * (d // x.denominator) for x in c.coeffs)
+def _integral(coeffs: dict) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """(d, {key: d * coefficient}) for `Cyclotomic`s, d the lcm of their
+    denominators.  The pair is in lowest terms: a prime power exactly
+    dividing d exactly divides some coefficient's denominator, and that
+    coefficient has an entry prime to it."""
+    d = lcm(*(c.den for c in coeffs.values()))
+    return d, {e: tuple(x * (d // c.den) for x in c.vec)
                for e, c in coeffs.items()}
 
 
@@ -507,16 +501,9 @@ def constant_term(idx: EisIndex) -> Cyclotomic:
     raw = [0] * n
     for a, t in enumerate(table):
         raw[-a * c2 % n] += t
-    scale = Fraction(-(-1) ** k, k * n * d)
-    return Cyclotomic(n, tuple(x * scale for x in _reduce_vector(n, raw, 0)))
-
-
-@lru_cache(maxsize=4096)
-def _constant_vector(idx: EisIndex) -> tuple[int, tuple[int, ...]]:
-    """(d, d times `constant_term(idx)`), an integer vector for the least
-    such d."""
-    d, vec = _integral({0: constant_term(idx)})
-    return d, vec[0]
+    sign = -(-1) ** k
+    return Cyclotomic._of(n, k * n * d,
+                          [sign * x for x in _reduce_vector(n, raw)])
 
 
 @lru_cache(maxsize=64)
@@ -552,9 +539,9 @@ def eis_sum(coefficients: dict, weight: int, level: int,
         sum over e = a m, a, m >= 1, of m^{k-1} G(a mod N, m mod N),
         G(alpha, mu) = sum_{c1 = alpha} c_v zeta^{mu c2}
                        + (-1)^k sum_{c1 = -alpha} c_v zeta^{-mu c2}.
-    It runs in integers over one denominator d L: the c_v over d, and L
-    the lcm of the denominators of their constant terms.  The vectors
-    d L G(alpha, mu) are read from the reduced rows of zeta^j
+    It runs in integers over one denominator d L: d the lcm of the
+    stored denominators of the c_v, L that of their constant terms.  The
+    vectors d L G(alpha, mu) are read from the reduced rows of zeta^j
     (`cyclotomic._zeta_rows`), and the constant sum c_v c0(v) sits at
     exponent 0, which no row term reaches.
 
@@ -568,29 +555,25 @@ def eis_sum(coefficients: dict, weight: int, level: int,
     True
     """
     k, n, b = weight, level, truncation
-    members = []  # (index, coordinates of c_v, d0, d0 c0(v))
+    members = []  # (index, c_v, c0(v))
     for idx, c in coefficients.items():
         if idx.weight != k or idx.level != n:
             raise ValueError("index outside the given weight and level")
-        if isinstance(c, Cyclotomic):
-            if c.conductor != n:
-                raise ValueError("coefficient conductor must equal level")
-            c = c.coeffs
-        else:
-            c = (c,)  # an int or a Fraction
-        members.append((idx, c, *_constant_vector(idx)))
-    den = lcm(*(x.denominator for _, c, _, _ in members for x in c))
-    scale = lcm(*(d0 for _, _, d0, _ in members))
+        if not isinstance(c, Cyclotomic):
+            c = Cyclotomic.from_rational(n, c)
+        elif c.conductor != n:
+            raise ValueError("coefficient conductor must equal level")
+        members.append((idx, c, constant_term(idx)))
+    den = lcm(*(c.den for _, c, _ in members))
+    scale = lcm(*(c0.den for _, _, c0 in members))
     rows, phi, sign = _zeta_rows(n), euler_phi(n), (-1) ** k
     const = [0] * phi
     parts: dict[int, list] = {}  # alpha -> [(step, pairs of d L c_v)]
-    for idx, c, d0, c0 in members:
-        vec = [x.numerator * (den // x.denominator) for x in c]
-        if any(c0):
-            prod = (_times(n, vec, c0) if any(vec[1:])
-                    else [vec[0] * y for y in c0])
-            for i, x in enumerate(prod):
-                const[i] += scale // d0 * x
+    for idx, c, c0 in members:
+        vec = [x * (den // c.den) for x in c.vec]
+        if c0:
+            for i, x in enumerate(_times(n, vec, c0.vec)):
+                const[i] += scale // c0.den * x
         pairs = [(i, scale * x) for i, x in enumerate(vec) if x]
         parts.setdefault(idx.c1, []).append((idx.c2, pairs))
         parts.setdefault(-idx.c1 % n, []).append(

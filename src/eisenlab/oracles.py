@@ -19,7 +19,7 @@ from math import comb, floor
 
 import mpmath
 
-from .cyclotomic import Cyclotomic, cyclo_invert, cyclo_reduce, cyclotomic_poly
+from .cyclotomic import Cyclotomic, cyclo_invert, cyclotomic_poly
 from .eisenstein import QSeries
 from .quasiforms import MAX_DEPTH, QuasiForm, SpanSolution
 
@@ -63,6 +63,20 @@ def periodic_bernoulli(k: int, x: Fraction) -> Fraction:
                 for j in range(k + 1)), Fraction(0))
 
 
+def phi_remainder(n: int, raw) -> tuple:
+    """The coordinates of sum raw[j] zeta_n^j on the power basis, for
+    rationals raw[j]: the remainder of long division by Phi_n."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    vec = list(raw) + [0] * deg
+    for top in range(len(vec) - 1, deg - 1, -1):
+        c = vec[top]
+        if c:
+            for j, p in enumerate(phi):
+                vec[top - deg + j] -= c * p
+    return tuple(vec[:deg])
+
+
 def row_sum_constant(idx) -> Cyclotomic:
     """The constant term of `eisenstein`'s module docstring, in Fraction
     arithmetic: -(-1)^k N^{k-1}/k sum_a zeta^{-a c2} Bbar_k(a/N) for
@@ -74,7 +88,8 @@ def row_sum_constant(idx) -> Cyclotomic:
     raw = [Fraction(0)] * n
     for a in range(n):
         raw[-a * c2 % n] += periodic_bernoulli(k, Fraction(a, n))
-    return cyclo_reduce(n, raw) * Fraction(-(-1) ** k * n ** (k - 1), k)
+    scale = Fraction(-(-1) ** k * n ** (k - 1), k)
+    return Cyclotomic(n, tuple(x * scale for x in phi_remainder(n, raw)))
 
 
 def row_sum_expansion(idx, truncation: int) -> QSeries:
@@ -82,8 +97,8 @@ def row_sum_expansion(idx, truncation: int) -> QSeries:
     module docstring, gathered by m: the q_N^e coefficient is the sum of
     m^{k-1} zeta^{m c2} over the m dividing e with e/m = c1 mod N, plus
     (-1)^k m^{k-1} zeta^{-m c2} over those with e/m = -c1 mod N.  Each
-    coefficient is reduced once, by long division by Phi_N; the constant
-    is `row_sum_constant`."""
+    coefficient is reduced once, by long division by Phi_N
+    (`phi_remainder`); the constant is `row_sum_constant`."""
     k, n, c1, c2 = idx.weight, idx.level, idx.c1, idx.c2
     raw: dict[int, list[int]] = {}
     for m in range(1, truncation + 1):
@@ -92,16 +107,7 @@ def row_sum_expansion(idx, truncation: int) -> QSeries:
             for a in range(side * c1 % n or n, truncation // m + 1, n):
                 vec = raw.setdefault(a * m, [0] * n)
                 vec[side * m * c2 % n] += sign * m ** (k - 1)
-    phi = cyclotomic_poly(n)
-    deg = len(phi) - 1
-    coeffs = {}
-    for e, vec in raw.items():
-        for top in range(n - 1, deg - 1, -1):
-            c = vec[top]
-            if c:
-                for j, p in enumerate(phi):
-                    vec[top - deg + j] -= c * p
-        coeffs[e] = Cyclotomic(n, tuple(map(Fraction, vec[:deg])))
+    coeffs = {e: Cyclotomic(n, phi_remainder(n, vec)) for e, vec in raw.items()}
     coeffs[0] = row_sum_constant(idx)
     return QSeries(n, truncation, coeffs)
 

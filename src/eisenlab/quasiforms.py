@@ -153,28 +153,17 @@ def eis_series(idx: EisIndex, truncation: int | None = None) -> QuasiForm:
     Weight 2 carries the Hecke-summation completion: its Y-component is
     the constant series 1, independently of the torsion index.
 
-    Only the first index of each +- pair, in (c1, c2) order, is expanded
-    (`EisIndex.representative`): E_{k,-v} = (-1)^k E_{k,v}, the same
-    series at even k and its negative at odd k, and zero at odd k when
-    v = -v.
+    The index given is the one expanded.  The verifiers ask only for the
+    first index of each +- pair (`verifiers.canonical_sum`), and the
+    basis holds only those (`EisBasis`), so one series per pair is built.
     """
     b = sturm_truncation(idx.weight, idx.level) if truncation is None else truncation
-    sign, first = idx.representative()
-    if not sign:
-        return QuasiForm(idx.weight, idx.level, b, ())
-    if first != idx:
-        first = _eis_series(first, b)
-        return first if sign == 1 else -first
     holo = eis_qseries(idx, b)
     if idx.weight == 2:
         comps = (holo, QSeries.const(idx.level, b, 1))
     else:
         comps = (holo,)
     return QuasiForm(idx.weight, idx.level, b, comps)
-
-
-# the cache itself, which a wrapper set on the module name does not replace
-_eis_series = eis_series
 
 
 def eis_form(coefficients: dict, weight: int, level: int,
@@ -204,12 +193,13 @@ class EisBasis:
     built only for a delta-certificate entry: a solution's combination of
     members is expanded as one form (`eis_form`).
 
-    Every index is kept except those `EisIndex.representative` reports
-    zero, v = -v at odd weight: E_{k,v} = (-1)^k E_{k,v} is zero there,
-    and a member known to be zero would only pad the basis.
+    An index is kept iff it is the first of its +- pair and its series
+    is not known to be zero, that is iff `EisIndex.representative`
+    returns (1, idx): E_{k,-v} = (-1)^k E_{k,v} adds nothing to the span
+    of E_{k,v}, and at odd weight E_{k,v} = 0 when v = -v.
 
     >>> len(EisBasis(3, 4, 12)), len(EisBasis(2, 4, 12))
-    (12, 16)
+    (6, 10)
     """
 
     __slots__ = ("weight", "level", "truncation", "indices", "_rref")
@@ -221,7 +211,7 @@ class EisBasis:
         self.indices = tuple(idx for idx in (EisIndex(weight, level, c1, c2)
                                              for c1 in range(level)
                                              for c2 in range(level))
-                             if idx.representative()[0])
+                             if idx.representative() == (1, idx))
         self._rref = None
 
     def __len__(self):
@@ -239,8 +229,6 @@ class EisBasis:
         the Y-component, 1 for every member.  Each member in turn is
         reduced against the rows so far and, if something is left, becomes
         a row, 1 at its least column and cleared from every earlier row.
-        A member that is not the first of its +- pair is dropped
-        unreduced (`EisIndex.representative`): E_{k,-v} = (-1)^k E_{k,v}.
 
         The value map is injective on the members' span, so the kept
         members, and the coefficients of a target in the span, are those
@@ -271,8 +259,6 @@ def _reduce(basis: EisBasis) -> list:
     table = cusp_constants(k, n)
     rows: list[tuple[int, int, dict, dict]] = []
     for t, idx in enumerate(basis.indices):
-        if idx.representative()[1] != idx:
-            continue
         row = dict(table[idx.c1, idx.c2])
         if k == 2:
             row[len(cusps(n))] = Cyclotomic.one(n)
@@ -364,7 +350,7 @@ def cusp_values(terms, level: int) -> list[list[Cyclotomic]]:
                 c = row.get(col)
                 if c is None:
                     break
-                x = x * (c.coeffs[0] if c.is_rational() else c)
+                x = x * c
             else:
                 if x:
                     out[col][j] = out[col][j] + x
@@ -413,15 +399,14 @@ def _read(basis: EisBasis, values) -> dict:
     n = basis.level
     terms = []  # c_i T_i = (v times the vectors of track) / d
     for pivot, d, track in basis.rref():
-        if values[pivot]:
-            dv, v = _integral({0: values[pivot]})
-            terms.append((dv * d, v[0], track))
+        v = values[pivot]
+        if v:
+            terms.append((v.den * d, v.vec, track))
     den = lcm(*(d for d, _, _ in terms))
     combo: dict[int, list[int]] = {}
     for d, v, track in terms:
         _add_products(combo, _multiplier(n, v), track, den // d)
-    return {basis.indices[t]: Cyclotomic(n, tuple(Fraction(x, den)
-                                                  for x in combo[t]))
+    return {basis.indices[t]: Cyclotomic._of(n, den, combo[t])
             for t in sorted(combo) if any(combo[t])}
 
 

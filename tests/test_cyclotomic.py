@@ -1,6 +1,7 @@
 """Field arithmetic in Q(zeta_N): ring axioms, inversion, embeddings,
 string round-trips, and the numeric image."""
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -15,6 +16,7 @@ from eisenlab.cyclotomic import (
     cyclotomic_poly,
     euler_phi,
 )
+from eisenlab.oracles import phi_remainder
 
 CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12)
 
@@ -157,3 +159,64 @@ def test_numeric_embedding_known_value():
 def test_embed_precision_floor():
     with pytest.raises(ValueError):
         cyclo_embed(Cyclotomic.one(3), 10)
+
+
+# -- the integer storage against Fraction schoolbook arithmetic ------------
+
+
+@st.composite
+def fraction_vector_pairs(draw):
+    """A conductor 1-12 and two Fraction vectors of its length phi."""
+    n = draw(st.integers(1, 12))
+    vector = st.lists(small_fracs, min_size=euler_phi(n), max_size=euler_phi(n))
+    return n, tuple(draw(vector)), tuple(draw(vector))
+
+
+def schoolbook(n, x, y):
+    """The reduced product of the vectors x and y: their Fraction
+    convolution, divided by Phi_n."""
+    conv = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            conv[i + j] += a * b
+    return phi_remainder(n, conv)
+
+
+def coordinate_string(n, x):
+    powers = ["", "*z"] + [f"*z^{j}" for j in range(2, len(x))]
+    return " + ".join(f"{c.numerator}/{c.denominator}{p}"
+                      for c, p in zip(x, powers)) + f" | {n}"
+
+
+@given(fraction_vector_pairs(), small_fracs)
+def test_arithmetic_matches_the_fraction_schoolbook(case, r):
+    n, x, y = case
+    a, b = Cyclotomic(n, x), Cyclotomic(n, y)
+    assert a.coeffs == x
+    assert (a + b).coeffs == tuple(p + q for p, q in zip(x, y))
+    assert (a - b).coeffs == tuple(p - q for p, q in zip(x, y))
+    assert (a * r).coeffs == (r * a).coeffs == tuple(p * r for p in x)
+    assert (a * b).coeffs == schoolbook(n, x, y)
+    if any(y):
+        # a / b is the element whose schoolbook product with b is a
+        assert schoolbook(n, (a / b).coeffs, y) == x
+    assert (a == b) == (x == y)
+    assert a.to_string() == coordinate_string(n, x)
+    assert Cyclotomic.from_string(coordinate_string(n, x)).coeffs == x
+
+
+@given(fraction_vector_pairs(), st.integers(1, 30))
+def test_storage_is_in_lowest_terms_whatever_the_route(case, m):
+    # equal values built over different denominators store the same
+    # denominator, vector and hash
+    n, x, y = case
+    a = Cyclotomic(n, x)
+    assert a.den > 0 and gcd(a.den, *a.vec) == 1
+    routes = (Cyclotomic._of(n, m * a.den, [m * v for v in a.vec]),
+              (a + Cyclotomic(n, y)) - Cyclotomic(n, y),
+              a * m / m,
+              cyclo_reduce(n, {j + m * n: c for j, c in enumerate(x)}),
+              Cyclotomic.from_string(a.to_string()))
+    for b in routes:
+        assert b == a
+        assert (b.den, b.vec, hash(b)) == (a.den, a.vec, hash(a))

@@ -13,8 +13,7 @@ from eisenlab import cyclotomic, eisenstein, quasiforms, verifiers
 from eisenlab.cyclotomic import (Cyclotomic, _norm_inverse, cyclo_invert,
                                  euler_phi)
 from eisenlab.eisenstein import (EisIndex, QSeries, cusp_constants, cusps,
-                                 eis_qseries, proven_truncation,
-                                 sturm_truncation)
+                                 proven_truncation, sturm_truncation)
 from eisenlab.oracles import (exact_rref, exact_span_solve, kept_members,
                               row_sum_expansion)
 from eisenlab.quasiforms import (
@@ -159,25 +158,29 @@ def test_eis_basis_membership():
     assert len(eis_basis(1, 2, 12)) == 0
     assert all(row_sum_expansion(EisIndex(1, 2, c1, c2), 12).is_zero()
                for c1 in range(2) for c2 in range(2))
+    # level 3, weight 1: (0, 0) is zero and the other 8 indices form 4
+    # +- pairs, each kept by its first index
     b3 = eis_basis(1, 3, 12)
-    assert len(b3) == 8
+    assert len(b3) == 4
+    assert b3.indices == tuple(EisIndex(1, 3, c1, c2)
+                               for c1, c2 in ((0, 1), (1, 0), (1, 1), (1, 2)))
 
 
 def test_basis_indices_keep_the_nonzero_series_rule():
-    # an index is dropped exactly when its series, expanded by the row
-    # sums, is zero, which is exactly at odd weight with v = -v, where
-    # `EisIndex.representative` reports sign 0
+    # the basis holds the first index of each +- pair whose series,
+    # expanded by the row sums, is nonzero; a series is zero exactly at
+    # odd weight with v = -v, where `EisIndex.representative` reports
+    # sign 0
     for k in range(1, 7):
         for n in range(1, 9):
-            want = tuple(EisIndex(k, n, c1, c2) for c1 in range(n)
-                         for c2 in range(n)
-                         if not row_sum_expansion(EisIndex(k, n, c1, c2),
-                                                  12).is_zero())
+            every = [EisIndex(k, n, c1, c2) for c1 in range(n)
+                     for c2 in range(n)]
+            zero = {idx: row_sum_expansion(idx, 12).is_zero() for idx in every}
+            want = tuple(idx for idx in every
+                         if idx.representative()[1] == idx and not zero[idx])
             assert EisBasis(k, n, 12).indices == want, (k, n)
-            assert all((idx.representative()[0] == 0)
-                       == (idx not in want and k % 2 == 1)
-                       for idx in (EisIndex(k, n, c1, c2) for c1 in range(n)
-                                   for c2 in range(n))), (k, n)
+            assert all((idx.representative()[0] == 0) == zero[idx]
+                       for idx in every), (k, n)
 
 
 def test_basis_builds_no_series(monkeypatch):
@@ -323,14 +326,13 @@ def test_three_term_expands_one_series_per_pm_class(monkeypatch):
 
 
 def test_eis_series_shares_each_pm_pair():
+    # E_{k,-v} = (-1)^k E_{k,v}, the sign `verifiers.canonical_sum` takes
+    # before it asks for the first index's series alone
     for k in range(1, 5):
         first = eis_series(EisIndex(k, 5, 1, 2), 20)
         other = eis_series(EisIndex(k, 5, 4, 3), 20)
-        if k % 2:
-            assert other == -first
-        else:
-            assert other is first
-        assert other.component(0) == eis_qseries(EisIndex(k, 5, 4, 3), 20)
+        assert other == (-first if k % 2 else first)
+        assert other.component(0) == row_sum_expansion(EisIndex(k, 5, 4, 3), 20)
 
 
 @pytest.mark.slow
