@@ -76,16 +76,19 @@ def criterion_02_hull() -> tuple[bool, str]:
 
 
 def criterion_03_bijection() -> tuple[bool, str]:
-    pairs = 0
-    for n in range(1, 8):
+    """Every consecutive pair of the chains with N <= 12, the chains of
+    criterion-02 and of the K32/K34 kernel scopes."""
+    chains = pairs = 0
+    for n in range(1, 13):
         for s in range(n):
             if gcd(s, n) != 1:
                 continue
+            chains += 1
             for pair in hull_chain(n, s).pairs():
                 if not verify_pair_bijection(n, s, pair):
                     return False, f"bijection failed at (N,S)=({n},{s}), {pair}"
                 pairs += 1
-    return True, f"{pairs} consecutive pairs enumerated over N <= 7"
+    return True, f"{pairs} consecutive pairs of {chains} chains checked over N <= 12"
 
 
 def criterion_04_expansion() -> tuple[bool, str]:

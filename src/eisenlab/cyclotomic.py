@@ -18,6 +18,7 @@ Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """
     >>> [euler_phi(n) for n in (1, 2, 6, 12)]

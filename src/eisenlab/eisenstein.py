@@ -383,8 +383,11 @@ def index_mu(n: int) -> int:
 def sturm_truncation(k: int, n: int) -> int:
     """The default truncation of weight-k claims at level n,
     n (ceil(k mu / 12) + 1) with mu = index_mu(n).  It is more than n
-    times `proven_truncation`, the bound that certifies, and is the
-    default only because `perfbench/expected.json` records it.
+    times `proven_truncation`, the bound that certifies.  It stays the
+    default because the warm-up of `perfbench/child.py` calls it by
+    name, and because a faster default fits more claims into a timed
+    `sweep_warm` run, whose worker keeps every outcome, so its peak
+    memory would rise.
 
     >>> sturm_truncation(3, 10), proven_truncation(3, 10)
     (910, 90)

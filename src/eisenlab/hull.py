@@ -1,10 +1,10 @@
 """First-quadrant convex hull chains of shear sublattices, and the
 finite pair-bijection check attached to their consecutive vectors.
 
-The sublattice for level N and shear S is {(x, y) : x = S*y mod N}; the
-chain walks the origin-facing boundary of its nonzero first-quadrant
-points from (N, 0) to (0, N), listing every lattice point on that
-boundary, so consecutive determinants all equal N.
+The sublattice for level N and shear S is L = {(x, y) : x = S*y mod N};
+the chain lists every lattice point on the origin-facing boundary of the
+convex hull of its nonzero first-quadrant points, from (N, 0) to (0, N),
+so consecutive determinants all equal N.
 """
 from __future__ import annotations
 
@@ -33,10 +33,6 @@ class HullChain:
         return tuple(zip(self.vectors, self.vectors[1:]))
 
 
-def _cross(u: Vec, v: Vec) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def sublattice_points(n: int, s: int) -> list[Vec]:
     """Nonzero points of the shear sublattice inside [0, n]^2."""
     pts = []
@@ -47,8 +43,34 @@ def sublattice_points(n: int, s: int) -> list[Vec]:
     return pts
 
 
+def _check_shear(n: int, s: int) -> int:
+    s %= n
+    if gcd(s, n) != 1:
+        raise NonCoprimeShear(f"gcd({s}, {n}) != 1")
+    return s
+
+
 def hull_chain(n: int, s: int) -> HullChain:
-    """Gift-wrap the origin-facing hull boundary from (N, 0) to (0, N).
+    """The boundary chain v_0 = (N, 0), v_1 = (S, 1) and
+    v_(i+1) = m_i v_i - v_(i-1), m_i = ceil(x_(i-1) / x_i), until x = 0.
+
+    With det(u, v) = u_x v_y - u_y v_x:
+
+    - det(v_i, v_(i+1)) = det(v_(i-1), v_i) = ... = det(v_0, v_1) = N,
+      the index of L in Z^2, so each consecutive pair is a basis of L.
+    - x_(i+1) = m_i x_i - x_(i-1) lies in [0, x_i), so x strictly
+      decreases and the walk ends.  x_(i-1) > x_i gives m_i >= 2, so
+      y_(i+1) - y_i >= y_i - y_(i-1) >= ... >= y_1 - y_0 = 1.
+    - The last vector (0, y) is in L, so N | y as gcd(S, N) = 1; with its
+      predecessor (x > 0) it is a basis of L, so y | N: it is (0, N).
+    - The cones of consecutive pairs tile the first quadrant.  The
+      nonzero points of L in the cone of (v_i, v_(i+1)) are a v_i +
+      b v_(i+1), integers a, b >= 0, so they lie beyond the segment from
+      v_i to v_(i+1) or are its ends.  As v_(i-1) + v_(i+1) = m_i v_i,
+      m_i >= 2, the broken line bends towards the origin or runs
+      straight: it is the hull boundary, and the chain lists each of its
+      lattice points once.  These are Hirzebruch-Jung continued
+      fractions (Fulton, Introduction to Toric Varieties, section 2.6).
 
     >>> hull_chain(1, 0).vectors
     ((1, 0), (0, 1))
@@ -57,32 +79,12 @@ def hull_chain(n: int, s: int) -> HullChain:
     """
     if n < 1:
         raise ValueError("level must be >= 1")
-    s %= n
-    if gcd(s, n) != 1:
-        raise NonCoprimeShear(f"gcd({s}, {n}) != 1")
-    points = sublattice_points(n, s)
-    chain = [(n, 0)]
-    current = (n, 0)
-    while current != (0, n):
-        # Hull vertices have strictly decreasing x, so only look left.
-        best = None
-        for pt in points:
-            if pt[0] >= current[0]:
-                continue
-            if best is None:
-                best = pt
-                continue
-            d_best = (best[0] - current[0], best[1] - current[1])
-            d_pt = (pt[0] - current[0], pt[1] - current[1])
-            c = _cross(d_best, d_pt)
-            if c > 0:
-                best = pt
-            elif c == 0 and abs(d_pt[0]) < abs(d_best[0]):
-                # Collinear: keep the nearest so edge-interior lattice
-                # points stay in the chain.
-                best = pt
-        chain.append(best)
-        current = best
+    s = _check_shear(n, s)
+    chain = [(n, 0), (s, 1)]
+    while chain[-1][0]:
+        (x0, y0), (x1, y1) = chain[-2], chain[-1]
+        m = -(-x0 // x1)
+        chain.append((m * x1 - x0, m * y1 - y0))
     return HullChain(level=n, shear=s, vectors=tuple(chain))
 
 
@@ -90,34 +92,24 @@ def verify_pair_bijection(n: int, s: int, pair: tuple[Vec, Vec]) -> bool:
     """Check that a consecutive hull pair ((a,b), (c,d)) induces a
     bijection from the congruence lattice onto the integer lattice.
 
-    Work in the finite shadow: over (Z/n)^2 x (Z/n)^2 with v, w standing
-    for numerator vectors of n-torsion points, the constraint set is
+    Work in the finite shadow: with v, w in (Z/n)^2 standing for
+    numerator vectors of n-torsion points, the constraint set is
     Lbar = {(v, w) : S v + w = 0 mod n}.  The pair passes iff the map
-    (v, w) -> (a v + b w, c v + d w) mod n kills exactly Lbar, and
-    |Lbar| = n^2 with determinant ad - bc = n; together these say the
-    induced map on the full preimage lattice hits Z^4 bijectively.
+    (v, w) -> (a v + b w, c v + d w) mod n kills exactly Lbar; with
+    determinant ad - bc = n this says the induced map on the full
+    preimage lattice hits Z^4 bijectively.  The map and Lbar act on each
+    coordinate of v and w alone, so that test on (Z/n)^4 is the one below
+    on (Z/n)^2 twice, and |Lbar| = n^2 always.
     """
     (a, b), (c, d) = pair
     det = a * d - c * b
     if det != n:
         raise NotConsecutive(f"det {det} != level {n}")
-    s %= n
-    if gcd(s, n) != 1:
-        raise NonCoprimeShear(f"gcd({s}, {n}) != 1")
-    constrained = 0
-    for v1 in range(n):
-        for v2 in range(n):
-            for w1 in range(n):
-                for w2 in range(n):
-                    in_lbar = (s * v1 + w1) % n == 0 and (s * v2 + w2) % n == 0
-                    image_zero = (
-                        (a * v1 + b * w1) % n == 0
-                        and (a * v2 + b * w2) % n == 0
-                        and (c * v1 + d * w1) % n == 0
-                        and (c * v2 + d * w2) % n == 0
-                    )
-                    if in_lbar != image_zero:
-                        return False
-                    if in_lbar:
-                        constrained += 1
-    return constrained == n * n
+    s = _check_shear(n, s)
+    for v in range(n):
+        for w in range(n):
+            in_lbar = (s * v + w) % n == 0
+            image_zero = (a * v + b * w) % n == 0 and (c * v + d * w) % n == 0
+            if in_lbar != image_zero:
+                return False
+    return True

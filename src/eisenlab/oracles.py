@@ -6,7 +6,7 @@ numbers come from the Akiyama-Tanigawa triangle instead of the package's
 power-sum recurrence, expansions from the row sums gathered by divisor
 and reduced by long division by Phi_N instead of the table of reduced
 powers of zeta, hulls from a monotone chain in sheared coordinates
-instead of gift wrapping, constant terms / point values from direct
+instead of the continued-fraction recurrence, constant terms / point values from direct
 (conditionally or absolutely convergent) lattice sums, and row reductions
 and span solves from a plain Gauss-Jordan elimination of the q-expansions
 in `Cyclotomic` arithmetic instead of the certifier's elimination of the

@@ -46,8 +46,8 @@ class MultiPoly:
     coefficient, an integer.  The pair is kept in lowest terms,
     gcd(den, every coefficient) = 1, so two polynomials are equal iff
     their fields are.  Arithmetic and the gcd run on these integers;
-    `terms`, `leading()` and `substitute` read Fractions back.  Immutable
-    by convention.
+    `terms` and `substitute` read Fractions back.  Immutable by
+    convention.
     """
 
     __slots__ = ("den", "ints")
@@ -152,10 +152,6 @@ class MultiPoly:
     def degree(self, var: int) -> int:
         """Degree in variable index var; -1 for the zero polynomial."""
         return _degree(self.ints, var) if self.ints else -1
-
-    def leading(self) -> tuple[Exponent, Fraction]:
-        e = max(self.ints)
-        return e, Fraction(self.ints[e], self.den)
 
     def substitute(self, values: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -629,27 +625,23 @@ def check_kernel(identity_id: str, k: int | None = None,
                     return False, w
             return True, RatFunc.constant(0)
 
-        # K34: numerator cross-difference per pair, then the full
-        # telescoping chain sum.
+        # K34: one walk over the pairs.  Each pair's cross-difference
+        # n1 e2 - n2 e1 must equal det (pB - qA), and it is the
+        # denominator of the pair's term of the telescoping chain sum.
         if k is None or k < 2:
             raise ValueError("K34 needs k >= 2")
-        for (a1, b1), (a2, b2) in pairs:
-            lhs = (a1 * p + b1 * q) * (a2 * A + b2 * B) - (a2 * p + b2 * q) * (
-                a1 * A + b1 * B
-            )
-            rhs = (a1 * b2 - a2 * b1) * (p * B - q * A)
-            w = lhs - rhs
-            if not w.is_zero():
-                return False, w
         total = RatFunc.constant(0)
         for (a1, b1), (a2, b2) in pairs:
             n1 = a1 * p + b1 * q
             n2 = a2 * p + b2 * q
             e1 = a1 * A + b1 * B
             e2 = a2 * A + b2 * B
+            den = n1 * e2 - n2 * e1
+            w = den - (a1 * b2 - a2 * b1) * (p * B - q * A)
+            if not w.is_zero():
+                return False, w
             if e1.is_zero() or e2.is_zero():
                 raise ZeroDenominator("degenerate chain vector")
-            den = n1 * e2 - n2 * e1
             if den.is_zero():
                 raise ZeroDenominator("degenerate cross-difference")
             total = total + ((n1 / e1) ** (k - 1) - (n2 / e2) ** (k - 1)) / den

@@ -50,8 +50,10 @@ def test_euler_phi_table():
 
 
 def test_euler_phi_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        euler_phi(0)
+    # twice for 0: the memo must not remember a failed call
+    for n in (0, -3, 0):
+        with pytest.raises(ValueError):
+            euler_phi(n)
 
 
 def test_cyclotomic_poly_known():

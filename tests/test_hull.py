@@ -1,4 +1,5 @@
 """Hull chains of shear sublattices and the pair-bijection check."""
+from itertools import product
 from math import gcd
 
 import pytest
@@ -51,13 +52,18 @@ def test_rejects_bad_parameters():
         hull_chain(0, 1)
 
 
-def test_matches_oracle_to_level_12():
-    for n in range(1, 13):
+def test_matches_oracle_to_level_60():
+    for n in range(1, 61):
         for s in range(n):
             if gcd(s, n) != 1:
                 continue
-            got = list(hull_chain(n, s).vectors)
-            assert got == hull_oracle(sublattice_points(n, s)), (n, s)
+            vecs = hull_chain(n, s).vectors
+            assert list(vecs) == hull_oracle(sublattice_points(n, s)), (n, s)
+            assert vecs[0] == (n, 0) and vecs[-1] == (0, n)
+            for (a, b), (c, d) in zip(vecs, vecs[1:]):
+                assert a * d - b * c == n, (n, s)
+            for x, y in vecs:
+                assert (x - s * y) % n == 0, (n, s)
 
 
 @given(coprime_params())
@@ -103,10 +109,49 @@ def test_sublattice_points_contents():
             assert (x - s * y) % n == 0
 
 
+def bijection_on_z_n_4(n, s, pair):
+    """The pair test over (Z/n)^2 x (Z/n)^2: the map kills exactly Lbar,
+    and |Lbar| = n^2."""
+    (a, b), (c, d) = pair
+    constrained = 0
+    for v1, v2, w1, w2 in product(range(n), repeat=4):
+        in_lbar = (s * v1 + w1) % n == 0 and (s * v2 + w2) % n == 0
+        image_zero = (
+            (a * v1 + b * w1) % n == 0
+            and (a * v2 + b * w2) % n == 0
+            and (c * v1 + d * w1) % n == 0
+            and (c * v2 + d * w2) % n == 0
+        )
+        if in_lbar != image_zero:
+            return False
+        constrained += in_lbar
+    return constrained == n * n
+
+
 def test_bijection_on_true_pairs():
     for n, s in ((5, 3), (5, 2), (6, 5), (7, 3)):
         for pair in hull_chain(n, s).pairs():
             assert verify_pair_bijection(n, s, pair)
+
+
+def test_bijection_matches_the_z_n_4_enumeration():
+    # every chain pair, and every first-quadrant pair of determinant N
+    outcomes = set()
+    for n in range(1, 9):
+        for s in range(n):
+            if gcd(s, n) != 1:
+                continue
+            chain_pairs = set(hull_chain(n, s).pairs())
+            pairs = chain_pairs | {
+                ((a, b), (c, d))
+                for a, b, c, d in product(range(n + 1), repeat=4)
+                if a * d - b * c == n}
+            for pair in pairs:
+                got = verify_pair_bijection(n, s, pair)
+                assert got == bijection_on_z_n_4(n, s, pair), (n, s, pair)
+                assert got or pair not in chain_pairs
+                outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_bijection_rejects_wrong_determinant():
