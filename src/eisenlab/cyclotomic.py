@@ -3,8 +3,10 @@
 zeta_N means e^{2 pi i / N}.  An element is a vector of rationals on the
 power basis 1, zeta, ..., zeta^{phi(N)-1}, reduced modulo the N-th
 cyclotomic polynomial, and stored as one denominator and an integer
-vector, as a `QSeries` coefficient is, so that the ring operations run in
-integers.  Inversion and the numeric embedding read Fraction coordinates.
+vector, as a `QSeries` coefficient is, so that every field operation runs
+in integers, inversion too: over the norm.  Fractions appear only at the
+rational edges: input, comparison and hashing against rationals, the
+`coeffs` view and the numeric embedding.
 """
 from __future__ import annotations
 
@@ -41,7 +43,8 @@ def euler_phi(n: int) -> int:
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n as ints, low degree first, computed by
-    dividing x^n - 1 by Phi_d over all proper divisors d | n.
+    dividing x^n - 1 by Phi_d over all proper divisors d | n.  Each Phi_d
+    is monic, so the division runs in integers.
 
     >>> cyclotomic_poly(4)
     (1, 0, 1)
@@ -51,41 +54,34 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_poly(d))
-            if rem:
+            div = cyclotomic_poly(d)
+            deg = len(div) - 1
+            # in place from the top: poly[i] is the quotient's coefficient
+            # of x^(i - deg) once reached, and the remainder is left below
+            for i in range(len(poly) - 1, deg - 1, -1):
+                for j, p in enumerate(div[:-1]):
+                    poly[i - deg + j] -= poly[i] * p
+            if any(poly[:deg]):
                 raise ArithmeticError("non-exact cyclotomic division")
-    # each Phi_d is monic, so the quotients stay integral
-    return tuple(int(c) for c in poly)
-
-
-@lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """zeta_n^j reduced mod Phi_n as integer vectors, for phi(n) <= j < n."""
-    deg = euler_phi(n)
-    phi = cyclotomic_poly(n)
-    # zeta^deg = -(phi[0] + phi[1] zeta + ...): Phi_n is monic.
-    rows = []
-    cur = [-c for c in phi[:deg]]
-    rows.append(tuple(cur))
-    for _ in range(deg + 1, n):
-        shifted = [0] + cur[:-1]
-        lead = cur[-1]
-        if lead:
-            top = rows[0]
-            shifted = [s + lead * t for s, t in zip(shifted, top)]
-        cur = shifted
-        rows.append(tuple(cur))
-    return tuple(rows)
+            poly = poly[deg:]
+    return tuple(poly)
 
 
 @lru_cache(maxsize=32)
 def _zeta_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """zeta_n^j reduced mod Phi_n for 0 <= j < n, each row as its nonzero
-    (coordinate, integer) pairs: a unit pair below phi(n), then the rows
-    of `_power_table`."""
+    (coordinate, integer) pairs, built by zeta^j = zeta zeta^(j-1) with
+    zeta^phi(n) = -(Phi_n - x^phi(n)): Phi_n is monic."""
     deg = euler_phi(n)
-    return tuple(((j, 1),) for j in range(deg)) + tuple(
-        tuple((i, r) for i, r in enumerate(row) if r) for row in _power_table(n))
+    top = [-c for c in cyclotomic_poly(n)[:deg]]
+    cur = [1] + [0] * (deg - 1)
+    rows = []
+    for _ in range(n):
+        rows.append(tuple((i, r) for i, r in enumerate(cur) if r))
+        lead, cur = cur[-1], [0] + cur[:-1]
+        if lead:
+            cur = [s + lead * t for s, t in zip(cur, top)]
+    return tuple(rows)
 
 
 def _reduce_vector(conductor: int, raw: Sequence[int]) -> tuple[int, ...]:
@@ -96,15 +92,13 @@ def _reduce_vector(conductor: int, raw: Sequence[int]) -> tuple[int, ...]:
     for j, c in enumerate(raw):
         if c:
             folded[j % conductor] += c
-    table = _power_table(conductor)
+    rows = _zeta_rows(conductor)
     out = folded[:deg]
     for j in range(deg, conductor):
         c = folded[j]
         if c:
-            row = table[j - deg]
-            for i, r in enumerate(row):
-                if r:
-                    out[i] += c * r
+            for i, r in rows[j]:
+                out[i] += c * r
     return tuple(out)
 
 
@@ -303,14 +297,18 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
+        # a rational element equals, so hashes as, the Fraction it is
+        if self.is_rational():
+            return hash(Fraction(self.vec[0], self.den))
         return hash((self.conductor, self.den, self.vec))
 
     # -- display -----------------------------------------------------------
 
     def to_string(self) -> str:
         parts = []
-        for j, c in enumerate(self.coeffs):
-            body = f"{c.numerator}/{c.denominator}"
+        for j, x in enumerate(self.vec):
+            g = gcd(x, self.den)
+            body = f"{x // g}/{self.den // g}"
             if j == 0:
                 parts.append(body)
             elif j == 1:
@@ -349,57 +347,15 @@ def cyclo_reduce(conductor: int, raw) -> Cyclotomic:
     return Cyclotomic._of(conductor, den, _reduce_vector(conductor, dense))
 
 
-# -- inversion via extended Euclid against Phi_N ---------------------------
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    inv_lead = Fraction(1) / b[-1]
-    while len(r) >= len(b) and any(r):
-        if not r[-1]:
-            r.pop()
-            continue
-        shift = len(r) - len(b)
-        c = r[-1] * inv_lead
-        q[shift] = c
-        for j, bj in enumerate(b):
-            r[shift + j] -= c * bj
-        r.pop()
-    return q, _poly_trim(r)
-
-
 def cyclo_invert(x: Cyclotomic) -> Cyclotomic:
     """Multiplicative inverse; raises ZeroDivisionError at zero.
 
-    Extended Euclid of the representing polynomial against Phi_N: the gcd
-    is 1 because Phi_N is irreducible over Q.
+    x = vec / den, and vec w = d (`_norm_inverse`), so 1/x = den w / d.
     """
     if x.is_zero():
         raise ZeroDivisionError("zero has no inverse in Q(zeta)")
-    if x.is_rational():
-        return Cyclotomic.from_rational(x.conductor, Fraction(1) / x.coeffs[0])
-    phi = [Fraction(c) for c in cyclotomic_poly(x.conductor)]
-    r0, r1 = phi, _poly_trim(list(x.coeffs))
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        s = list(s0)
-        s += [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    s[i + j] -= qi * sj
-        r0, r1, s0, s1 = r1, r, s1, _poly_trim(s)
-    # r0 is a nonzero constant gcd; s0 * x = r0 mod Phi.
-    scale = Fraction(1) / r0[0]
-    return cyclo_reduce(x.conductor, [c * scale for c in s0])
+    w, d = _norm_inverse(x.conductor, x.vec)
+    return Cyclotomic._of(x.conductor, d, [x.den * c for c in w])
 
 
 # -- numeric embedding -----------------------------------------------------

@@ -585,20 +585,11 @@ def eis_sum(coefficients: dict, weight: int, level: int,
     for alpha, terms_of in parts.items():
         start = alpha or n
         count = b // start
-        # the row terms of m: m^{k-1} d L G(alpha, m mod N).  When one
-        # member alone meets alpha, G(alpha, m) = x zeta^(i + m step) is a
-        # zeta row, and nothing needs folding
-        step, pairs = terms_of[0]
-        if len(terms_of) == 1 and len(pairs) == 1:
-            (i, x), = pairs
-            terms = [tuple((p, m ** (k - 1) * x * r)
-                           for p, r in rows[(i + m * step) % n])
-                     for m in range(1, count + 1)]
-        else:
-            g = [_fold(terms_of, mu, rows, phi, n)
-                 for mu in range(min(n, count + 1))]
-            terms = [tuple((p, m ** (k - 1) * x) for p, x in g[m % n])
-                     for m in range(1, count + 1)]
+        # the row terms of m: m^{k-1} d L G(alpha, m mod N)
+        g = [_fold(terms_of, mu, rows, phi, n)
+             for mu in range(min(n, count + 1))]
+        terms = [tuple((p, m ** (k - 1) * x) for p, x in g[m % n])
+                 for m in range(1, count + 1)]
         for a in range(start, b + 1, n):
             for e, term in zip(range(a, b + 1, a), terms):
                 vec = vecs.get(e)

@@ -10,7 +10,10 @@ instead of the continued-fraction recurrence, constant terms / point values from
 (conditionally or absolutely convergent) lattice sums, and row reductions
 and span solves from a plain Gauss-Jordan elimination of the q-expansions
 in `Cyclotomic` arithmetic instead of the certifier's elimination of the
-constant terms at the cusps and its integer solve from them.
+constant terms at the cusps and its integer solve from them.  Its pivots
+are inverted by `cyclo_invert`, which shares the norm inverse
+`_norm_inverse` with the certifier: the independence lies in what is
+eliminated, whole q-expansions, not in how a pivot is inverted.
 """
 from __future__ import annotations
 

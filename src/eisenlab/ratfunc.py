@@ -102,6 +102,9 @@ class MultiPoly:
         return self.den == o.den and self.ints == o.ints
 
     def __hash__(self):
+        # a constant equals, so hashes as, the Fraction it is
+        if self.is_constant():
+            return hash(Fraction(self.ints.get(_ZERO_EXP, 0), self.den))
         return hash((self.den, frozenset(self.ints.items())))
 
     @property
@@ -454,6 +457,10 @@ class RatFunc:
         return self.numer == o.numer and self.denom == o.denom
 
     def __hash__(self):
+        # a normalized constant denominator is 1: hash as the numerator,
+        # so that a constant hashes as the Fraction it equals
+        if self.denom.is_constant():
+            return hash(self.numer)
         return hash((self.numer, self.denom))
 
     # -- arithmetic --------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from eisenlab.cyclotomic import (
     Cyclotomic,
+    _zeta_rows,
     cyclo_embed,
     cyclo_invert,
     cyclo_reduce,
@@ -66,9 +67,10 @@ def test_cyclotomic_poly_known():
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
 
 
-@pytest.mark.parametrize("n", [6, 8, 10, 12])
+@pytest.mark.parametrize("n", range(1, 61))
 def test_cyclotomic_poly_product(n):
     # independent route: prod over d | n of Phi_d must equal x^n - 1
+    assert len(cyclotomic_poly(n)) - 1 == euler_phi(n)
     prod = [1]
     for d in range(1, n + 1):
         if n % d == 0:
@@ -79,6 +81,17 @@ def test_cyclotomic_poly_product(n):
                     out[i + j] += a * b
             prod = out
     assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+def test_zeta_rows_match_long_division():
+    for n in range(1, 41):
+        rows = _zeta_rows(n)
+        assert len(rows) == n
+        for j, row in enumerate(rows):
+            dense = [0] * euler_phi(n)
+            for i, r in row:
+                dense[i] = r
+            assert tuple(dense) == phi_remainder(n, [0] * j + [1])
 
 
 def test_zeta_relations():
@@ -110,7 +123,11 @@ def test_ring_axioms(triple):
     assert a - a == Cyclotomic.zero(a.conductor)
 
 
-@given(field_elements())
+@given(st.one_of(
+    field_elements(),
+    field_elements((7, 9, 10, 15, 16, 20, 21, 24, 30)),
+    st.builds(Cyclotomic.from_rational, st.sampled_from(CONDUCTORS + (30,)),
+              small_fracs)))
 def test_inverse(a):
     if a.is_zero():
         with pytest.raises(ZeroDivisionError):
@@ -131,6 +148,14 @@ def test_rational_detection():
     assert x.is_rational()
     assert x == Fraction(7, 3)
     assert not Cyclotomic.zeta(3).is_rational()
+
+
+def test_rational_elements_hash_as_the_numbers_they_equal():
+    # objects that compare equal must hash equal
+    for value in (3, Fraction(5, 3), 0, -1):
+        x = Cyclotomic.from_rational(5, value)
+        assert x == value
+        assert len({x, value}) == 1
 
 
 @given(field_elements())

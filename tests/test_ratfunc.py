@@ -217,6 +217,16 @@ def test_ratfunc_arithmetic():
         RatFunc.var("r")
 
 
+def test_constants_hash_as_the_numbers_they_equal():
+    # objects that compare equal must hash equal
+    for value in (3, Fraction(1, 2), 0):
+        for x in (MultiPoly.constant(value), RatFunc.constant(value)):
+            assert x == value
+            assert len({x, value}) == 1
+    a, b = RatFunc.var("A"), RatFunc.var("B")
+    assert len({(a + 1) / (b + 1), (2 * a + 2) / (2 * b + 2)}) == 1
+
+
 def test_normalize_tree():
     v = constrained_vars()
     assert str(v["A"] + v["B"] + v["C"]) == "0"
