@@ -8,9 +8,11 @@ and reduced by long division by Phi_N instead of the table of reduced
 powers of zeta, hulls from a monotone chain in sheared coordinates
 instead of the continued-fraction recurrence, constant terms / point values from direct
 (conditionally or absolutely convergent) lattice sums, and row reductions
-and span solves from a plain Gauss-Jordan elimination of the q-expansions
-in `Cyclotomic` arithmetic instead of the certifier's elimination of the
-constant terms at the cusps and its integer solve from them.  Its pivots
+and span solves from a plain Gauss-Jordan elimination of the q-expansions,
+or of the constant terms on the cusp columns themselves, in `Cyclotomic`
+arithmetic instead of the certifier's integer elimination of the
+constant terms (on rational columns from weight 2 on) and its integer
+solve from them.  Its pivots
 are inverted by `cyclo_invert`, which shares the norm inverse
 `_norm_inverse` with the certifier: the independence lies in what is
 eliminated, whole q-expansions, not in how a pivot is inverted.
@@ -231,9 +233,11 @@ def _axpy(vec, scale: Cyclotomic, other):
             vec[key] = val
 
 
-def exact_rref(members) -> list[tuple[tuple[int, int], dict, dict]]:
-    """Gauss-Jordan over Q(zeta_N) on the stacked member vectors, keyed by
-    (Y-degree, q-exponent), with tracking.
+def exact_rref(members) -> list[tuple[object, dict, dict]]:
+    """Gauss-Jordan over Q(zeta_N) on the members, each a form, stacked
+    into a vector keyed by (Y-degree, q-exponent), or a vector itself: a
+    dict from orderable keys to `Cyclotomic`s, such as a member's
+    constants at the cusps.  Tracks the combinations.
 
     Members are taken in order; each one is reduced against the rows so
     far and, if something is left, becomes a row whose pivot is its least
@@ -242,10 +246,13 @@ def exact_rref(members) -> list[tuple[tuple[int, int], dict, dict]]:
     track maps member positions to the coefficients that combine the
     members into the row.
     """
-    rows: list[tuple[tuple[int, int], dict, dict]] = []
-    for pos, form in enumerate(members):
-        vec = _stack(form)
-        track = {pos: Cyclotomic.one(form.level)}
+    rows: list[tuple[object, dict, dict]] = []
+    for pos, member in enumerate(members):
+        vec = (_stack(member) if isinstance(member, QuasiForm)
+               else {key: c for key, c in member.items() if c})
+        if not vec:
+            continue
+        track = {pos: Cyclotomic.one(next(iter(vec.values())).conductor)}
         for pivot, rvec, rtrack in rows:
             c = vec.get(pivot)
             if c is not None:
@@ -275,18 +282,26 @@ def kept_members(rows) -> list[int]:
     return sorted({t for *_, track in rows for t in track})
 
 
-def exact_span_solve(target: QuasiForm, basis, rows) -> SpanSolution:
-    """Gauss-Jordan reduction of the target against rows = `exact_rref`
-    of the series of basis.indices, in their order, in `Cyclotomic`
-    arithmetic: the coefficients are the tracks weighted by the values
-    the target has at each pivot when its row comes."""
-    vec = _stack(target)
-    combo: dict[int, Cyclotomic] = {}
+def exact_read(vec: dict, rows) -> tuple[dict, dict]:
+    """Reduces a copy of the vector vec, less its zero entries, against
+    rows = `exact_rref`, in their order, in `Cyclotomic` arithmetic:
+    (combo, rest), combo the member positions' coefficients, the tracks
+    weighted by the values vec has at each pivot when its row comes, and
+    rest what is left of vec.  rest is empty iff vec is in the members'
+    span, and then vec is sum combo[t] member_t."""
+    vec, combo = {key: c for key, c in vec.items() if c}, {}
     for pivot, rvec, rtrack in rows:
         c = vec.get(pivot)
         if c is not None:
             _axpy(vec, c, rvec)
             _axpy(combo, -c, rtrack)
+    return combo, vec
+
+
+def exact_span_solve(target: QuasiForm, basis, rows) -> SpanSolution:
+    """`exact_read` of the target's stacked expansion against rows =
+    `exact_rref` of the series of basis.indices, in their order."""
+    combo, vec = exact_read(_stack(target), rows)
     coeffs = {basis.indices[i]: combo[i] for i in sorted(combo)}
     residual = _unstack(vec, target.weight, target.level, target.truncation)
     return SpanSolution(coefficients=coeffs, residual=residual)

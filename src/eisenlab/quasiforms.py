@@ -19,8 +19,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .cyclotomic import (Cyclotomic, _multiplier, _norm_inverse, cyclo_embed,
-                         euler_phi)
+from .cyclotomic import (Cyclotomic, _multiplier, _norm_inverse,
+                         _reduce_vector, cyclo_embed, euler_phi)
 from .eisenstein import (EisIndex, QSeries, _integral, constant_term,
                          cusp_constants, cusps, eis_qseries, eis_sum,
                          sturm_truncation)
@@ -219,16 +219,21 @@ class EisBasis:
 
     def rref(self) -> list:
         """The (pivot column, den, track) triples of a Gauss-Jordan
-        elimination of the members' cusp values, in the order the rows
-        arise; built on first use.  A track maps member positions to
-        integer vectors, den times the coefficients that combine the
-        members into the row.
+        elimination of the members' constant terms at the cusps, in the
+        order the rows arise; built on first use.  A track maps member
+        positions to integer vectors, den times the coefficients that
+        combine the members into the row.
 
-        Column i holds the constant term of m|gamma_i, gamma_i the i-th of
-        `cusps(level)`; at weight 2 one more column holds the constant of
-        the Y-component, 1 for every member.  Each member in turn is
-        reduced against the rows so far and, if something is left, becomes
-        a row, 1 at its least column and cleared from every earlier row.
+        At weight 1, column i holds the constant term of m|gamma_i,
+        gamma_i the i-th of `cusps(level)`, in Q(zeta_N), and so do the
+        tracks.  At weight k >= 2 the cusp columns are changed line by
+        line so that every entry, and every track, is rational
+        (`_line_row`): the pivots index these columns, and `_read` maps a
+        target's values into them.  At weight 2 one more column, last,
+        holds the constant of the Y-component, 1 for every member.  Each
+        member in turn is reduced against the rows so far and, if
+        something is left, becomes a row, 1 at its least column and
+        cleared from every earlier row.
 
         The value map is injective on the members' span, so the kept
         members, and the coefficients of a target in the span, are those
@@ -238,6 +243,38 @@ class EisBasis:
         in 0 (Diamond and Shurman, A First Course in Modular Forms, ch. 4).
         At weight 2, the Y column of sum c_v E_{2,v} is sum c_v, so a zero
         there makes the combination holomorphic.
+
+        The lines.  At k >= 2, c0(E_{k,v}|gamma) = 0 unless v gamma has
+        first entry 0, that is unless v lies on the line {v : c1 a + c2 c
+        = 0 mod N} of gamma = (a b; c d).  The cusps of one line have
+        first columns u (a0, c0), u a unit mod N, up to sign: r = phi(N)/2
+        of them, or r = 1 when N <= 2.  A member on it is v = (0, s)
+        gamma_0^-1, for gamma_0 its first cusp, and at the cusp of u its
+        constant is c0(E_{k,(0, s w)}), w = u^-1.  Column m = e, ...,
+        e + r - 1 of the line, e = k mod 2, is sum_x (zeta^(m w_x) +
+        (-1)^k zeta^(-m w_x)) col_x over its cusps x (the single term
+        zeta^(m w_x) col_x when N <= 2, where w_x = -w_x).  With
+        E_{k,-v} = (-1)^k E_{k,v} the two terms of x run over the units w
+        once each, so the entry of v is
+            R[s][m] = sum_{w unit} zeta^(m w) c0(E_{k,(0, s w)})
+                    = -(-1)^k / (k N d) sum_a T[a] c_N(m - a s)
+        by `constant_term`, (d, T) = `eisenstein._bernoulli_row(k, N)`
+        and c_N(n) = sum_{w unit} zeta^(n w) the Ramanujan sum.  Every
+        automorphism zeta -> zeta^u of Q(zeta_N) permutes the terms of a
+        Ramanujan sum, so it is a rational algebraic integer, an integer,
+        and R is rational; members off the line have 0 there.
+
+        Nothing else changes, because the change is invertible on each
+        line, so the row relations, the kept members and the coefficients
+        are those of the cusp columns.  For N <= 2 a column is +-col_x.
+        For N >= 3 put t_x = cos(2 pi w_x / N): the w_x are the units up to
+        sign, so the r values t_x are distinct.  At even k the columns
+        are 2 cos(m theta_x) = 2 T_m(t_x), m = 0, ..., r - 1, and at odd k
+        2i sin(m theta_x) = 2i sin(theta_x) U_{m-1}(t_x), m = 1, ..., r,
+        with sin(theta_x) != 0 as 2 w_x != 0 mod N.  T_m and U_{m-1} have
+        degree exactly m and m - 1, so each matrix is a Vandermonde
+        matrix at distinct points times a triangular one (and a nonzero
+        diagonal): Chebyshev-Vandermonde, invertible.
         """
         if self._rref is None:
             self._rref = _reduce(self)
@@ -251,64 +288,175 @@ def eis_basis(weight: int, level: int, truncation: int | None = None) -> EisBasi
 
 
 def _reduce(basis: EisBasis) -> list:
-    """`EisBasis.rref`, on sparse rows of integer vectors: a row is
-    (den, vec, track), its values vec[col] / den and coefficients
-    track[t] / den, in lowest terms.  A pivot is inverted over its norm
-    (`cyclotomic._norm_inverse`)."""
+    """`EisBasis.rref`, on sparse rows of integer vectors over the
+    conductor f of its columns, N at weight 1 and 1 (plain integers)
+    above: a row is (den, vec, track), its values vec[col] / den and
+    coefficients track[t] / den, in lowest terms.  A pivot is inverted
+    over its norm (`cyclotomic._norm_inverse`)."""
     k, n = basis.weight, basis.level
-    table = cusp_constants(k, n)
+    f = n if k == 1 else 1
     rows: list[tuple[int, int, dict, dict]] = []
     for t, idx in enumerate(basis.indices):
-        row = dict(table[idx.c1, idx.c2])
+        if k == 1:
+            row = cusp_constants(k, n)[idx.c1, idx.c2]
+        else:
+            row = _line_row(k, n, idx.c1, idx.c2)
         if k == 2:
-            row[len(cusps(n))] = Cyclotomic.one(n)
+            row = {**row, len(cusps(n)): Cyclotomic.one(f)}
         den, vec = _integral(row)
         vec = {col: list(v) for col, v in vec.items()}
-        parts = (vec, {t: [den] + [0] * (euler_phi(n) - 1)})
+        parts = (vec, {t: [den] + [0] * (euler_phi(f) - 1)})
         for pivot, rden, *rparts in rows:
             if pivot in vec:
-                den = _axpy(den, parts, vec[pivot], rden, rparts, n)
+                den = _axpy(den, parts, vec[pivot], rden, rparts, f)
         if not vec:
             continue
         pivot = min(vec)
-        inv, di = _norm_inverse(n, vec[pivot])
-        times_inv = _multiplier(n, inv)
+        inv, di = _norm_inverse(f, vec[pivot])
+        times_inv = _multiplier(f, inv)
         for part in parts:
             for v in part.values():
                 v[:] = [sum(map(mul, r, v)) for r in times_inv]
         den = _lowest(di, parts)
         for i, (p, rden, *rparts) in enumerate(rows):
             if pivot in rparts[0]:
-                rows[i] = (p, _axpy(rden, rparts, rparts[0][pivot], den, parts,
-                                    n), *rparts)
+                rden = _axpy(rden, rparts, rparts[0][pivot], den, parts, f)
+                rows[i] = (p, _lowest(rden, rparts), *rparts)
         rows.append((pivot, den, *parts))
     return [(pivot, den, track) for pivot, den, _, track in rows]
 
 
 def _axpy(den: int, parts, c: list, rden: int, rparts, n: int) -> int:
     """parts - (c / den) rparts, in place, for integer vectors c and
-    parts over den and rparts over rden; returns the new denominator."""
-    rows = _multiplier(n, c)
+    parts over den and rparts over rden, dropping the vectors that become
+    0; returns the new denominator, not yet in lowest terms (`_lowest`).
+    The gcd of rden and c is divided out first, and a rational c scales
+    by its one integer, with no multiplier matrix."""
+    g = gcd(rden, *c)
+    rden = rden // g
+    c = [x // g for x in c]
+    rows = _multiplier(n, c) if any(c[1:]) else None
     for part, rpart in zip(parts, rparts):
-        for v in part.values():
-            v[:] = [rden * x for x in v]
-        _add_products(part, rows, rpart, -1)
-    return _lowest(den * rden, parts)
+        if rden != 1:
+            for v in part.values():
+                v[:] = [rden * x for x in v]
+        if rows is not None:
+            _add_products(part, rows, rpart, -1)
+            for key in rpart:
+                if not any(part[key]):
+                    del part[key]
+            continue
+        for key, w in rpart.items():
+            v = part.get(key)
+            if v is None:
+                part[key] = [-c[0] * y for y in w]
+            else:
+                v[:] = [a - c[0] * y for a, y in zip(v, w)]
+                if not any(v):
+                    del part[key]
+    return den * rden
 
 
 def _lowest(den: int, parts) -> int:
-    """Drops the zero vectors of parts and divides the gcd of den and
-    every entry out, in place; returns the new denominator."""
+    """Divides the gcd of den and every entry of parts out, in place;
+    returns the new denominator."""
     g = den
     for part in parts:
-        for key in [key for key, v in part.items() if not any(v)]:
-            del part[key]
-        g = gcd(g, *(x for v in part.values() for x in v))
-    if g > 1:
-        for part in parts:
-            for v in part.values():
-                v[:] = [x // g for x in v]
+        for v in part.values():
+            g = gcd(g, *v)
+            if g == 1:
+                return den
+    for part in parts:
+        for v in part.values():
+            v[:] = [x // g for x in v]
     return den // g
+
+
+# -- the rational columns at weight >= 2 (`EisBasis.rref`) -----------------
+
+
+@lru_cache(maxsize=32)
+def _lines(n: int) -> tuple:
+    """The cusps of `cusps(n)` by line (`EisBasis.rref`), lines in order
+    of their first cusp gamma_0: (gamma_0, terms), with one term
+    (w, col, flip) per unit w mod n.  col is the cusp whose first column
+    is w^-1 (flip false) or -w^-1 (flip true) times that of gamma_0; it
+    enters column m of the line with zeta^(m w), times (-1)^k if flip."""
+    units = [u for u in range(n) if gcd(u, n) == 1]
+    found: dict[tuple[int, int], tuple[int, int]] = {}
+    lines: list[tuple[tuple, list]] = []
+    for col, (a, b, c, d) in enumerate(cusps(n)):
+        if (a % n, c % n) not in found:
+            for u in units:
+                found[u * a % n, u * c % n] = (len(lines), u)
+            lines.append(((a, b, c, d), []))
+        line, u = found[a % n, c % n]
+        w = pow(u, -1, n)
+        lines[line][1].append((w, col, False))
+        if -w % n != w:
+            lines[line][1].append((-w % n, col, True))
+    return tuple((gamma, tuple(terms)) for gamma, terms in lines)
+
+
+def _zeta_sum(n: int, terms) -> Cyclotomic:
+    """sum sign zeta^j x over the (j, sign, x) of terms, x in Q(zeta_n),
+    in integers over one denominator: shifted coordinates, reduced once."""
+    terms = [(j, sign, x) for j, sign, x in terms if x]
+    den = lcm(*(x.den for _, _, x in terms))
+    raw = [0] * n
+    for j, sign, x in terms:
+        scale = sign * (den // x.den)
+        for i, y in enumerate(x.vec):
+            raw[(i + j) % n] += scale * y
+    return Cyclotomic._of(n, den, _reduce_vector(n, raw))
+
+
+@lru_cache(maxsize=32)
+def _line_values(k: int, n: int) -> tuple:
+    """R[s][m - e] = sum_{w unit} zeta^(m w) c0(E_{k,(0, s w)}) for
+    0 <= s < n and m = e, ..., e + r - 1 (`EisBasis.rref`), each a
+    rational number as an element of Q(zeta_1)."""
+    r, e = (euler_phi(n) + 1) // 2, k % 2
+    units = [w for w in range(n) if gcd(w, n) == 1]
+    table = []
+    for s in range(n):
+        c0 = [constant_term(EisIndex(k, n, 0, s * w % n)) for w in units]
+        row = []
+        for m in range(e, e + r):
+            x = _zeta_sum(n, [(m * w, 1, c) for w, c in zip(units, c0)])
+            if any(x.vec[1:]):
+                raise ArithmeticError("a line value is not rational")
+            row.append(Cyclotomic._of(1, x.den, x.vec[:1]))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _line_row(k: int, n: int, c1: int, c2: int) -> dict[int, Cyclotomic]:
+    """The nonzero entries of the member (c1, c2) on the rational columns
+    of `EisBasis.rref`, weight k >= 2: column l r + j is column m = e + j
+    of line l.  The member lies on line l iff (c1, c2) gamma_0 = (0, s),
+    and then its entries there are R[s] (`_line_values`)."""
+    r, values = (euler_phi(n) + 1) // 2, _line_values(k, n)
+    row = {}
+    for line, ((a, b, c, d), _) in enumerate(_lines(n)):
+        if (c1 * a + c2 * c) % n == 0:
+            for j, x in enumerate(values[(c1 * b + c2 * d) % n]):
+                if x:
+                    row[line * r + j] = x
+    return row
+
+
+def _line_value(values, k: int, n: int, col: int) -> Cyclotomic:
+    """Column col of `_line_row`'s columns for a target with the cusp
+    values of `columns`: its values at the cusps of the line, each
+    zeta-shifted, summed.  The Y column is kept as it is."""
+    if col >= len(cusps(n)):
+        return values[col]
+    r = (euler_phi(n) + 1) // 2
+    m = k % 2 + col % r
+    _, terms = _lines(n)[col // r]
+    return _zeta_sum(n, [(m * w, (-1) ** k if flip else 1, values[x])
+                         for w, x, flip in terms])
 
 
 # -- values at the cusps ---------------------------------------------------
@@ -387,25 +535,35 @@ class SpanSolution:
 def _read(basis: EisBasis, values) -> dict:
     """The coefficients sum_i values[p_i] T_i over the rows (p_i, den_i,
     T_i) of `EisBasis.rref()`, nonzero only, keyed by basis index in
-    basis order; values as `columns` gives them.
+    basis order; values as `columns` gives them.  At weight 1 the pivots
+    index the cusps; at weight >= 2 they index the rational columns of
+    `EisBasis.rref`, so the values are first mapped into those columns,
+    at the pivots only (`_line_value`, the same zeta-shifts that make
+    the rows).
 
     The rows are 1 at their own pivot and 0 at the others, so for the
     values of a combination of the members these are its own
-    coefficients, the value map being injective on the span.  Values
-    that are all 0 need no row reduction.  Runs in integers over one
-    denominator."""
+    coefficients, the value map being injective on the span.  The
+    change of columns keeps them: on each line it is invertible (a
+    Chebyshev-Vandermonde matrix for N >= 3, +-1 for N <= 2), and it
+    maps the members' rows to rational ones (Ramanujan sums), as
+    `EisBasis.rref` proves.
+    Values that are all 0 need no row reduction.  Runs in integers over
+    one denominator."""
     if not any(values):
         return {}
-    n = basis.level
+    k, n = basis.weight, basis.level
     terms = []  # c_i T_i = (v times the vectors of track) / d
     for pivot, d, track in basis.rref():
-        v = values[pivot]
+        v = values[pivot] if k == 1 else _line_value(values, k, n, pivot)
         if v:
             terms.append((v.den * d, v.vec, track))
     den = lcm(*(d for d, _, _ in terms))
     combo: dict[int, list[int]] = {}
     for d, v, track in terms:
-        _add_products(combo, _multiplier(n, v), track, den // d)
+        # a rational track takes v's coordinates as a column
+        rows = _multiplier(n, v) if k == 1 else [[x] for x in v]
+        _add_products(combo, rows, track, den // d)
     return {basis.indices[t]: Cyclotomic._of(n, den, combo[t])
             for t in sorted(combo) if any(combo[t])}
 

@@ -1,8 +1,11 @@
 """Y-calculus, the raising operator, Eisenstein bases, exact span
 solving, and the peeling certificates."""
+import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import mpmath
 import pytest
@@ -10,11 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eisenlab import cyclotomic, eisenstein, quasiforms, verifiers
+from eisenlab.cli import report_payload
 from eisenlab.cyclotomic import Cyclotomic, _norm_inverse, euler_phi
 from eisenlab.eisenstein import (EisIndex, QSeries, cusp_constants, cusps,
                                  proven_truncation, sturm_truncation)
-from eisenlab.oracles import (exact_rref, exact_span_solve, kept_members,
-                              row_sum_expansion)
+from eisenlab.oracles import (exact_read, exact_rref, exact_span_solve,
+                              kept_members, row_sum_expansion)
 from eisenlab.quasiforms import (
     MAX_DEPTH,
     DepthOverflow,
@@ -231,8 +235,10 @@ def test_series_and_basis_caches_are_bounded():
     bases = eis_basis.cache_parameters()["maxsize"]
     assert series is not None and series >= 252
     assert bases is not None and bases >= 7
-    # the cusp tables are per level and weight, the constants per index
-    for cache in (cusps, cusp_constants, eisenstein.constant_term):
+    # the cusp and line tables are per level and weight, the constants
+    # per index
+    for cache in (cusps, cusp_constants, eisenstein.constant_term,
+                  quasiforms._lines, quasiforms._line_values):
         assert cache.cache_parameters()["maxsize"] is not None
 
 
@@ -271,6 +277,132 @@ def test_rref_matches_oracle(weight, level, monkeypatch):
     monkeypatch.setattr(quasiforms, "cyclo_invert", no_inverse, raising=False)
     basis = EisBasis(weight, level, proven_truncation(weight, level))
     assert kept_members(basis.rref()) == want
+
+
+def cusp_lines(level):
+    """The cusps of `cusps(level)` by line, found by brute force: two
+    cusps share a line iff the same v = (c1, c2) have c1 a + c2 c = 0 mod
+    level.  Lines come in order of their first cusp (a0, c0), and each
+    is a list of (col, u) with first column u (a0, c0) mod level."""
+    n = level
+    lines = {}
+    for col, (a, _, c, _) in enumerate(cusps(n)):
+        on = frozenset((c1, c2) for c1 in range(n) for c2 in range(n)
+                       if (c1 * a + c2 * c) % n == 0)
+        lines.setdefault(on, []).append((col, a, c))
+    out = []
+    for cusps_on in lines.values():
+        _, a0, c0 = cusps_on[0]
+        out.append([(col, next(u for u in range(n) if gcd(u, n) == 1
+                               and (u * a0 - a) % n == (u * c0 - c) % n == 0))
+                    for col, a, c in cusps_on])
+    return out
+
+
+def change_of_columns(weight, level, line):
+    """Row m - e of the line's change of columns, m = e, ..., e + r - 1,
+    e = weight mod 2: the entries zeta^(m w) + (-1)^weight zeta^(-m w),
+    w = u^-1, at the line's cusps, or zeta^(m w) alone when level <= 2."""
+    n, e = level, weight % 2
+    out = []
+    for m in range(e, e + len(line)):
+        row = []
+        for _, u in line:
+            w = pow(u, -1, n)
+            x = Cyclotomic.zeta(n, m * w)
+            if n > 2:
+                x = x + (-1) ** weight * Cyclotomic.zeta(n, -m * w)
+            row.append(x)
+        out.append(row)
+    return out
+
+
+def rank(matrix):
+    """The rank of a matrix over Q(zeta_N) by fraction-free elimination:
+    products and differences only."""
+    rows = [list(r) for r in matrix]
+    done = 0
+    for col in range(len(rows[0]) if rows else 0):
+        at = next((i for i in range(done, len(rows)) if rows[i][col]), None)
+        if at is None:
+            continue
+        rows[done], rows[at] = rows[at], rows[done]
+        p = rows[done]
+        for i in range(done + 1, len(rows)):
+            rows[i] = [p[col] * x - rows[i][col] * y
+                       for x, y in zip(rows[i], p)]
+        done += 1
+    return done
+
+
+@pytest.mark.parametrize("weight", [2, 3, 4, 5])
+def test_rational_columns_are_the_change_of_the_cusp_columns(weight,
+                                                              monkeypatch):
+    # each entry of the table EisBasis.rref eliminates at weight >= 2 is
+    # the change of columns of the member's constants at the cusps, in
+    # Cyclotomic products and sums (no inverse), and is rational; each
+    # line's change of columns has full rank
+    def no_inverse(x):
+        raise AssertionError("cyclo_invert called")
+
+    monkeypatch.setattr(cyclotomic, "cyclo_invert", no_inverse)
+    for n in range(1, 13):
+        lines = cusp_lines(n)
+        r = len(lines[0])
+        assert all(len(line) == r for line in lines)
+        assert r == (euler_phi(n) // 2 if n > 2 else 1)
+        changes = [change_of_columns(weight, n, line) for line in lines]
+        assert all(rank(m) == r for m in changes), n
+        for c1 in range(n):
+            for c2 in range(n):
+                consts = cusp_constants(weight, n)[c1, c2]
+                got = quasiforms._line_row(weight, n, c1, c2)
+                for i, (line, change) in enumerate(zip(lines, changes)):
+                    for j, row in enumerate(change):
+                        want = Cyclotomic.zero(n)
+                        for (col, _), x in zip(line, row):
+                            if col in consts:
+                                want = want + x * consts[col]
+                        assert want.is_rational(), (n, c1, c2)
+                        have = got.get(i * r + j, Cyclotomic.zero(1))
+                        assert have.conductor == 1
+                        assert want == Fraction(have.vec[0], have.den), \
+                            (n, c1, c2, i, j)
+                assert max(got, default=-1) < len(cusps(n))
+
+
+@pytest.mark.parametrize("weight, level",
+                         [(k, n) for k in range(1, 5) for n in (9, 10, 12)])
+def test_rref_matches_the_cusp_column_oracle(weight, level):
+    # at composite levels, where a member may lie on several lines, the
+    # kept members and the coefficients read from a random combination of
+    # them are those of a Gauss-Jordan on the untransformed cusp columns
+    n = level
+    basis = EisBasis(weight, n, proven_truncation(weight, n))
+    ncols = len(cusps(n)) + (weight == 2)
+    vectors = []
+    for idx in basis.indices:
+        vec = dict(cusp_constants(weight, n)[idx.c1, idx.c2])
+        if weight == 2:
+            vec[len(cusps(n))] = Cyclotomic.one(n)
+        vectors.append(vec)
+    rows = exact_rref(vectors)
+    kept = kept_members(rows)
+    assert kept_members(basis.rref()) == kept
+    rng = random.Random(100 * weight + n)
+    for _ in range(4):
+        chosen = rng.sample(kept, min(len(kept), rng.randint(1, 6)))
+        coeffs = {t: small_number(n, rng) for t in chosen}
+        coeffs = {t: c for t, c in coeffs.items() if c}
+        values = [Cyclotomic.zero(n)] * ncols
+        for t, c in coeffs.items():
+            for col, x in vectors[t].items():
+                values[col] = values[col] + c * x
+        combo, rest = exact_read(dict(enumerate(values)), rows)
+        assert not rest
+        want = {basis.indices[t]: combo[t] for t in sorted(combo) if combo[t]}
+        assert want == {basis.indices[t]: coeffs[t] for t in sorted(coeffs)}
+        assert quasiforms._read(basis, values) == want
 
 
 def test_norm_inverse():
@@ -340,6 +472,27 @@ def test_rref_matches_oracle_at_the_sturm_bound():
     basis = EisBasis(2, 7, sturm_truncation(2, 7))
     assert basis.truncation == 203
     assert kept_members(basis.rref()) == kept_members(exact_rref(members(basis)))
+
+
+@pytest.mark.slow
+def test_level_twenty_weight_four_keeps_its_report():
+    # the level-20 weight-4 prop21 claim at the proven truncation, whose
+    # depth-1 peel eliminates the weight-2 basis of level 20: VERIFIED,
+    # with the report bytes it had when the elimination ran on the cusp
+    # columns in Q(zeta_20)
+    lam, mu = TorsionPoint(20, 1, 0), TorsionPoint(20, 0, 1)
+    report = verify_prop21(LParams(lam, mu, 1, 1, 4), 20, 960)
+    assert report.status == "VERIFIED"
+    text = json.dumps(report_payload(report), indent=2, ensure_ascii=False)
+    assert hashlib.sha256((text + "\n").encode()).hexdigest() == (
+        "992c0577ad50fb0707ad4e3c2adc59dfdcaacf7fc98cb5070bf55ec3602dee54")
+
+
+@pytest.mark.slow
+def test_level_fifteen_weight_three_matches_the_cusp_column_oracle():
+    basis = EisBasis(3, 15, 360)
+    vectors = [cusp_constants(3, 15)[idx.c1, idx.c2] for idx in basis.indices]
+    assert kept_members(basis.rref()) == kept_members(exact_rref(vectors))
 
 
 def values_of(terms, weight, level):
