@@ -459,30 +459,6 @@ def cusps(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=32)
-def cusp_constants(k: int, n: int) -> dict[tuple[int, int], dict[int, Cyclotomic]]:
-    """For every torsion index v = (c1, c2) mod n, the nonzero constant
-    terms of E_{k,v}|gamma, keyed by the position of gamma in `cusps(n)`.
-
-    E_{k,v}|gamma = E_{k,v gamma}, with v a row vector: the expansion
-    gives it for T, and the numeric S-transform check for S.  So the
-    constant at gamma is `constant_term` of the index v gamma, asked for
-    once per index."""
-    terms: dict[tuple[int, int], Cyclotomic] = {}
-    table = {}
-    for c1 in range(n):
-        for c2 in range(n):
-            row = table[c1, c2] = {}
-            for col, (a, b, c, d) in enumerate(cusps(n)):
-                key = ((c1 * a + c2 * c) % n, (c1 * b + c2 * d) % n)
-                x = terms.get(key)
-                if x is None:
-                    x = terms[key] = constant_term(EisIndex(k, n, *key))
-                if x:
-                    row[col] = x
-    return table
-
-
 @lru_cache(maxsize=4096)
 def constant_term(idx: EisIndex) -> Cyclotomic:
     """Constant Fourier coefficient of the normalized series, in Q(zeta_N).

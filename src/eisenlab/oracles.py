@@ -7,12 +7,15 @@ power-sum recurrence, expansions from the row sums gathered by divisor
 and reduced by long division by Phi_N instead of the table of reduced
 powers of zeta, hulls from a monotone chain in sheared coordinates
 instead of the continued-fraction recurrence, constant terms / point values from direct
-(conditionally or absolutely convergent) lattice sums, and row reductions
-and span solves from a plain Gauss-Jordan elimination of the q-expansions,
-or of the constant terms on the cusp columns themselves, in `Cyclotomic`
-arithmetic instead of the certifier's integer elimination of the
-constant terms (on rational columns from weight 2 on) and its integer
-solve from them.  Its pivots
+(conditionally or absolutely convergent) lattice sums, the constants at
+the cusps from one table of every index at every cusp instead of one
+factor at a time, the rational columns from zeta-shifted sums of those
+constants instead of their closed form in Ramanujan sums, and row
+reductions and span solves from a plain Gauss-Jordan elimination of the
+q-expansions, or of the constant terms on the cusp columns themselves,
+in `Cyclotomic` arithmetic instead of the certifier's integer
+elimination of the constant terms (on rational columns from weight 2
+on) and its integer solve from them.  Its pivots
 are inverted by `cyclo_invert`, which shares the norm inverse
 `_norm_inverse` with the certifier: the independence lies in what is
 eliminated, whole q-expansions, not in how a pivot is inverted.
@@ -20,12 +23,13 @@ eliminated, whole q-expansions, not in how a pivot is inverted.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, floor
+from functools import lru_cache
+from math import comb, floor, gcd, lcm
 
 import mpmath
 
-from .cyclotomic import Cyclotomic, cyclo_invert, cyclotomic_poly
-from .eisenstein import QSeries
+from .cyclotomic import Cyclotomic, cyclo_invert, cyclotomic_poly, euler_phi
+from .eisenstein import EisIndex, QSeries, constant_term, cusps
 from .quasiforms import MAX_DEPTH, QuasiForm, SpanSolution
 
 
@@ -115,6 +119,56 @@ def row_sum_expansion(idx, truncation: int) -> QSeries:
     coeffs = {e: Cyclotomic(n, phi_remainder(n, vec)) for e, vec in raw.items()}
     coeffs[0] = row_sum_constant(idx)
     return QSeries(n, truncation, coeffs)
+
+
+@lru_cache(maxsize=32)
+def cusp_constants(k: int, n: int) -> dict[tuple[int, int],
+                                           dict[int, Cyclotomic]]:
+    """For every torsion index v = (c1, c2) mod n, the nonzero constant
+    terms of E_{k,v}|gamma, keyed by the position of gamma in `cusps(n)`:
+    the whole level's table, by E_{k,v}|gamma = E_{k,v gamma} for every v
+    and every cusp, with `constant_term` asked once per index v gamma and
+    no shortcut for the indices whose constant is 0."""
+    terms: dict[tuple[int, int], Cyclotomic] = {}
+    table = {}
+    for c1 in range(n):
+        for c2 in range(n):
+            row = table[c1, c2] = {}
+            for col, (a, b, c, d) in enumerate(cusps(n)):
+                key = ((c1 * a + c2 * c) % n, (c1 * b + c2 * d) % n)
+                x = terms.get(key)
+                if x is None:
+                    x = terms[key] = constant_term(EisIndex(k, n, *key))
+                if x:
+                    row[col] = x
+    return table
+
+
+def zeta_sum_line_values(k: int, n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """R[s][m - e] = sum_{w unit} zeta^(m w) c0(E_{k,(0, s w)}) for
+    0 <= s < n and m = e, ..., e + r - 1, e = k mod 2, r = (phi(n)+1)//2,
+    by the definition in `EisBasis.rref`: each constant shifted by
+    zeta^(m w) in integer coordinates, summed, reduced once by long
+    division by Phi_n (`phi_remainder`).  Raises if an entry is not
+    rational."""
+    r, e = (euler_phi(n) + 1) // 2, k % 2
+    units = [w for w in range(n) if gcd(w, n) == 1]
+    table = []
+    for s in range(n):
+        c0 = [constant_term(EisIndex(k, n, 0, s * w % n)) for w in units]
+        den = lcm(*(c.den for c in c0))
+        row = []
+        for m in range(e, e + r):
+            raw = [0] * n
+            for w, c in zip(units, c0):
+                for i, y in enumerate(c.vec):
+                    raw[(i + m * w) % n] += den // c.den * y
+            vec = phi_remainder(n, raw)
+            if any(vec[1:]):
+                raise ArithmeticError("a line value is not rational")
+            row.append(Fraction(vec[0], den))
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def row_constant(k: int, n: int, c2: int) -> mpmath.mpc:

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
 from operator import mul
 
 from .cyclotomic import (Cyclotomic, _multiplier, _norm_inverse,
-                         _reduce_vector, cyclo_embed, euler_phi)
-from .eisenstein import (EisIndex, QSeries, _integral, constant_term,
-                         cusp_constants, cusps, eis_qseries, eis_sum,
+                         _reduce_vector, _times, cyclo_embed, euler_phi)
+from .eisenstein import (EisIndex, QSeries, _bernoulli_row, _integral,
+                         constant_term, cusps, eis_qseries, eis_sum,
                          sturm_truncation)
 
 MAX_DEPTH = 2
@@ -221,19 +221,20 @@ class EisBasis:
         """The (pivot column, den, track) triples of a Gauss-Jordan
         elimination of the members' constant terms at the cusps, in the
         order the rows arise; built on first use.  A track maps member
-        positions to integer vectors, den times the coefficients that
-        combine the members into the row.
+        positions to den times the coefficients that combine the members
+        into the row: integer vectors over Q(zeta_N) at weight 1, plain
+        integers from weight 2 on.
 
         At weight 1, column i holds the constant term of m|gamma_i,
-        gamma_i the i-th of `cusps(level)`, in Q(zeta_N), and so do the
-        tracks.  At weight k >= 2 the cusp columns are changed line by
-        line so that every entry, and every track, is rational
-        (`_line_row`): the pivots index these columns, and `_read` maps a
-        target's values into them.  At weight 2 one more column, last,
-        holds the constant of the Y-component, 1 for every member.  Each
-        member in turn is reduced against the rows so far and, if
-        something is left, becomes a row, 1 at its least column and
-        cleared from every earlier row.
+        gamma_i the i-th of `cusps(level)`, in Q(zeta_N) (`_cusp_row`),
+        and so do the tracks.  At weight k >= 2 the cusp columns are
+        changed line by line so that every entry, and every track, is
+        rational (`_line_row`): the pivots index these columns, and
+        `_read` maps a target's values into them.  At weight 2 one more
+        column, last, holds the constant of the Y-component, 1 for every
+        member.  Each member in turn is reduced against the rows so far
+        and, if something is left, becomes a row, 1 at its least column
+        and cleared from every earlier row.
 
         The value map is injective on the members' span, so the kept
         members, and the coefficients of a target in the span, are those
@@ -263,6 +264,8 @@ class EisBasis:
         automorphism zeta -> zeta^u of Q(zeta_N) permutes the terms of a
         Ramanujan sum, so it is a rational algebraic integer, an integer,
         and R is rational; members off the line have 0 there.
+        `_line_values` computes R by this closed form, in integers over
+        k N d, with c_N from von Sterneck's formula.
 
         Nothing else changes, because the change is invertible on each
         line, so the row relations, the kept members and the coefficients
@@ -288,40 +291,43 @@ def eis_basis(weight: int, level: int, truncation: int | None = None) -> EisBasi
 
 
 def _reduce(basis: EisBasis) -> list:
-    """`EisBasis.rref`, on sparse rows of integer vectors over the
-    conductor f of its columns, N at weight 1 and 1 (plain integers)
-    above: a row is (den, vec, track), its values vec[col] / den and
-    coefficients track[t] / den, in lowest terms.  A pivot is inverted
-    over its norm (`cyclotomic._norm_inverse`)."""
+    """`EisBasis.rref`, on sparse rows over one denominator each: a row
+    is (den, vec, track), its values vec[col] / den and coefficients
+    track[t] / den, in lowest terms.  At weight 1 an entry is an integer
+    vector over Q(zeta_N), the member's constants at the cusps
+    (`_cusp_row`), and a pivot is inverted over its norm
+    (`cyclotomic._norm_inverse`); from weight 2 on it is one integer,
+    the member's rational columns (`_line_row`), and a row is divided by
+    its pivot by taking the pivot as its denominator."""
     k, n = basis.weight, basis.level
-    f = n if k == 1 else 1
+    if k == 1:
+        axpy, normalize = partial(_axpy, n=n), partial(_normalize, n)
+        lowest = _lowest
+    else:
+        axpy, normalize, lowest = _axpy_int, _normalize_int, _lowest_int
     rows: list[tuple[int, int, dict, dict]] = []
     for t, idx in enumerate(basis.indices):
         if k == 1:
-            row = cusp_constants(k, n)[idx.c1, idx.c2]
+            den, vec = _integral(_cusp_row(idx))
+            vec = {col: list(v) for col, v in vec.items()}
+            one = [den] + [0] * (euler_phi(n) - 1)
         else:
-            row = _line_row(k, n, idx.c1, idx.c2)
-        if k == 2:
-            row = {**row, len(cusps(n)): Cyclotomic.one(f)}
-        den, vec = _integral(row)
-        vec = {col: list(v) for col, v in vec.items()}
-        parts = (vec, {t: [den] + [0] * (euler_phi(f) - 1)})
+            den, vec = _line_row(k, n, idx.c1, idx.c2)
+            if k == 2:
+                vec[len(cusps(n))] = den
+            one = den
+        parts = (vec, {t: one})
         for pivot, rden, *rparts in rows:
             if pivot in vec:
-                den = _axpy(den, parts, vec[pivot], rden, rparts, f)
+                den = axpy(den, parts, vec[pivot], rden, rparts)
         if not vec:
             continue
         pivot = min(vec)
-        inv, di = _norm_inverse(f, vec[pivot])
-        times_inv = _multiplier(f, inv)
-        for part in parts:
-            for v in part.values():
-                v[:] = [sum(map(mul, r, v)) for r in times_inv]
-        den = _lowest(di, parts)
+        den = normalize(parts, vec[pivot])
         for i, (p, rden, *rparts) in enumerate(rows):
             if pivot in rparts[0]:
-                rden = _axpy(rden, rparts, rparts[0][pivot], den, parts, f)
-                rows[i] = (p, _lowest(rden, rparts), *rparts)
+                rden = axpy(rden, rparts, rparts[0][pivot], den, parts)
+                rows[i] = (p, lowest(rden, rparts), *rparts)
         rows.append((pivot, den, *parts))
     return [(pivot, den, track) for pivot, den, _, track in rows]
 
@@ -357,6 +363,18 @@ def _axpy(den: int, parts, c: list, rden: int, rparts, n: int) -> int:
     return den * rden
 
 
+def _normalize(n: int, parts, pivot: list) -> int:
+    """Divides parts by the integer vector pivot, in place, through its
+    inverse over its norm; returns the new denominator, in lowest terms,
+    that of a row 1 at its pivot."""
+    inv, di = _norm_inverse(n, pivot)
+    times_inv = _multiplier(n, inv)
+    for part in parts:
+        for v in part.values():
+            v[:] = [sum(map(mul, r, v)) for r in times_inv]
+    return _lowest(di, parts)
+
+
 def _lowest(den: int, parts) -> int:
     """Divides the gcd of den and every entry of parts out, in place;
     returns the new denominator."""
@@ -369,6 +387,49 @@ def _lowest(den: int, parts) -> int:
     for part in parts:
         for v in part.values():
             v[:] = [x // g for x in v]
+    return den // g
+
+
+def _axpy_int(den: int, parts, c: int, rden: int, rparts) -> int:
+    """`_axpy` for integer entries: parts - (c / den) rparts, in place,
+    dropping the entries that become 0; returns the new denominator."""
+    g = gcd(rden, c)
+    rden, c = rden // g, c // g
+    for part, rpart in zip(parts, rparts):
+        if rden != 1:
+            for key, x in part.items():
+                part[key] = rden * x
+        get = part.get
+        for key, y in rpart.items():
+            x = get(key, 0) - c * y
+            if x:
+                part[key] = x
+            else:
+                del part[key]
+    return den * rden
+
+
+def _normalize_int(parts, pivot: int) -> int:
+    """Divides parts, whose entries sit over any denominator, by their
+    entry pivot at the pivot column: the entries stay and the pivot is
+    the new denominator, made positive; returns it in lowest terms."""
+    if pivot < 0:
+        for part in parts:
+            for key, x in part.items():
+                part[key] = -x
+    return _lowest_int(abs(pivot), parts)
+
+
+def _lowest_int(den: int, parts) -> int:
+    """`_lowest` for integer entries."""
+    g = den
+    for part in parts:
+        g = gcd(g, *part.values())
+        if g == 1:
+            return den
+    for part in parts:
+        for key, x in part.items():
+            part[key] = x // g
     return den // g
 
 
@@ -411,39 +472,55 @@ def _zeta_sum(n: int, terms) -> Cyclotomic:
     return Cyclotomic._of(n, den, _reduce_vector(n, raw))
 
 
+def _ramanujan(n: int) -> list[int]:
+    """The Ramanujan sums c_n(j) = sum_{w unit mod n} zeta_n^(j w) for
+    0 <= j < n, by von Sterneck's formula mu(q) phi(n) / phi(q),
+    q = n / gcd(j, n)."""
+    by_q = {}
+    for q in {n // gcd(j, n) for j in range(n)}:
+        mu, m, p = 1, q, 2  # mu(q), by trial division
+        while p * p <= m:
+            if m % p == 0:
+                m //= p
+                mu = 0 if m % p == 0 else -mu
+            p += 1
+        by_q[q] = (-mu if m > 1 else mu) * euler_phi(n) // euler_phi(q)
+    return [by_q[n // gcd(j, n)] for j in range(n)]
+
+
 @lru_cache(maxsize=32)
-def _line_values(k: int, n: int) -> tuple:
-    """R[s][m - e] = sum_{w unit} zeta^(m w) c0(E_{k,(0, s w)}) for
-    0 <= s < n and m = e, ..., e + r - 1 (`EisBasis.rref`), each a
-    rational number as an element of Q(zeta_1)."""
+def _line_values(k: int, n: int) -> tuple[int, tuple]:
+    """(D, R): the entries R[s][m - e] / D of a member (0, s) gamma_0^-1
+    on columns m = e, ..., e + r - 1 of its line (`EisBasis.rref`), for
+    0 <= s < n, as integers over one denominator D = k n d.  They are
+    the closed form proved there,
+        R[s][m - e] / D = -(-1)^k / (k n d) sum_a T[a] c_n(m - a s),
+    with (d, T) = `eisenstein._bernoulli_row(k, n)` and the Ramanujan
+    sums c_n of `_ramanujan`: rational by construction."""
     r, e = (euler_phi(n) + 1) // 2, k % 2
-    units = [w for w in range(n) if gcd(w, n) == 1]
-    table = []
-    for s in range(n):
-        c0 = [constant_term(EisIndex(k, n, 0, s * w % n)) for w in units]
-        row = []
-        for m in range(e, e + r):
-            x = _zeta_sum(n, [(m * w, 1, c) for w, c in zip(units, c0)])
-            if any(x.vec[1:]):
-                raise ArithmeticError("a line value is not rational")
-            row.append(Cyclotomic._of(1, x.den, x.vec[:1]))
-        table.append(tuple(row))
-    return tuple(table)
+    d, bern = _bernoulli_row(k, n)
+    c, sign = _ramanujan(n), -(-1) ** k
+    return k * n * d, tuple(
+        tuple(sign * sum(t * c[(m - a * s) % n] for a, t in enumerate(bern))
+              for m in range(e, e + r))
+        for s in range(n))
 
 
-def _line_row(k: int, n: int, c1: int, c2: int) -> dict[int, Cyclotomic]:
-    """The nonzero entries of the member (c1, c2) on the rational columns
-    of `EisBasis.rref`, weight k >= 2: column l r + j is column m = e + j
-    of line l.  The member lies on line l iff (c1, c2) gamma_0 = (0, s),
-    and then its entries there are R[s] (`_line_values`)."""
-    r, values = (euler_phi(n) + 1) // 2, _line_values(k, n)
+def _line_row(k: int, n: int, c1: int, c2: int) -> tuple[int, dict[int, int]]:
+    """(D, row): the nonzero entries row[col] / D of the member (c1, c2)
+    on the rational columns of `EisBasis.rref`, weight k >= 2: column
+    l r + j is column m = e + j of line l.  The member lies on line l iff
+    (c1, c2) gamma_0 = (0, s), and then its entries there are R[s]
+    (`_line_values`)."""
+    r = (euler_phi(n) + 1) // 2
+    den, values = _line_values(k, n)
     row = {}
     for line, ((a, b, c, d), _) in enumerate(_lines(n)):
         if (c1 * a + c2 * c) % n == 0:
             for j, x in enumerate(values[(c1 * b + c2 * d) % n]):
                 if x:
                     row[line * r + j] = x
-    return row
+    return den, row
 
 
 def _line_value(values, k: int, n: int, col: int) -> Cyclotomic:
@@ -462,16 +539,50 @@ def _line_value(values, k: int, n: int, col: int) -> Cyclotomic:
 # -- values at the cusps ---------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
+def _cusp_row(idx: EisIndex) -> dict[int, Cyclotomic]:
+    """The nonzero constant terms of E_idx|gamma, keyed by the position
+    of gamma in `cusps(level)`.
+
+    E_{k,v}|gamma = E_{k,v gamma}, with v a row vector: the expansion
+    gives it for T, and the numeric S-transform check for S.  So the
+    constant at gamma is `constant_term` of the index v gamma, which is
+    0 from weight 2 on unless v gamma has first entry 0, and is then not
+    asked for."""
+    k, n, c1, c2 = idx.weight, idx.level, idx.c1, idx.c2
+    row = {}
+    for col, (a, b, c, d) in enumerate(cusps(n)):
+        first = (c1 * a + c2 * c) % n
+        if first and k > 1:
+            continue
+        x = constant_term(EisIndex(k, n, first, (c1 * b + c2 * d) % n))
+        if x:
+            row[col] = x
+    return row
+
+
+def _product(n: int, a, b):
+    """The product of two integer vectors over Q(zeta_n): one integer
+    scaling when either is rational, else `cyclotomic._times`."""
+    if not any(a[1:]):
+        return [a[0] * y for y in b]
+    if not any(b[1:]):
+        return [b[0] * x for x in a]
+    return _times(n, a, b)
+
+
 def cusp_values(terms, level: int) -> list[list[Cyclotomic]]:
     """The q^0 coefficients of Y^0, Y^1 and Y^2 in F|gamma at each cusp
     gamma of `cusps(level)`, for the formal sum F of terms (scale, idx,
     ...), each scale times the product of the series E_idx.
 
-    F|gamma = sum scale * prod E_{idx gamma} (`cusp_constants`), and a
-    Y-expansion is unique, so the q^0 part of a term at gamma is scale
-    times the product of c0(E_{idx gamma}) + [weight 2] Y over its
-    factors.  Its expansion is summed part by part, scale Y^j times the
-    constants of the factors left, each nonzero only where they all are.
+    F|gamma = sum scale * prod E_{idx gamma} (`_cusp_row`, read per
+    factor), and a Y-expansion is unique, so the q^0 part of a term at
+    gamma is scale times the product of c0(E_{idx gamma}) + [weight 2] Y
+    over its factors.  Its expansion is summed part by part, scale Y^j
+    times the constants of the factors left, each nonzero only where
+    they all are.  The products and sums run on integer vectors, over
+    one denominator per value.
     """
     parts: dict[tuple, Fraction] = {}  # (j, factors left) -> scale
     for scale, *factors in terms:
@@ -483,25 +594,35 @@ def cusp_values(terms, level: int) -> list[list[Cyclotomic]]:
             expansion = grown
         for key in expansion:
             parts[key] = parts.get(key, 0) + scale
-    zero = Cyclotomic.zero(level)
-    out = [[zero] * (MAX_DEPTH + 1) for _ in cusps(level)]
+    n, every = level, range(len(cusps(level)))
+    sums: dict[tuple[int, int], list] = {}  # (col, j) -> [(den, vec)]
     for (j, rest), scale in parts.items():
+        if not isinstance(scale, Cyclotomic):
+            scale = Cyclotomic.from_rational(n, scale)
         if not rest:
-            for acc in out:
-                acc[j] = acc[j] + scale
+            for col in every:
+                sums.setdefault((col, j), []).append((scale.den, scale.vec))
             continue
-        first, *others = sorted((cusp_constants(idx.weight, level)[idx.c1, idx.c2]
-                                 for idx in rest), key=len)
+        first, *others = sorted((_cusp_row(idx) for idx in rest), key=len)
         for col, x in first.items():
-            x = x * scale
+            den, vec = scale.den * x.den, _product(n, scale.vec, x.vec)
             for row in others:
-                c = row.get(col)
-                if c is None:
+                y = row.get(col)
+                if y is None:
                     break
-                x = x * c
+                den, vec = den * y.den, _product(n, vec, y.vec)
             else:
-                if x:
-                    out[col][j] = out[col][j] + x
+                sums.setdefault((col, j), []).append((den, vec))
+    zero = Cyclotomic.zero(n)
+    out = [[zero] * (MAX_DEPTH + 1) for _ in every]
+    for (col, j), found in sums.items():
+        den = lcm(*(d for d, _ in found))
+        acc = [0] * euler_phi(n)
+        for d, vec in found:
+            m = den // d
+            for i, x in enumerate(vec):
+                acc[i] += m * x
+        out[col][j] = Cyclotomic._of(n, den, acc)
     return out
 
 
@@ -553,7 +674,7 @@ def _read(basis: EisBasis, values) -> dict:
     if not any(values):
         return {}
     k, n = basis.weight, basis.level
-    terms = []  # c_i T_i = (v times the vectors of track) / d
+    terms = []  # c_i T_i = (v times the entries of track) / d
     for pivot, d, track in basis.rref():
         v = values[pivot] if k == 1 else _line_value(values, k, n, pivot)
         if v:
@@ -561,9 +682,15 @@ def _read(basis: EisBasis, values) -> dict:
     den = lcm(*(d for d, _, _ in terms))
     combo: dict[int, list[int]] = {}
     for d, v, track in terms:
-        # a rational track takes v's coordinates as a column
-        rows = _multiplier(n, v) if k == 1 else [[x] for x in v]
-        _add_products(combo, rows, track, den // d)
+        if k == 1:
+            _add_products(combo, _multiplier(n, v), track, den // d)
+            continue
+        # a rational track entry scales v's coordinates
+        v = [den // d * x for x in v]
+        for t, y in track.items():
+            acc = combo.setdefault(t, [0] * len(v))
+            for p, x in enumerate(v):
+                acc[p] += x * y
     return {basis.indices[t]: Cyclotomic._of(n, den, combo[t])
             for t in sorted(combo) if any(combo[t])}
 

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from eisenlab import cyclotomic, eisenstein, quasiforms, verifiers
 from eisenlab.cli import report_payload
 from eisenlab.cyclotomic import Cyclotomic, _norm_inverse, euler_phi
-from eisenlab.eisenstein import (EisIndex, QSeries, cusp_constants, cusps,
-                                 proven_truncation, sturm_truncation)
-from eisenlab.oracles import (exact_read, exact_rref, exact_span_solve,
-                              kept_members, row_sum_expansion)
+from eisenlab.eisenstein import (EisIndex, QSeries, cusps, proven_truncation,
+                                 sturm_truncation)
+from eisenlab.oracles import (cusp_constants, exact_read, exact_rref,
+                              exact_span_solve, kept_members,
+                              row_sum_expansion, zeta_sum_line_values)
 from eisenlab.quasiforms import (
     MAX_DEPTH,
     DepthOverflow,
@@ -236,8 +237,8 @@ def test_series_and_basis_caches_are_bounded():
     assert series is not None and series >= 252
     assert bases is not None and bases >= 7
     # the cusp and line tables are per level and weight, the constants
-    # per index
-    for cache in (cusps, cusp_constants, eisenstein.constant_term,
+    # per index and per factor
+    for cache in (cusps, eisenstein.constant_term, quasiforms._cusp_row,
                   quasiforms._lines, quasiforms._line_values):
         assert cache.cache_parameters()["maxsize"] is not None
 
@@ -356,7 +357,7 @@ def test_rational_columns_are_the_change_of_the_cusp_columns(weight,
         for c1 in range(n):
             for c2 in range(n):
                 consts = cusp_constants(weight, n)[c1, c2]
-                got = quasiforms._line_row(weight, n, c1, c2)
+                den, got = quasiforms._line_row(weight, n, c1, c2)
                 for i, (line, change) in enumerate(zip(lines, changes)):
                     for j, row in enumerate(change):
                         want = Cyclotomic.zero(n)
@@ -364,11 +365,45 @@ def test_rational_columns_are_the_change_of_the_cusp_columns(weight,
                             if col in consts:
                                 want = want + x * consts[col]
                         assert want.is_rational(), (n, c1, c2)
-                        have = got.get(i * r + j, Cyclotomic.zero(1))
-                        assert have.conductor == 1
-                        assert want == Fraction(have.vec[0], have.den), \
-                            (n, c1, c2, i, j)
+                        have = Fraction(got.get(i * r + j, 0), den)
+                        assert want == have, (n, c1, c2, i, j)
                 assert max(got, default=-1) < len(cusps(n))
+
+
+def test_line_values_are_the_zeta_sums():
+    # the closed form of the rational columns (Ramanujan sums of the
+    # Bernoulli table) is the zeta-shifted sum of the constants it replaces
+    for weight in range(2, 7):
+        for n in range(1, 31):
+            den, table = quasiforms._line_values(weight, n)
+            got = tuple(tuple(Fraction(x, den) for x in row) for row in table)
+            assert got == zeta_sum_line_values(weight, n), (weight, n)
+
+
+@pytest.mark.parametrize("weight, level",
+                         [(k, n) for k in range(2, 5)
+                          for n in (*range(1, 11), 12)])
+def test_integer_rref_is_the_gauss_jordan_of_its_columns(weight, level):
+    # from weight 2 on, the elimination in plain integers keeps the pivots
+    # and tracks of a Gauss-Jordan in Cyclotomic arithmetic on the same
+    # rational columns, with the same member order and pivot rule
+    n = level
+    basis = EisBasis(weight, n, proven_truncation(weight, n))
+    vectors = []
+    for idx in basis.indices:
+        den, row = quasiforms._line_row(weight, n, idx.c1, idx.c2)
+        vec = {col: Cyclotomic.from_rational(1, Fraction(x, den))
+               for col, x in row.items()}
+        if weight == 2:
+            vec[len(cusps(n))] = Cyclotomic.one(1)
+        vectors.append(vec)
+    want = [(pivot, {t: Fraction(c.vec[0], c.den) for t, c in track.items()})
+            for pivot, _, track in exact_rref(vectors)]
+    got = basis.rref()
+    assert all(isinstance(y, int)
+               for _, _, track in got for y in track.values())
+    assert [(pivot, {t: Fraction(y, den) for t, y in track.items()})
+            for pivot, den, track in got] == want
 
 
 @pytest.mark.parametrize("weight, level",
@@ -403,6 +438,64 @@ def test_rref_matches_the_cusp_column_oracle(weight, level):
         want = {basis.indices[t]: combo[t] for t in sorted(combo) if combo[t]}
         assert want == {basis.indices[t]: coeffs[t] for t in sorted(coeffs)}
         assert quasiforms._read(basis, values) == want
+
+
+def test_cusp_rows_are_the_rows_of_the_whole_level_table():
+    # a factor's constants at the cusps, read per index, are its row of
+    # the table of every index at every cusp
+    for weight in range(1, 5):
+        for n in range(1, 13):
+            table = cusp_constants(weight, n)
+            for c1 in range(n):
+                for c2 in range(n):
+                    idx = EisIndex(weight, n, c1, c2)
+                    assert quasiforms._cusp_row(idx) == table[c1, c2], idx
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_level_thirty_cusp_values_read_their_factors_only(monkeypatch):
+    # the level-30 weight-4 claim's values at the cusps ask for at most one
+    # constant per factor and cusp, and multiply and add no Cyclotomic; its
+    # Y^1 values, which the peel reads, are not all 0
+    captured = []
+
+    def capture(terms, weight, level, truncation):
+        captured.append(terms)
+        raise _Captured
+
+    monkeypatch.setattr(verifiers, "build_L", capture)
+    lam, mu = TorsionPoint(30, 1, 0), TorsionPoint(30, 0, 1)
+    with pytest.raises(_Captured):
+        verify_prop21(LParams(lam, mu, 1, 1, 4), 30, 2880)
+    monkeypatch.undo()
+    terms, = captured
+    factors = {idx for _, *product in terms for idx in product}
+    asked, calls = [], []
+    real_constant_term = eisenstein.constant_term
+
+    def counting_constant_term(idx):
+        asked.append(idx)
+        return real_constant_term(idx)
+
+    def counting(real):
+        def wrapper(self, other):
+            calls.append(real.__name__)
+            return real(self, other)
+        return wrapper
+
+    monkeypatch.setattr(quasiforms, "constant_term", counting_constant_term)
+    for real in (Cyclotomic.__mul__, Cyclotomic.__add__):
+        for name, attr in list(vars(Cyclotomic).items()):
+            if attr is real:  # __mul__ and __rmul__, __add__ and __radd__
+                monkeypatch.setattr(Cyclotomic, name, counting(real))
+    quasiforms._cusp_row.cache_clear()
+    values = cusp_values(terms, 30)
+    assert 0 < len(asked) <= len(factors) * len(cusps(30))
+    assert calls == []
+    assert len(values) == len(cusps(30)) and any(v[1] for v in values)
 
 
 def test_norm_inverse():
@@ -474,18 +567,40 @@ def test_rref_matches_oracle_at_the_sturm_bound():
     assert kept_members(basis.rref()) == kept_members(exact_rref(members(basis)))
 
 
+def weight_four_report(level):
+    """The report of the prop21 claim (1,0)@level, (0,1)@level at
+    p = q = 1 and weight 4, at the proven truncation, and the SHA-256 of
+    its JSON bytes."""
+    lam, mu = TorsionPoint(level, 1, 0), TorsionPoint(level, 0, 1)
+    report = verify_prop21(LParams(lam, mu, 1, 1, 4), level,
+                           proven_truncation(4, level))
+    text = json.dumps(report_payload(report), indent=2, ensure_ascii=False)
+    return report, hashlib.sha256((text + "\n").encode()).hexdigest()
+
+
 @pytest.mark.slow
 def test_level_twenty_weight_four_keeps_its_report():
     # the level-20 weight-4 prop21 claim at the proven truncation, whose
     # depth-1 peel eliminates the weight-2 basis of level 20: VERIFIED,
     # with the report bytes it had when the elimination ran on the cusp
     # columns in Q(zeta_20)
-    lam, mu = TorsionPoint(20, 1, 0), TorsionPoint(20, 0, 1)
-    report = verify_prop21(LParams(lam, mu, 1, 1, 4), 20, 960)
-    assert report.status == "VERIFIED"
-    text = json.dumps(report_payload(report), indent=2, ensure_ascii=False)
-    assert hashlib.sha256((text + "\n").encode()).hexdigest() == (
+    report, digest = weight_four_report(20)
+    assert report.status == "VERIFIED" and report.truncation == 960
+    assert digest == (
         "992c0577ad50fb0707ad4e3c2adc59dfdcaacf7fc98cb5070bf55ec3602dee54")
+
+
+@pytest.mark.slow
+def test_level_thirty_weight_four_keeps_its_report():
+    # the same claim at level 30: VERIFIED with 5 certificate entries, with
+    # the report bytes it had when its cusp values were read from
+    # whole-level tables and its weight-2 peel eliminated on length-1
+    # integer lists
+    report, digest = weight_four_report(30)
+    assert report.status == "VERIFIED" and report.truncation == 2880
+    assert len(report.certificate) == 5
+    assert digest == (
+        "94342e87be8f7e26794e3faf8864c0e87d954f7edb0ab94647731d65d1547b69")
 
 
 @pytest.mark.slow
@@ -956,7 +1071,8 @@ def test_certify_orthogonal_builds_no_basis_for_a_zero_target(basis_builds,
         return real_constant_term(idx)
 
     monkeypatch.setattr(eisenstein, "constant_term", counting_constant_term)
-    eisenstein.cusp_constants.cache_clear()
+    monkeypatch.setattr(quasiforms, "constant_term", counting_constant_term)
+    quasiforms._cusp_row.cache_clear()
     for weight, level in ((2, 3), (3, 4), (4, 2)):
         zero = QuasiForm(weight, level, 12, ())
         terms = [(1, EisIndex(1, level, 1, 0), EisIndex(weight - 1, level, 0, 1))]
