@@ -534,6 +534,8 @@ def eis_sum(coefficients: dict, weight: int, level: int,
     True
     """
     k, n, b = weight, level, truncation
+    if b < 0:
+        raise ValueError("truncation must be >= 0")
     members = []  # (index, c_v, c0(v))
     for idx, c in coefficients.items():
         if idx.weight != k or idx.level != n:

@@ -230,20 +230,29 @@ class EisBasis:
         and so do the tracks.  At weight k >= 2 the cusp columns are
         changed line by line so that every entry, and every track, is
         rational (`_line_row`): the pivots index these columns, and
-        `_read` maps a target's values into them.  At weight 2 one more
-        column, last, holds the constant of the Y-component, 1 for every
-        member.  Each member in turn is reduced against the rows so far
-        and, if something is left, becomes a row, 1 at its least column
-        and cleared from every earlier row.
+        `_read` maps a target's values into them.  There is one column
+        per cusp at every weight.  Each member in turn is reduced against
+        the rows so far and, if something is left, becomes a row, 1 at its
+        least column and cleared from every earlier row.
 
         The value map is injective on the members' span, so the kept
         members, and the coefficients of a target in the span, are those
         of `oracles.exact_rref` at any truncation from `proven_truncation`
-        on.  At weight k >= 1, a combination with no constant at any cusp
+        on.  At weight k != 2, a combination with no constant at any cusp
         is a cusp form, and the Eisenstein series meet the cusp forms only
         in 0 (Diamond and Shurman, A First Course in Modular Forms, ch. 4).
-        At weight 2, the Y column of sum c_v E_{2,v} is sum c_v, so a zero
-        there makes the combination holomorphic.
+
+        At weight 2 the members are completed, and their constants still
+        decide, by the residue theorem.  Let F = sum c_v E_{2,v} have
+        constant 0 at every cusp, and put s = sum c_v.  Every member has
+        the Y-component 1, so G = F - s E_{2,0} is holomorphic of weight 2
+        on Gamma(N).  Its constant at every cusp is s/12, because
+        c0(E_{2,0}) = -1/12 and every gamma fixes (0, 0).  The
+        differential G dz on X(N) has the residue N a0(G|gamma) / (2 pi i)
+        at the cusp of gamma, since every width is N, and none elsewhere:
+        at an elliptic point it is holomorphic.  The residues sum to 0, so
+        s = 0.  F is then a cusp form in the Eisenstein span, so F = 0.
+        So the rank at weight 2 is the number of cusps.
 
         The lines.  At k >= 2, c0(E_{k,v}|gamma) = 0 unless v gamma has
         first entry 0, that is unless v lies on the line {v : c1 a + c2 c
@@ -292,10 +301,10 @@ def eis_basis(weight: int, level: int, truncation: int | None = None) -> EisBasi
 
 def _reduce(basis: EisBasis) -> list:
     """`EisBasis.rref`, on sparse rows over one denominator each: a row
-    is (den, vec, track), its values vec[col] / den and coefficients
-    track[t] / den, in lowest terms.  At weight 1 an entry is an integer
-    vector over Q(zeta_N), the member's constants at the cusps
-    (`_cusp_row`), and a pivot is inverted over its norm
+    is (den, vec, track), its values vec[col] / den, one column per cusp,
+    and coefficients track[t] / den, in lowest terms.  At weight 1 an
+    entry is an integer vector over Q(zeta_N), the member's constants at
+    the cusps (`_cusp_row`), and a pivot is inverted over its norm
     (`cyclotomic._norm_inverse`); from weight 2 on it is one integer,
     the member's rational columns (`_line_row`), and a row is divided by
     its pivot by taking the pivot as its denominator."""
@@ -313,8 +322,6 @@ def _reduce(basis: EisBasis) -> list:
             one = [den] + [0] * (euler_phi(n) - 1)
         else:
             den, vec = _line_row(k, n, idx.c1, idx.c2)
-            if k == 2:
-                vec[len(cusps(n))] = den
             one = den
         parts = (vec, {t: one})
         for pivot, rden, *rparts in rows:
@@ -524,11 +531,9 @@ def _line_row(k: int, n: int, c1: int, c2: int) -> tuple[int, dict[int, int]]:
 
 
 def _line_value(values, k: int, n: int, col: int) -> Cyclotomic:
-    """Column col of `_line_row`'s columns for a target with the cusp
-    values of `columns`: its values at the cusps of the line, each
-    zeta-shifted, summed.  The Y column is kept as it is."""
-    if col >= len(cusps(n)):
-        return values[col]
+    """Column col of `_line_row`'s columns for a target with the given
+    values, one per cusp: its values at the cusps of the line, each
+    zeta-shifted, summed."""
     r = (euler_phi(n) + 1) // 2
     m = k % 2 + col % r
     _, terms = _lines(n)[col // r]
@@ -626,17 +631,6 @@ def cusp_values(terms, level: int) -> list[list[Cyclotomic]]:
     return out
 
 
-def columns(values: list, weight: int, degree: int) -> list[Cyclotomic]:
-    """What `span_solve` reads for the Y^degree component of a form with
-    these cusp values: its constant at each cusp and, at weight 2, the
-    constant of the Y^(degree+1) component, a weight-0 form and so the
-    same at every cusp."""
-    out = [v[degree] for v in values]
-    if weight == 2:
-        out.append(values[0][degree + 1])
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class SpanSolution:
     """Outcome of projecting a form onto an Eisenstein basis.
@@ -656,7 +650,8 @@ class SpanSolution:
 def _read(basis: EisBasis, values) -> dict:
     """The coefficients sum_i values[p_i] T_i over the rows (p_i, den_i,
     T_i) of `EisBasis.rref()`, nonzero only, keyed by basis index in
-    basis order; values as `columns` gives them.  At weight 1 the pivots
+    basis order; values has one entry per cusp of `cusps(level)`, a
+    constant of one Y-degree of `cusp_values`.  At weight 1 the pivots
     index the cusps; at weight >= 2 they index the rational columns of
     `EisBasis.rref`, so the values are first mapped into those columns,
     at the pivots only (`_line_value`, the same zeta-shifts that make
@@ -701,20 +696,21 @@ def span_solve(target: QuasiForm, basis: EisBasis, values,
     sum(scale * delta(eis_series(idx, B))) over the certificate entries
     (idx, scale) + residual, B the truncation.
 
-    The coefficients are read (`_read`) from the target's values on the
-    columns of `EisBasis.rref()` (`columns`, Y-degree 0).  A delta term
-    has no Y^0 constant at any cusp, so these are also the values of the
-    target less its delta terms.  The members' combination is expanded
-    as one form (`eis_form`), with the constant Y-component sum of the
-    coefficients at weight 2, and no member on its own.  The residual is
-    one exact `combine` of the target, that form and the delta terms over
-    every exponent and Y-degree, so no verdict rests on the values."""
+    The coefficients are read (`_read`) from values, one per cusp of
+    `cusps(level)`: the target's Y^0 constants there (`cusp_values`), at
+    every weight.  A delta term has no Y^0 constant at any cusp, so these
+    are also the values of the target less its delta terms.  The
+    members' combination is expanded as one form (`eis_form`), with the
+    constant Y-component sum of the coefficients at weight 2, and no
+    member on its own.  The residual is one exact `combine` of the
+    target, that form and the delta terms over every exponent and
+    Y-degree, so no verdict rests on the values."""
     if target.level != basis.level or target.truncation != basis.truncation:
         raise ValueError("target and basis level/truncation mismatch")
     if target.weight != basis.weight:
         raise ValueError("target and basis weight mismatch")
-    if len(values) != len(cusps(target.level)) + (target.weight == 2):
-        raise ValueError("one value per cusp, and at weight 2 one for Y")
+    if len(values) != len(cusps(target.level)):
+        raise ValueError("one value per cusp")
     b = target.truncation
     coefficients = _read(basis, values)
     parts = [(target, 1)]
@@ -781,15 +777,15 @@ def peel(f: QuasiForm, values) -> list[tuple[EisIndex, Cyclotomic]]:
 
     Only delta_2 of a completed weight-2 series produces Y^2, and its Y^2
     part is the constant -1, so a depth-2 form first takes minus its Y^2
-    constant as the scale of E_{2,0}, and the values lose that term's.
-    What is left is delta_w of a weight-(k-2) combination sum c E, whose
-    Y^1 values are those of -w sum c E (at w = 2 with the Y^2 constant
-    left, 0, as the Y column), so the c are read (`_read`) from them and
-    divided by -w.  Raises UnsupportedWeight when no delta of the needed
-    source weight exists.
+    constant as the scale of E_{2,0}, and the Y^1 values lose that
+    term's.  What is left is delta_w of a weight-(k-2) combination
+    sum c E, whose Y^1 values are those of -w sum c E, one per cusp, so
+    the c are read (`_read`) from them and divided by -w.  Raises
+    UnsupportedWeight when no delta of the needed source weight exists.
     """
     level, k = f.level, f.weight
     cert: list[tuple[EisIndex, Cyclotomic]] = []
+    y1 = [y for _, y, _ in values]
     if f.depth == 2:
         if k != 4:
             raise UnsupportedWeight(
@@ -801,7 +797,7 @@ def peel(f: QuasiForm, values) -> list[tuple[EisIndex, Cyclotomic]]:
         # every cusp delta_2(E_2) has the constants (0, -2 c0(E_2), -1):
         # (0, 0) is fixed by every gamma
         shift = 2 * scale * constant_term(idx)
-        values = [[y0, y1 + shift, y2 + scale] for y0, y1, y2 in values]
+        y1 = [y + shift for y in y1]
     if f.depth:
         if k < 3:
             raise UnsupportedWeight(
@@ -809,17 +805,18 @@ def peel(f: QuasiForm, values) -> list[tuple[EisIndex, Cyclotomic]]:
         w = k - 2
         basis = eis_basis(w, level, f.truncation)
         cert += [(idx, -(coeff / w))
-                 for idx, coeff in _read(basis, columns(values, w, 1)).items()]
+                 for idx, coeff in _read(basis, y1).items()]
     return cert
 
 
 def certify_orthogonal(
         f: QuasiForm, terms) -> tuple[SpanSolution, list[tuple[EisIndex, Cyclotomic]]]:
-    """Solve the delta-certificate (`peel`) and the Eisenstein
-    coefficients of f from the cusp values of its formal sum terms
-    (`cusp_values`), and check both with one exact residual
-    (`span_solve`).  Returns (solution, certificate); the claim behind f
-    holds modulo Eisenstein series iff solution.residual is 0.
+    """Solve the delta-certificate (`peel`, from the Y^1 and Y^2
+    constants) and the Eisenstein coefficients of f (`span_solve`, from
+    the Y^0 constants) from the cusp values of its formal sum terms
+    (`cusp_values`), and check both with one exact residual.  Returns
+    (solution, certificate); the claim behind f holds modulo Eisenstein
+    series iff solution.residual is 0.
 
     At weight 2 the basis members carry the Y-component themselves, so
     nothing is peeled.  At any other weight a Y-component left in the
@@ -831,7 +828,7 @@ def certify_orthogonal(
     values = cusp_values(terms, f.level)
     cert = [] if f.weight == 2 else peel(f, values)
     sol = span_solve(f, eis_basis(f.weight, f.level, f.truncation),
-                     columns(values, f.weight, 0), cert)
+                     [y0 for y0, _, _ in values], cert)
     if f.weight != 2 and sol.residual.depth:
         raise TopComponentNotEisenstein(
             "a Y-component is outside the span of the delta terms")

@@ -138,6 +138,14 @@ def test_expand_out_file_matches_stdout(tmp_path, capsys):
     assert out.read_text() == streamed
 
 
+def test_expand_negative_prec_is_a_usage_error(capsys):
+    assert run_cli(["expand", "--weight", "1", "--lam", "1,2@5",
+                    "--prec", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: truncation must be >= 0\n"
+
+
 # -- verification subcommands ----------------------------------------------
 
 

@@ -19,6 +19,7 @@ from eisenlab.eisenstein import (
     constant_term,
     cusps,
     eis_qseries,
+    eis_sum,
     index_mu,
     proven_truncation,
     sturm_truncation,
@@ -473,6 +474,15 @@ def test_truncation_extension_is_consistent():
     longer = eis_qseries(idx, 30)
     for n in range(12):
         assert short.coeff(n) == longer.coeff(n)
+
+
+def test_negative_truncation_is_rejected():
+    # no series, not even the constant term, below exponent 0
+    idx = EisIndex(1, 5, 1, 2)
+    for expand in (lambda: eis_sum({idx: 1}, 1, 5, -1),
+                   lambda: eis_qseries(idx, -1)):
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            expand()
 
 
 def test_nonconstant_coefficients_are_integral():

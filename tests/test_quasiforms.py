@@ -30,7 +30,6 @@ from eisenlab.quasiforms import (
     UnsupportedWeight,
     certify_orthogonal,
     check_s_transform,
-    columns,
     cusp_values,
     delta,
     eis_basis,
@@ -395,6 +394,9 @@ def test_integer_rref_is_the_gauss_jordan_of_its_columns(weight, level):
         vec = {col: Cyclotomic.from_rational(1, Fraction(x, den))
                for col, x in row.items()}
         if weight == 2:
+            # the oracle keeps the constant 1 of each member's Y-component
+            # as a last column, which the elimination leaves out: equal
+            # pivots and tracks show that the column changes nothing
             vec[len(cusps(n))] = Cyclotomic.one(1)
         vectors.append(vec)
     want = [(pivot, {t: Fraction(c.vec[0], c.den) for t, c in track.items()})
@@ -419,6 +421,9 @@ def test_rref_matches_the_cusp_column_oracle(weight, level):
     for idx in basis.indices:
         vec = dict(cusp_constants(weight, n)[idx.c1, idx.c2])
         if weight == 2:
+            # the oracle keeps the Y-component's constant column, which
+            # the elimination and `_read` leave out: equal kept members
+            # and coefficients show that the column changes nothing
             vec[len(cusps(n))] = Cyclotomic.one(n)
         vectors.append(vec)
     rows = exact_rref(vectors)
@@ -437,7 +442,17 @@ def test_rref_matches_the_cusp_column_oracle(weight, level):
         assert not rest
         want = {basis.indices[t]: combo[t] for t in sorted(combo) if combo[t]}
         assert want == {basis.indices[t]: coeffs[t] for t in sorted(coeffs)}
-        assert quasiforms._read(basis, values) == want
+        assert quasiforms._read(basis, values[:len(cusps(n))]) == want
+
+
+def test_weight_two_rank_is_the_number_of_cusps():
+    # the constants at the cusps decide the completed weight-2 span (the
+    # residue theorem, `EisBasis.rref`): one pivot per cusp, and every
+    # pivot a cusp column
+    for n in range(1, 31):
+        rows = EisBasis(2, n, proven_truncation(2, n)).rref()
+        assert len(rows) == len(cusps(n)), n
+        assert all(pivot < len(cusps(n)) for pivot, _, _ in rows), n
 
 
 def test_cusp_rows_are_the_rows_of_the_whole_level_table():
@@ -610,15 +625,16 @@ def test_level_fifteen_weight_three_matches_the_cusp_column_oracle():
     assert kept_members(basis.rref()) == kept_members(exact_rref(vectors))
 
 
-def values_of(terms, weight, level):
-    """What span_solve reads for a form with the formal sum terms."""
-    return columns(cusp_values(terms, level), weight, 0)
+def values_of(terms, level):
+    """What span_solve reads for a form with the formal sum terms: its
+    Y^0 constant at each cusp."""
+    return [y0 for y0, _, _ in cusp_values(terms, level)]
 
 
 def test_span_solve_recovers_a_member():
     basis = eis_basis(2, 3, 20)
     target = eis_series(basis.indices[2], 20)
-    sol = span_solve(target, basis, values_of([(1, basis.indices[2])], 2, 3),
+    sol = span_solve(target, basis, values_of([(1, basis.indices[2])], 3),
                      [])
     assert sol.in_span
     rebuilt = None
@@ -631,13 +647,13 @@ def test_span_solve_recovers_a_member():
 def test_span_solve_zero_target():
     basis = EisBasis(2, 3, 20)  # uncached, unreduced
     z = QuasiForm(2, 3, 20, ())
-    sol = span_solve(z, basis, values_of([], 2, 3), [])
+    sol = span_solve(z, basis, values_of([], 3), [])
     assert sol.in_span and not sol.coefficients
     assert sol.residual == z
     assert basis._rref is None  # zero needs no row reduction
     for other in (QuasiForm(3, 3, 20, ()), QuasiForm(2, 3, 21, ())):
         with pytest.raises(ValueError):
-            span_solve(other, basis, values_of([], 2, 3), [])
+            span_solve(other, basis, values_of([], 3), [])
 
 
 small_coeffs = st.lists(
@@ -654,7 +670,7 @@ def test_span_solve_soundness(coeffs, perturb):
     for c, member in zip(coeffs, members(basis)):
         if c:
             target = target + member.scale(c)
-    values = values_of(list(zip(coeffs, basis.indices)), 1, 3)
+    values = values_of(list(zip(coeffs, basis.indices)), 3)
     if perturb:
         bump = QSeries(3, 15, {11: Cyclotomic.zeta(3)})
         target = target + QuasiForm(1, 3, 15, (bump,))
@@ -672,14 +688,14 @@ def test_span_solve_weight_two_sees_the_y_row():
     # is left over
     basis = eis_basis(2, 1, 20)
     holo_only = QuasiForm(2, 1, 20, (eis_series(basis.indices[0], 20).component(0),))
-    sol = span_solve(holo_only, basis, values_of([(1, basis.indices[0])], 2, 1),
+    sol = span_solve(holo_only, basis, values_of([(1, basis.indices[0])], 1),
                      [])
     assert not sol.in_span
 
 
 def test_span_solve_frame_checks():
     basis = eis_basis(2, 3, 20)
-    values = values_of([], 2, 3)
+    values = values_of([], 3)
     with pytest.raises(ValueError):
         span_solve(QuasiForm(2, 3, 21, ()), basis, values, [])
     with pytest.raises(ValueError):
@@ -723,7 +739,7 @@ def test_span_solve_matches_the_gauss_jordan_oracle(weight, level):
     rng = random.Random(1000 * weight + level)
     for in_span in (True, False, True, False):
         target, terms = random_target(basis, rng, in_span)
-        sol = span_solve(target, basis, values_of(terms, weight, level), [])
+        sol = span_solve(target, basis, values_of(terms, level), [])
         assert sol.in_span == in_span
         if in_span:
             want = exact_span_solve(target, basis, oracle_rows(weight, level))
@@ -747,7 +763,7 @@ def test_span_solve_makes_no_cyclotomic_products(monkeypatch):
 
     for in_span in (True, False):
         target, terms = random_target(basis, random.Random(in_span), in_span)
-        values = values_of(terms, 2, 5)
+        values = values_of(terms, 5)
         monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
         monkeypatch.setattr(Cyclotomic, "__rmul__", counting_mul)
         sol = span_solve(target, basis, values, [])
@@ -786,7 +802,7 @@ def test_peel_inverts_delta():
     values = [[zero, -row.get(col, zero), zero] for col in range(len(cusps(3)))]
     cert = peel(f, values)
     assert cert == [(idx, 1)]
-    sol = span_solve(f, eis_basis(3, 3, 21), columns(values, 3, 0), cert)
+    sol = span_solve(f, eis_basis(3, 3, 21), [v[0] for v in values], cert)
     assert sol.in_span and not sol.coefficients
     assert rebuild(sol, cert, 21) == f
 
@@ -1034,7 +1050,7 @@ def test_certificate_and_defect_rebuild_the_target(weight, level):
 
     for in_span in (True, False, True, False):
         target, terms = random_target(basis, rng, in_span)
-        values = [[x, zero, zero] for x in values_of(terms, weight, level)]
+        values = [[x, zero, zero] for x in values_of(terms, level)]
         holomorphic = target
         for idx in source.indices:
             if rng.random() < 0.5:
@@ -1046,7 +1062,7 @@ def test_certificate_and_defect_rebuild_the_target(weight, level):
                     v[1] = v[1] - s * w * row.get(col, zero)
                     v[2] = v[2] - s * (w == 2)
         cert = peel(target, values)
-        sol = span_solve(target, basis, columns(values, weight, 0), cert)
+        sol = span_solve(target, basis, [v[0] for v in values], cert)
         assert rebuild(sol, cert, b) == target
         assert sol.in_span == in_span
         if in_span:
