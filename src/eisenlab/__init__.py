@@ -38,8 +38,6 @@ from .quasiforms import (
     EisBasis,
     QuasiForm,
     SpanSolution,
-    TopComponentNotEisenstein,
-    UnsupportedWeight,
     certify_orthogonal,
     check_s_transform,
     delta,

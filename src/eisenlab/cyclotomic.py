@@ -20,6 +20,26 @@ Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
+def prime_divisors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n >= 1, ascending, by trial division:
+    the one factorization that `euler_phi`, `eisenstein.index_mu` and the
+    Moebius values of `quasiforms._ramanujan` read.
+
+    >>> prime_divisors(360), prime_divisors(1)
+    ((2, 3, 5), ())
+    """
+    primes, m, p = [], n, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return tuple(primes)
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """
@@ -28,15 +48,9 @@ def euler_phi(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"euler_phi needs n >= 1, got {n}")
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    result = n
+    for p in prime_divisors(n):
+        result -= result // p
     return result
 
 

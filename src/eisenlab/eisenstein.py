@@ -30,7 +30,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .cyclotomic import (Cyclotomic, _multiplier, _reduce_vector, _times,
-                         _zeta_rows, euler_phi)
+                         _zeta_rows, euler_phi, prime_divisors)
 
 
 class InvalidIndex(ValueError):
@@ -368,15 +368,8 @@ def index_mu(n: int) -> int:
     if n == 2:
         return 6
     mu = n ** 3
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            mu = mu // (p * p) * (p * p - 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        mu = mu // (m * m) * (m * m - 1)
+    for p in prime_divisors(n):
+        mu = mu // (p * p) * (p * p - 1)
     return mu // 2
 
 

@@ -20,7 +20,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .cyclotomic import (Cyclotomic, _multiplier, _norm_inverse,
-                         _reduce_vector, _times, cyclo_embed, euler_phi)
+                         _reduce_vector, _times, cyclo_embed, euler_phi,
+                         prime_divisors)
 from .eisenstein import (EisIndex, QSeries, _bernoulli_row, _integral,
                          constant_term, cusps, eis_qseries, eis_sum,
                          sturm_truncation)
@@ -33,14 +34,6 @@ EVAL_DIGITS = 60
 
 class DepthOverflow(ArithmeticError):
     """An operation produced a Y-power beyond depth 2."""
-
-
-class TopComponentNotEisenstein(ValueError):
-    """A Y-component fell outside the span the peel step requires."""
-
-
-class UnsupportedWeight(ValueError):
-    """Peeling needs weight >= depth + 2 at each stage."""
 
 
 class QuasiForm:
@@ -485,13 +478,9 @@ def _ramanujan(n: int) -> list[int]:
     q = n / gcd(j, n)."""
     by_q = {}
     for q in {n // gcd(j, n) for j in range(n)}:
-        mu, m, p = 1, q, 2  # mu(q), by trial division
-        while p * p <= m:
-            if m % p == 0:
-                m //= p
-                mu = 0 if m % p == 0 else -mu
-            p += 1
-        by_q[q] = (-mu if m > 1 else mu) * euler_phi(n) // euler_phi(q)
+        primes = prime_divisors(q)
+        mu = 0 if any(q % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+        by_q[q] = mu * euler_phi(n) // euler_phi(q)
     return [by_q[n // gcd(j, n)] for j in range(n)]
 
 
@@ -769,27 +758,42 @@ def _add_products(out: dict, rows: list, vecs: dict, k: int) -> None:
 
 def peel(f: QuasiForm, values) -> list[tuple[EisIndex, Cyclotomic]]:
     """The delta-certificate of f, read from its cusp values
-    (`cusp_values`) alone: entries (idx, scale) such that f less
-    sum(scale * delta(eis_series(idx, B))) is holomorphic when f is
-    peelable at all, B being f's truncation.  Each idx indexes an
-    Eisenstein series of weight f.weight - 2; `span_solve` checks the
-    certificate with the exact residual.
+    (`cusp_values`) alone: entries (idx, scale), idx of weight k - 2 for
+    f of weight k, whose sum(scale * delta(eis_series(idx, B))) has the
+    Y-part of f, B being f's truncation.  `span_solve` subtracts it in
+    the exact residual, where any Y-part it leaves stays.
 
-    Only delta_2 of a completed weight-2 series produces Y^2, and its Y^2
-    part is the constant -1, so a depth-2 form first takes minus its Y^2
-    constant as the scale of E_{2,0}, and the Y^1 values lose that
-    term's.  What is left is delta_w of a weight-(k-2) combination
-    sum c E, whose Y^1 values are those of -w sum c E, one per cusp, so
-    the c are read (`_read`) from them and divided by -w.  Raises
-    UnsupportedWeight when no delta of the needed source weight exists.
+    Only delta_2 of a completed weight-2 series has a Y^2 part, the
+    constant -1, so at weight 4 a nonzero Y^2 constant S gives E_{2,0}
+    the scale -S, and the Y^1 values gain its S/6 (c0(E_{2,0}) = -1/12
+    at every cusp).  delta_w sum c E has the Y^1 part -w sum c E, so from
+    weight 3 on, when some Y^1 value is not 0, the c are read (`_read`)
+    from them and divided by -w.
+
+    Proof that no Y-part stays when f is a formal sum of products of at
+    most two series, E_{2,v} = h_v + Y completed.  A combination of the
+    weight-w members with constant 0 at every cusp is 0, at w = 2 too
+    (`EisBasis.rref`), so for the values of a combination `_read` gives
+    that same form.  Only a weight-2 factor brings Y, so k = 1 has none.
+      k = 3, k >= 5: no term has Y^2, and the Y-part is Y sum a_g E_{k-2,g}
+        over the terms a_g E_{2,u} E_{k-2,g}: the read gives that
+        combination, and the delta terms take it away.
+      k = 4: a term s E_{2,u} E_{2,v} has the Y-part s (h_u + h_v) Y +
+        s Y^2, so the Y^2 part is the sum S of those s, which E_{2,0}
+        takes.  The Y^1 part left is P = sum a_w h_w, sum a_w = 2S - 2S =
+        0, so P is the completed sum a_w E_{2,w}, with the shifted values.
+        The read gives sum c_v E_{2,v} = P, so sum c_v = 0: the delta
+        terms take P Y away and add no Y^2.
+      k = 2: nothing is peeled.  The members reach any values, their
+        rank being the number of cusps, so `span_solve` reads c_v with
+        H = f - sum c_v E_{2,v} of constant 0 at every cusp.  Its Y-part
+        is a constant t, so H - t E_{2,0} is holomorphic with constant
+        t/12 at every cusp, and its residues sum to 0: t = 0.
     """
     level, k = f.level, f.weight
     cert: list[tuple[EisIndex, Cyclotomic]] = []
     y1 = [y for _, y, _ in values]
-    if f.depth == 2:
-        if k != 4:
-            raise UnsupportedWeight(
-                f"depth-2 peel needs weight 4, got {k}")
+    if k == 4 and values[0][2]:
         idx = EisIndex(2, level, 0, 0)
         scale = -values[0][2]
         cert.append((idx, scale))
@@ -798,10 +802,7 @@ def peel(f: QuasiForm, values) -> list[tuple[EisIndex, Cyclotomic]]:
         # (0, 0) is fixed by every gamma
         shift = 2 * scale * constant_term(idx)
         y1 = [y + shift for y in y1]
-    if f.depth:
-        if k < 3:
-            raise UnsupportedWeight(
-                f"depth-1 peel needs weight >= 3, got {k}")
+    if k >= 3 and any(y1):
         w = k - 2
         basis = eis_basis(w, level, f.truncation)
         cert += [(idx, -(coeff / w))
@@ -816,23 +817,16 @@ def certify_orthogonal(
     the Y^0 constants) from the cusp values of its formal sum terms
     (`cusp_values`), and check both with one exact residual.  Returns
     (solution, certificate); the claim behind f holds modulo Eisenstein
-    series iff solution.residual is 0.
-
-    At weight 2 the basis members carry the Y-component themselves, so
-    nothing is peeled.  At any other weight a Y-component left in the
-    residual is a nonholomorphic part that no delta term explains, and
-    raises TopComponentNotEisenstein.  A zero form needs no cusp value
-    and no basis."""
+    series iff solution.residual is 0.  A Y-component that no delta term
+    explains stays in the residual, at every weight; `peel` proves that
+    a formal sum leaves none.  A zero form needs no cusp value and no
+    basis."""
     if f.is_zero():
         return SpanSolution({}, f), []
     values = cusp_values(terms, f.level)
-    cert = [] if f.weight == 2 else peel(f, values)
-    sol = span_solve(f, eis_basis(f.weight, f.level, f.truncation),
-                     [y0 for y0, _, _ in values], cert)
-    if f.weight != 2 and sol.residual.depth:
-        raise TopComponentNotEisenstein(
-            "a Y-component is outside the span of the delta terms")
-    return sol, cert
+    cert = peel(f, values)
+    return span_solve(f, eis_basis(f.weight, f.level, f.truncation),
+                      [y0 for y0, _, _ in values], cert), cert
 
 
 # -- numerics --------------------------------------------------------------

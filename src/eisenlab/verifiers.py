@@ -29,8 +29,6 @@ from .hull import NonCoprimeShear, hull_chain
 from .quasiforms import (
     QuasiForm,
     SpanSolution,
-    TopComponentNotEisenstein,
-    UnsupportedWeight,
     certify_orthogonal,
     combine,
     eis_series,
@@ -203,18 +201,15 @@ def _report(claim_id: str, parameters: dict, total: QuasiForm, terms: list,
             started: float, status: str | None = None) -> VerificationReport:
     """Certify the claim's total form, whose formal sum is terms, or,
     when the caller already has a status, record it with the whole form
-    as the residual.  A form the certifier cannot peel is INCONCLUSIVE,
-    recorded the same way.  A VERIFIED below `proven_truncation` proves
-    nothing and becomes INCONCLUSIVE.  The report's truncation and level
-    are the form's."""
+    as the residual.  A certified claim is VERIFIED iff its exact
+    residual is 0, and INCONCLUSIVE otherwise, a Y-component the
+    certificate leaves included.  A VERIFIED below `proven_truncation`
+    proves nothing and becomes INCONCLUSIVE.  The report's truncation and
+    level are the form's."""
     defect, certificate = SpanSolution(coefficients={}, residual=total), []
     if status is None:
-        try:
-            defect, certificate = certify_orthogonal(total, terms)
-        except (TopComponentNotEisenstein, UnsupportedWeight):
-            status = INCONCLUSIVE
-        else:
-            status = VERIFIED if defect.in_span else INCONCLUSIVE
+        defect, certificate = certify_orthogonal(total, terms)
+        status = VERIFIED if defect.in_span else INCONCLUSIVE
     if status == VERIFIED and total.truncation < proven_truncation(
             total.weight, total.level):
         status = INCONCLUSIVE

@@ -1,7 +1,7 @@
 """Field arithmetic in Q(zeta_N): ring axioms, inversion, embeddings,
 string round-trips, and the numeric image."""
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import mpmath
 import pytest
@@ -16,8 +16,11 @@ from eisenlab.cyclotomic import (
     cyclo_reduce,
     cyclotomic_poly,
     euler_phi,
+    prime_divisors,
 )
+from eisenlab.eisenstein import index_mu
 from eisenlab.oracles import phi_remainder
+from eisenlab.quasiforms import _ramanujan
 
 CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12)
 
@@ -55,6 +58,23 @@ def test_euler_phi_rejects_nonpositive():
     for n in (0, -3, 0):
         with pytest.raises(ValueError):
             euler_phi(n)
+
+
+def test_one_factorization_by_brute_force():
+    # the readers of `prime_divisors`, each against its definition: phi
+    # counts the units, mu(n) = c_n(1) is (-1)^r on a product of r
+    # distinct primes and 0 off the squarefree, and mu_N is the PSL2(Z)
+    # index N^3 prod_{p | N} (1 - p^-2) / 2 (1 and 6 at N = 1, 2, where
+    # -I lies in Gamma(N))
+    for n in range(1, 301):
+        primes = [p for p in range(2, n + 1)
+                  if n % p == 0 and all(p % d for d in range(2, p))]
+        assert prime_divisors(n) == tuple(primes)
+        assert euler_phi(n) == sum(gcd(a, n) == 1 for a in range(1, n + 1))
+        squarefree = all(n % (d * d) for d in range(2, n + 1))
+        assert _ramanujan(n)[1 % n] == (-1) ** len(primes) * squarefree
+        index = n ** 3 * prod(1 - Fraction(1, p * p) for p in primes) / 2
+        assert index_mu(n) == {1: 1, 2: 6}.get(n, index)
 
 
 def test_cyclotomic_poly_known():

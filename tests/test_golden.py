@@ -14,6 +14,7 @@ depth-2 plus depth-1 certificate
 (three_term_n5_below_bound).
 """
 import contextlib
+import dataclasses
 import io
 import runpy
 import sys
@@ -22,12 +23,13 @@ from pathlib import Path
 
 import pytest
 
+import eisenlab
 from eisenlab import acceptance
 from eisenlab.cli import emit_report
 from eisenlab.eisenstein import proven_truncation
-from eisenlab.verifiers import (LParams, TorsionPoint, verify_hecke_trace,
-                                verify_prop21, verify_three_term_w2,
-                                verify_two_term)
+from eisenlab.verifiers import (INCONCLUSIVE, LParams, TorsionPoint,
+                                verify_hecke_trace, verify_prop21,
+                                verify_three_term_w2, verify_two_term)
 
 GOLDEN = Path(__file__).parent / "golden"
 SHOWCASE = Path(__file__).parents[1] / "scripts" / "verify_showcase.py"
@@ -70,17 +72,35 @@ DIRECT = {
 }
 
 
-@pytest.fixture(scope="module")
-def showcase_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("showcase")
+def run_showcase(*args) -> None:
+    """Run the showcase script in process with args, its output muted."""
     argv = sys.argv
-    sys.argv = [str(SHOWCASE), "--out-dir", str(out)]
+    sys.argv = [str(SHOWCASE), *args]
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             runpy.run_path(str(SHOWCASE), run_name="__main__")
     finally:
         sys.argv = argv
+
+
+@pytest.fixture(scope="module")
+def showcase_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("showcase")
+    run_showcase("--out-dir", str(out))  # a clean run exits normally
     return out
+
+
+def test_showcase_exits_one_on_a_claim_not_verified(monkeypatch):
+    # the script imports the verifiers when it runs, so it gets the patch
+    real = eisenlab.verify_prop21
+
+    def inconclusive(*args):
+        return dataclasses.replace(real(*args), status=INCONCLUSIVE)
+
+    monkeypatch.setattr(eisenlab, "verify_prop21", inconclusive)
+    with pytest.raises(SystemExit) as exit_:
+        run_showcase()
+    assert exit_.value.code == 1
 
 
 def test_showcase_writes_the_golden_set(showcase_dir):

@@ -165,13 +165,14 @@ def raw_sum(terms, weight, level, b):
 
 
 @st.composite
-def formal_sums(draw):
-    """(terms, weight, level): a formal sum at level 1-8 and weight 1-4
-    whose products share a few points, odd-weight 2-torsion points among
-    them, with rational and Q(zeta_N) scales; some terms come back with
-    factors negated and permuted, repeated, cancelled or rescaled."""
+def formal_sums(draw, weights=(1, 4)):
+    """(terms, weight, level): a formal sum at level 1-8 and a weight in
+    the closed range weights, of products of at most two series that
+    share a few points, odd-weight 2-torsion points among them, with
+    rational and Q(zeta_N) scales; some terms come back with factors
+    negated and permuted, repeated, cancelled or rescaled."""
     n = draw(st.integers(1, 8))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(*weights))
     any_point = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     halves = [0, n // 2] if n % 2 == 0 else [0]
     two_torsion = st.tuples(st.sampled_from(halves), st.sampled_from(halves))
@@ -216,6 +217,22 @@ def test_canonical_sum_is_exact(case):
         assert all(idx.representative() == (1, idx) for idx in factors)
         assert factors == sorted(factors,
                                  key=lambda i: (i.weight, i.c1, i.c2))
+
+
+@settings(max_examples=60)
+@given(formal_sums(weights=(2, 6)), st.data())
+def test_certificate_leaves_no_y_part(case, data):
+    # `quasiforms.peel`'s proof: for a formal sum of products of at most
+    # two series the certificate explains the whole Y-part, so the
+    # residual is holomorphic, whether the claim is in the span or not;
+    # one more term with a weight-2 factor makes sure there is a Y-part
+    terms, k, n = case
+    point = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    y_term = [EisIndex(w, n, *data.draw(point)) for w in (2, k - 2) if w]
+    terms = canonical_sum(terms + [(data.draw(st.integers(-3, 3)), *y_term)])
+    b = proven_truncation(k, n)
+    sol, _ = quasiforms.certify_orthogonal(build_L(terms, k, n, b), terms)
+    assert sol.residual.depth == 0
 
 
 def test_canonical_sum_folds_pairs_and_drops_zero_factors():
