@@ -320,31 +320,54 @@ def test_report_inconclusive_path(tmp_path, capsys):
     assert payload["defect"]["coefficients"] == []
 
 
-def test_certifier_failure_is_inconclusive(tmp_path, monkeypatch, capsys):
-    # a certificate that explains nothing leaves the claim's Y-part in
-    # the residual: INCONCLUSIVE with its Y-exponents listed, not a
-    # usage error
+def _peel_nothing(peel, f, values):
+    return []
+
+
+def _peel_half(peel, f, values):
+    return [(idx, scale / 2) for idx, scale in peel(f, values)]
+
+
+# the two ways a certificate can fail to explain the Y-part: delta terms
+# that leave part of the top component, and no delta terms at all
+@pytest.mark.parametrize("wrong_peel", [
+    pytest.param(_peel_half, id="TopComponentNotEisenstein"),
+    pytest.param(_peel_nothing, id="UnsupportedWeight"),
+])
+def test_certifier_failure_is_inconclusive(wrong_peel, tmp_path, monkeypatch,
+                                           capsys):
+    # a certificate that does not explain the claim's Y-part leaves it in
+    # the residual: INCONCLUSIVE with its Y-exponents listed, not a usage
+    # error
     seen = []
+    peel = quasiforms.peel
 
-    def peel(f, values):
-        seen.append(f)
-        return []
+    def patched(f, values):
+        cert = wrong_peel(peel, f, values)
+        seen.append((f, cert))
+        return cert
 
-    monkeypatch.setattr(quasiforms, "peel", peel)
+    monkeypatch.setattr(quasiforms, "peel", patched)
     out = tmp_path / "r.json"
     rc = run_cli(["prop21", "--weight", "3", "--lam", "1,0@3",
                   "--mu", "0,1@3", "--p", "1", "--q", "1", "--out", str(out)])
     assert rc == 3
     assert capsys.readouterr().err == ""
-    (form,) = seen
+    ((form, cert),) = seen
+    assert bool(cert) == (wrong_peel is _peel_half)
     payload = json.loads(out.read_text())
     assert payload["status"] == "INCONCLUSIVE"
-    assert payload["defect"]["coefficients"] == []
-    assert payload["defect"]["certificate"] == []
+    assert len(payload["defect"]["certificate"]) == len(cert)
     exponents = payload["defect"]["residual_nonzero_exponents"]
-    assert exponents == sorted(
-        [j, e] for j, h in enumerate(form.components) for e in h.vecs)
-    assert any(j == 1 for j, _ in exponents)
+    # half the Y-part stays, or all of it: the same Y^1 exponents
+    assert form.depth == 1
+    assert [e for j, e in exponents if j == 1] == sorted(
+        form.components[1].vecs)
+    assert form.components[1].vecs
+    if not cert:
+        assert payload["defect"]["coefficients"] == []
+        assert exponents == sorted(
+            [j, e] for j, h in enumerate(form.components) for e in h.vecs)
 
 
 @pytest.mark.parametrize("args", [
