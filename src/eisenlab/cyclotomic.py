@@ -10,14 +10,12 @@ rational edges: input, comparison and hashing against rationals, the
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Sequence, Union
 
 Rational = Fraction
-
-Scalar = Union[int, Fraction]
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:
@@ -169,7 +167,7 @@ class Cyclotomic:
 
     __slots__ = ("conductor", "den", "vec")
 
-    def __init__(self, conductor: int, coeffs: Sequence[Scalar]):
+    def __init__(self, conductor: int, coeffs: Sequence[int | Fraction]):
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
         if len(coeffs) != euler_phi(conductor):
@@ -209,7 +207,7 @@ class Cyclotomic:
         return cyclo_reduce(conductor, {power % conductor: 1})
 
     @staticmethod
-    def from_rational(conductor: int, value: Scalar) -> Cyclotomic:
+    def from_rational(conductor: int, value: int | Fraction) -> Cyclotomic:
         f = Fraction(value)
         return Cyclotomic._of(conductor, f.denominator,
                               (f.numerator,) + (0,) * (euler_phi(conductor) - 1))

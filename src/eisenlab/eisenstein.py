@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -31,6 +30,7 @@ from operator import mul
 
 from .cyclotomic import (Cyclotomic, _multiplier, _reduce_vector, _times,
                          _zeta_rows, euler_phi, prime_divisors)
+from .value import Value, _setattr
 
 
 class InvalidIndex(ValueError):
@@ -41,22 +41,20 @@ class NotDivisible(ValueError):
     """A rescale target is not a multiple of the current denominator."""
 
 
-@dataclass(frozen=True)
-class EisIndex:
+class EisIndex(Value):
     """Weight plus a level-N torsion index, stored reduced mod N."""
 
-    weight: int
-    level: int
-    c1: int
-    c2: int
+    __slots__ = ("weight", "level", "c1", "c2")
 
-    def __post_init__(self):
-        if self.weight < 1:
-            raise InvalidIndex(f"weight must be >= 1, got {self.weight}")
-        if self.level < 1:
-            raise InvalidIndex(f"level must be >= 1, got {self.level}")
-        object.__setattr__(self, "c1", self.c1 % self.level)
-        object.__setattr__(self, "c2", self.c2 % self.level)
+    def __init__(self, weight: int, level: int, c1: int, c2: int):
+        if weight < 1:
+            raise InvalidIndex(f"weight must be >= 1, got {weight}")
+        if level < 1:
+            raise InvalidIndex(f"level must be >= 1, got {level}")
+        _setattr(self, "weight", weight)
+        _setattr(self, "level", level)
+        _setattr(self, "c1", c1 % level)
+        _setattr(self, "c2", c2 % level)
 
     def negate(self) -> EisIndex:
         return EisIndex(self.weight, self.level, -self.c1, -self.c2)

@@ -8,8 +8,9 @@ so consecutive determinants all equal N.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+from .value import Value
 
 
 class NonCoprimeShear(ValueError):
@@ -23,11 +24,11 @@ class NotConsecutive(ValueError):
 Vec = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class HullChain:
-    level: int
-    shear: int
-    vectors: tuple[Vec, ...]
+class HullChain(Value):
+    __slots__ = ("level", "shear", "vectors")
+
+    def __init__(self, level: int, shear: int, vectors: tuple[Vec, ...]):
+        self._set(level, shear, vectors)
 
     def pairs(self) -> tuple[tuple[Vec, Vec], ...]:
         return tuple(zip(self.vectors, self.vectors[1:]))

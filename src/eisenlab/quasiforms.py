@@ -13,7 +13,6 @@ The two derivations used throughout:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
@@ -25,6 +24,7 @@ from .cyclotomic import (Cyclotomic, _multiplier, _norm_inverse,
 from .eisenstein import (EisIndex, QSeries, _bernoulli_row, _integral,
                          constant_term, cusps, eis_qseries, eis_sum,
                          sturm_truncation)
+from .value import Value
 
 MAX_DEPTH = 2
 
@@ -620,16 +620,18 @@ def cusp_values(terms, level: int) -> list[list[Cyclotomic]]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SpanSolution:
+class SpanSolution(Value):
     """Outcome of projecting a form onto an Eisenstein basis.
 
     coefficients holds only the nonzero entries, keyed by basis index,
-    in basis enumeration order.
+    in basis enumeration order.  Equal only to itself.
     """
 
-    coefficients: dict
-    residual: QuasiForm
+    __slots__ = ("coefficients", "residual")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, coefficients: dict, residual: QuasiForm):
+        self._set(coefficients, residual)
 
     @property
     def in_span(self) -> bool:

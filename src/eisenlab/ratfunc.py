@@ -10,12 +10,11 @@ positive.
 """
 from __future__ import annotations
 
-import random
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm
 from operator import sub
-from typing import Callable, Mapping
 
 from .hull import HullChain, hull_chain
 
@@ -681,7 +680,8 @@ def kernel_scope(identity_id: str, k: int | None = None,
         return [(f"k={w}", lambda w=w: check_kernel("K23", k=w))
                 for w in weights]
     if identity_id == "K33" and chain is None:
-        rng = random.Random(3300)
+        from random import Random
+        rng = Random(3300)
         quads = []
         while len(quads) < 200:
             a, b, c, d = quad = tuple(rng.randint(-9, 9) for _ in range(4))

@@ -17,7 +17,6 @@ Statuses:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd
@@ -34,6 +33,7 @@ from .quasiforms import (
     eis_series,
     quasi_mul,
 )
+from .value import Value, _setattr
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
@@ -49,19 +49,17 @@ PQ_SAMPLES = (
 )
 
 
-@dataclass(frozen=True)
-class TorsionPoint:
+class TorsionPoint(Value):
     """A point of M^{-1}Z^2/Z^2, stored as (c1/M, c2/M) reduced mod 1."""
 
-    denominator: int
-    c1: int
-    c2: int
+    __slots__ = ("denominator", "c1", "c2")
 
-    def __post_init__(self):
-        if self.denominator < 1:
+    def __init__(self, denominator: int, c1: int, c2: int):
+        if denominator < 1:
             raise ValueError("denominator must be >= 1")
-        object.__setattr__(self, "c1", self.c1 % self.denominator)
-        object.__setattr__(self, "c2", self.c2 % self.denominator)
+        _setattr(self, "denominator", denominator)
+        _setattr(self, "c1", c1 % denominator)
+        _setattr(self, "c2", c2 % denominator)
 
     def rescale(self, new_denominator: int) -> TorsionPoint:
         if new_denominator % self.denominator:
@@ -97,37 +95,39 @@ class TorsionPoint:
         return f"{self.c1},{self.c2}@{self.denominator}"
 
 
-@dataclass(frozen=True)
-class LParams:
+class LParams(Value):
     """Data of one bilinear Eisenstein combination of total weight k."""
 
-    lam: TorsionPoint
-    mu: TorsionPoint
-    p: Rational
-    q: Rational
-    weight: int
+    __slots__ = ("lam", "mu", "p", "q", "weight")
 
-    def __post_init__(self):
-        if self.weight < 2:
+    def __init__(self, lam: TorsionPoint, mu: TorsionPoint, p: Rational,
+                 q: Rational, weight: int):
+        if weight < 2:
             raise ValueError("weight must be >= 2")
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "q", Fraction(self.q))
+        _setattr(self, "lam", lam)
+        _setattr(self, "mu", mu)
+        _setattr(self, "p", Fraction(p))
+        _setattr(self, "q", Fraction(q))
+        _setattr(self, "weight", weight)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Value):
     """Outcome of one claim.  Each certificate entry (idx, scale) says that
     scale * delta(eis_series(idx, truncation)) was peeled off the claim's
-    form before its holomorphic remainder was solved as the defect."""
+    form before its holomorphic remainder was solved as the defect.
+    Mutable, so unhashable."""
 
-    claim_id: str
-    parameters: dict
-    status: str
-    defect: SpanSolution
-    certificate: list[tuple[EisIndex, Cyclotomic]]
-    truncation: int
-    level: int
-    elapsed_ms: float
+    __slots__ = ("claim_id", "parameters", "status", "defect", "certificate",
+                 "truncation", "level", "elapsed_ms")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
+
+    def __init__(self, claim_id: str, parameters: dict, status: str,
+                 defect: SpanSolution,
+                 certificate: list[tuple[EisIndex, Cyclotomic]],
+                 truncation: int, level: int, elapsed_ms: float):
+        self._set(claim_id, parameters, status, defect, certificate,
+                  truncation, level, elapsed_ms)
 
 
 def L_terms(params: LParams, n_work: int) -> list[tuple[Fraction, EisIndex, EisIndex]]:

@@ -402,3 +402,20 @@ def test_exact_paths_do_not_import_mpmath():
                          text=True, env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["VERIFIED", "True", "False"]
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    """Importing the package and its CLI loads none of `dataclasses`,
+    `inspect` or `typing`, which would add to every process start.  The
+    interpreter runs with -S, since site files may preload `typing`."""
+    code = textwrap.dedent("""
+        import sys
+        import eisenlab, eisenlab.cli
+        print(*sorted({"dataclasses", "inspect", "typing"} & set(sys.modules)))
+    """)
+    src = str(Path(eisenlab.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
