@@ -51,7 +51,6 @@ from .quasiforms import (
 )
 from .verifiers import (
     INCONCLUSIVE,
-    REFUTED,
     VERIFIED,
     LParams,
     TorsionPoint,

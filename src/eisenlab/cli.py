@@ -1,7 +1,7 @@
 """Command-line front end: verifications, expansions, reports, figures.
 
-Exit codes: 0 for VERIFIED (or plain success), 2 for REFUTED, 3 for
-INCONCLUSIVE, 1 for usage and configuration errors.
+Exit codes: 0 VERIFIED or plain success, 3 INCONCLUSIVE, 2 a failed
+kernel proof or selftest, 1 usage and configuration errors.
 """
 from __future__ import annotations
 
@@ -17,12 +17,11 @@ from .quasiforms import QuasiForm, eis_series
 from .ratfunc import KERNEL_IDS, kernel_scope
 from .verifiers import (
     INCONCLUSIVE,
-    PQ_SAMPLES,
-    REFUTED,
     VERIFIED,
     LParams,
     TorsionPoint,
     VerificationReport,
+    pq_samples,
     verify_hecke_trace,
     verify_prop21,
     verify_three_term_w2,
@@ -54,7 +53,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def status_exit(status: str) -> int:
-    return {VERIFIED: 0, REFUTED: 2, INCONCLUSIVE: 3}[status]
+    return {VERIFIED: 0, INCONCLUSIVE: 3}[status]
 
 
 # -- report serialization --------------------------------------------------
@@ -262,10 +261,10 @@ def cmd_three_term(cfg: argparse.Namespace) -> int:
 
 
 def _run_claims(cfg: argparse.Namespace, verify) -> int:
-    """Run verify(p, q) on the --p/--q pair, or on each default sample,
-    whose summary line ends with its pair.  The worst verdict sets the
-    exit code: REFUTED (2) beats INCONCLUSIVE (3), which beats VERIFIED
-    (0)."""
+    """Run verify(p, q) on the --p/--q pair, or on each sample of
+    `pq_samples(cfg.weight)`, whose summary line ends with its pair.  Any
+    INCONCLUSIVE (3) sets the exit code; 0 without --p/--q means the
+    claim holds for every (p, q)."""
     if (cfg.p is None) != (cfg.q is None):
         print("error: provide both --p and --q, or neither", file=sys.stderr)
         return 1
@@ -275,8 +274,8 @@ def _run_claims(cfg: argparse.Namespace, verify) -> int:
     if cfg.p is not None:
         return _finish(verify(cfg.p, cfg.q), cfg)
     codes = [_finish(verify(p, q), cfg, f"  at (p, q) = ({p}, {q})")
-             for p, q in PQ_SAMPLES]
-    return max(codes, key=(0, 3, 2).index)
+             for p, q in pq_samples(cfg.weight)]
+    return max(codes)
 
 
 def cmd_prop21(cfg: argparse.Namespace) -> int:

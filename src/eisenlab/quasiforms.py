@@ -287,9 +287,8 @@ class EisBasis:
 
 
 @lru_cache(maxsize=32)
-def eis_basis(weight: int, level: int, truncation: int | None = None) -> EisBasis:
-    b = sturm_truncation(weight, level) if truncation is None else truncation
-    return EisBasis(weight, level, b)
+def eis_basis(weight: int, level: int, truncation: int) -> EisBasis:
+    return EisBasis(weight, level, truncation)
 
 
 def _reduce(basis: EisBasis) -> list:

@@ -2,15 +2,12 @@
 
 Every verifier writes its claim once, as a formal sum of Eisenstein
 products, reduces it to canonical products with `canonical_sum`,
-expands that with `build_L`, runs either an exact series comparison or
-the cusp-orthogonality certifier on the same canonical sum, and wraps
-the outcome in a VerificationReport.  A claim whose canonical sum is
-empty holds formally: its form is zero, and no series is expanded.
-Statuses:
+expands that with `build_L`, runs the cusp-orthogonality certifier on
+the same canonical sum, and wraps the outcome in a VerificationReport.
+A claim whose canonical sum is empty holds formally: its form is zero,
+and no series is expanded.  Statuses:
 
   VERIFIED      the claim holds with an explicit exact decomposition;
-  REFUTED       an exact q-series equality failed (only exact claims
-                can be refuted; a certifier residual never refutes);
   INCONCLUSIVE  the certifier could not exhibit a decomposition, or
                 the input degenerates outside the claim's hypotheses.
 """
@@ -36,17 +33,23 @@ from .quasiforms import (
 from .value import Value, _setattr
 
 VERIFIED = "VERIFIED"
-REFUTED = "REFUTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# default (p, q) samples.  Both sides of a prop21 or hecke claim are
-# homogeneous of degree k - 2 in (p, q), so three samples determine them
-# only for k <= 4; each sample is verified on its own.
-PQ_SAMPLES = (
-    (Fraction(1), Fraction(1)),
-    (Fraction(2), Fraction(-1)),
-    (Fraction(3), Fraction(5)),
-)
+
+def pq_samples(k: int) -> list[tuple[Fraction, Fraction]]:
+    """The first max(k - 1, 1) of (1, 1), (2, -1), (3, 5), (1, 2), (1, 3),
+    ...  A prop21 or hecke claim of weight k VERIFIED at each holds for
+    every (p, q).  Proof: its form is homogeneous of degree d = k - 2,
+    F(p, q) = sum_i p^i q^(d-i) F_i.  The d + 1 samples have q_j != 0 and
+    distinct ratios t_j = p_j / q_j, so (p_j^i q_j^(d-i)) =
+    diag(q_j^d) Vandermonde(t_j) is invertible: each F_i is a rational
+    (Lagrange) combination of the sample forms.  VERIFIED, at or above
+    `proven_truncation`, puts each sample form in the span of Eisenstein
+    series and their delta images, a vector space, so every F_i and every
+    F(p, q) lies there too.  At k < 2 one pair is left, for LParams to
+    reject."""
+    pairs = [(1, 1), (2, -1), (3, 5)] + [(1, j) for j in range(2, k - 2)]
+    return [(Fraction(p), Fraction(q)) for p, q in pairs[:max(k - 1, 1)]]
 
 
 class TorsionPoint(Value):
@@ -200,10 +203,10 @@ def build_L(terms, weight: int, level: int, truncation: int | None) -> QuasiForm
 def _report(claim_id: str, parameters: dict, total: QuasiForm, terms: list,
             started: float, status: str | None = None) -> VerificationReport:
     """Certify the claim's total form, whose formal sum is terms, or,
-    when the caller already has a status, record it with the whole form
-    as the residual.  A certified claim is VERIFIED iff its exact
-    residual is 0, and INCONCLUSIVE otherwise, a Y-component the
-    certificate leaves included.  A VERIFIED below `proven_truncation`
+    given a status (only `verify_three_term_w2`'s refusal at a zero
+    point), record it with the whole form as the residual.  A certified
+    claim is VERIFIED iff its exact residual is 0, and INCONCLUSIVE
+    otherwise, a Y-component the certificate leaves included.  A VERIFIED below `proven_truncation`
     proves nothing and becomes INCONCLUSIVE.  The report's truncation and
     level are the form's."""
     defect, certificate = SpanSolution(coefficients={}, residual=total), []
@@ -227,18 +230,17 @@ def _report(claim_id: str, parameters: dict, total: QuasiForm, terms: list,
 
 def verify_two_term(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
                     truncation: int | None = None) -> VerificationReport:
-    """Exact check of the weight-2 two-term relation
-    E_{1,lam} E_{1,mu} + E_{1,mu} E_{1,-lam} = 0."""
+    """Certify the weight-2 two-term relation E_{1,lam} E_{1,mu} +
+    E_{1,mu} E_{1,-lam} = 0: its canonical sum is empty, its form 0."""
     started = time.perf_counter()
     lam_w = lam.rescale(n_work)
     mu_w = mu.rescale(n_work)
     terms = canonical_sum([(1, lam_w.to_index(1), mu_w.to_index(1)),
                            (1, mu_w.to_index(1), (-lam_w).to_index(1))])
-    total = build_L(terms, 2, n_work, truncation)
     return _report(
         "two_term",
         {"lam": lam.label(), "mu": mu.label(), "n_work": n_work},
-        total, terms, started, VERIFIED if total.is_zero() else REFUTED)
+        build_L(terms, 2, n_work, truncation), terms, started)
 
 
 def verify_three_term_w2(lam: TorsionPoint, mu: TorsionPoint, n_work: int,

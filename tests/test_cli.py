@@ -48,7 +48,6 @@ def test_parse_rational():
 
 def test_status_exit_map():
     assert status_exit("VERIFIED") == 0
-    assert status_exit("REFUTED") == 2
     assert status_exit("INCONCLUSIVE") == 3
 
 
@@ -179,12 +178,22 @@ def test_prop21_weight2_runs_default_samples(capsys):
     rc = run_cli(["prop21", "--weight", "2", "--lam", "1,0@3",
                   "--mu", "0,1@3"])
     assert rc == 0
+    # at k = 2 both sides are constant in (p, q): one sample proves all
+    assert capsys.readouterr().out == (
+        "three_term_w2: VERIFIED  (level 3, truncation 9, defect coefficients"
+        " 4, residual entries 0)  at (p, q) = (1, 1)\n")
+
+
+def test_prop21_default_samples_prove_every_pair(capsys):
+    rc = run_cli(["prop21", "--weight", "5", "--lam", "1,0@3",
+                  "--mu", "0,1@3"])
+    assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    # one report line per default (p, q) sample, each naming its pair
-    assert len(lines) == 3
-    assert all(line.startswith("three_term_w2: VERIFIED") for line in lines)
+    # k - 1 = 4 samples, each naming its pair
+    assert all(line.startswith("prop21: VERIFIED") for line in lines)
     assert [line.rsplit("  at ", 1)[1] for line in lines] == [
-        "(p, q) = (1, 1)", "(p, q) = (2, -1)", "(p, q) = (3, 5)"]
+        "(p, q) = (1, 1)", "(p, q) = (2, -1)", "(p, q) = (3, 5)",
+        "(p, q) = (1, 2)"]
 
 
 def test_explicit_pair_line_names_no_pair(capsys):

@@ -16,7 +16,8 @@ from eisenlab.eisenstein import (EisIndex, NotDivisible, QSeries,
                                  proven_truncation, sturm_truncation)
 from eisenlab.hull import NonCoprimeShear, hull_chain
 from eisenlab.oracles import row_sum_expansion
-from eisenlab.quasiforms import QuasiForm, cusp_values, eis_series, quasi_mul
+from eisenlab.quasiforms import (QuasiForm, combine, cusp_values, eis_series,
+                                 quasi_mul)
 from eisenlab.verifiers import (
     INCONCLUSIVE,
     VERIFIED,
@@ -25,6 +26,7 @@ from eisenlab.verifiers import (
     TorsionPoint,
     build_L,
     canonical_sum,
+    pq_samples,
     torsion_translates,
     verify_hecke_trace,
     verify_prop21,
@@ -305,16 +307,20 @@ def test_canonical_sizes_of_the_sweep_batch(monkeypatch):
 # -- two-term --------------------------------------------------------------
 
 
-@settings(max_examples=15)
-@given(st.sampled_from((2, 3, 4, 5, 6)), st.tuples(
-    st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)))
-def test_two_term_always_verifies(n, coords):
-    a1, a2, b1, b2 = coords
-    report = verify_two_term(TorsionPoint(n, a1, a2), TorsionPoint(n, b1, b2), n)
-    assert report.status == VERIFIED
-    assert report.defect.residual.is_zero()
-    assert not report.defect.coefficients
-    assert report.certificate == []
+def test_two_term_cancels_at_every_pair():
+    # the two-term relation has an empty canonical sum at every (lam, mu)
+    # of every level N <= 6, so its verdict can only be VERIFIED
+    for n in range(1, 7):
+        points = [TorsionPoint(n, a, b) for a in range(n) for b in range(n)]
+        for lam in points:
+            for mu in points:
+                assert canonical_sum([(1, lam.to_index(1), mu.to_index(1)),
+                                      (1, mu.to_index(1), (-lam).to_index(1))]) == []
+                report = verify_two_term(lam, mu, n)
+                assert report.status == VERIFIED
+                assert report.defect.residual.is_zero()
+                assert not report.defect.coefficients
+                assert report.certificate == []
 
 
 def test_two_term_report_shape():
@@ -432,6 +438,41 @@ def test_prop21_nontrivial_at_level_three():
     assert report.status == VERIFIED
     assert report.claim_id == "prop21"
     assert report.parameters["q"] == "1"
+
+
+def test_pq_samples_rule():
+    assert pq_samples(4) == [(1, 1), (2, -1), (3, 5)]
+    for k in range(-1, 12):
+        samples = pq_samples(k)
+        assert len(samples) == max(k - 1, 1)
+        assert samples[:3] == [(1, 1), (2, -1), (3, 5)][:len(samples)]
+        assert len({p / q for p, q in samples}) == len(samples)
+
+
+@pytest.mark.parametrize("k, n", [(5, 3), (6, 4)])
+def test_prop21_samples_interpolate_every_pair(k, n, monkeypatch):
+    # the form at (7, -4) is the Lagrange combination of the forms at
+    # the k - 1 samples, each VERIFIED: the samples prove every (p, q)
+    forms = []
+
+    def record(*args):
+        forms.append(build_L(*args))
+        return forms[-1]
+
+    monkeypatch.setattr(verifiers, "build_L", record)
+    lam, mu, b = TorsionPoint(n, 1, 0), TorsionPoint(n, 0, 1), proven_truncation(k, n)
+    samples = pq_samples(k)
+    for p, q in samples + [(7, -4)]:
+        report = verify_prop21(LParams(lam, mu, p, q, k), n, b)
+        assert report.status == VERIFIED
+    *sampled, target = forms
+    ratios = [p / q for p, q in samples]
+    t, d = Fraction(7, -4), k - 2
+    weights = [(Fraction(-4) / q) ** d
+               * prod((t - tm) / (tj - tm) for tm in ratios if tm != tj)
+               for (_, q), tj in zip(samples, ratios)]
+    assert not target.is_zero()
+    assert combine(list(zip(sampled, weights)), k, n, b) == target
 
 
 # -- the trace identity ----------------------------------------------------
