@@ -22,8 +22,8 @@ from .eisenstein import EisIndex, eis_qseries
 from .hull import hull_chain, sublattice_points, verify_pair_bijection
 from .oracles import (exact_rref, exact_span_solve, hull_oracle,
                       kept_members, lattice_value, naive_convolution, sigma)
-from .quasiforms import (check_s_transform, eis_basis, eis_series, eval_at,
-                         quasi_mul)
+from .quasiforms import (check_s_transform, combine, eis_basis, eis_series,
+                         eval_at, quasi_mul)
 from .ratfunc import KERNEL_IDS, kernel_scope
 from .verifiers import (
     INCONCLUSIVE,
@@ -138,7 +138,7 @@ def criterion_05_s_transform() -> tuple[bool, str]:
             for c1 in range(n):
                 for c2 in range(n):
                     idx = EisIndex(k, n, c1, c2)
-                    ok, err = check_s_transform(idx, 40 * n, 1e-10)
+                    ok, err = check_s_transform(idx)
                     worst = max(worst, err)
                     if not ok:
                         return False, f"S-transform failed at {idx}: error {err:.3e}"
@@ -182,12 +182,11 @@ def criterion_07_three_term() -> tuple[bool, str]:
                                f"lam={lam.label()}, mu={mu.label()}")
             # the relation holds only modulo Eisenstein terms: the raw
             # sum itself must not be the zero series
-            nu = -(lam + mu)
-            total = None
-            for x, y in ((lam, mu), (mu, nu), (nu, lam)):
-                term = quasi_mul(eis_series(x.to_index(1), report.truncation),
-                                 eis_series(y.to_index(1), report.truncation))
-                total = term if total is None else total + term
+            nu, b = -(lam + mu), report.truncation
+            total = combine([(quasi_mul(eis_series(x.to_index(1), b),
+                                        eis_series(y.to_index(1), b)), 1)
+                             for x, y in ((lam, mu), (mu, nu), (nu, lam))],
+                            2, n, b)
             if total.is_zero():
                 return False, f"three-term sum collapsed to zero at N={n}"
             solved.append((total, report))

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from math import lcm
 
-from .eisenstein import EisIndex
+from .eisenstein import EisIndex, sturm_truncation
 from .hull import HullChain, hull_chain, sublattice_points
 from .quasiforms import QuasiForm, eis_series
 from .ratfunc import KERNEL_IDS, kernel_scope
@@ -90,8 +90,8 @@ def report_payload(report: VerificationReport) -> dict:
         },
         "truncation": report.truncation,
         "level": report.level,
-        # wall-clock time is the one nondeterministic field; reports are
-        # specified to be byte-identical across runs, so it is zeroed
+        # a report carries no time: the field stays, always 0, so that
+        # the report bytes do not change
         "elapsed_ms": 0,
     }
 
@@ -177,7 +177,7 @@ def emit_hull_svg(chain: HullChain, path: str) -> None:
 # -- expansion dump --------------------------------------------------------
 
 
-def expand_csv(idx: EisIndex, truncation: int | None = None) -> str:
+def expand_csv(idx: EisIndex, truncation: int) -> str:
     form = eis_series(idx, truncation)
     holo = form.component(0)
     lines = [
@@ -229,7 +229,8 @@ def cmd_hull(cfg: argparse.Namespace) -> int:
 
 def cmd_expand(cfg: argparse.Namespace) -> int:
     idx = EisIndex(cfg.weight, cfg.lam.denominator, cfg.lam.c1, cfg.lam.c2)
-    text = expand_csv(idx, cfg.prec)
+    text = expand_csv(idx, sturm_truncation(idx.weight, idx.level)
+                      if cfg.prec is None else cfg.prec)
     if cfg.out:
         _write(cfg.out, text)
     else:

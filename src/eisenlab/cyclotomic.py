@@ -256,12 +256,6 @@ class Cyclotomic:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -280,25 +274,6 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         return self * cyclo_invert(o)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * cyclo_invert(self)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return cyclo_invert(self) ** (-exponent)
-        result = Cyclotomic.one(self.conductor)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

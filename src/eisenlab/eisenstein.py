@@ -169,11 +169,11 @@ class QSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _add(self, other: QSeries, sign: int) -> QSeries:
-        """self + sign other over the lcm of the two denominators."""
+    def __add__(self, other: QSeries) -> QSeries:
+        """The sum over the lcm of the two denominators."""
         self._check(other)
         den = lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
+        a, b = den // self.den, den // other.den
         out = ({e: tuple(a * x for x in v) for e, v in self.vecs.items()}
                if a > 1 else dict(self.vecs))
         for e, w in other.vecs.items():
@@ -181,16 +181,6 @@ class QSeries:
             out[e] = (tuple(b * y for y in w) if v is None
                       else tuple(x + b * y for x, y in zip(v, w)))
         return QSeries._of(self.level, self.truncation, den, out)
-
-    def __add__(self, other: QSeries) -> QSeries:
-        return self._add(other, 1)
-
-    def __sub__(self, other: QSeries) -> QSeries:
-        return self._add(other, -1)
-
-    def __neg__(self) -> QSeries:
-        return QSeries._of(self.level, self.truncation, self.den,
-                           {e: tuple(-x for x in v) for e, v in self.vecs.items()})
 
     def scale(self, factor) -> QSeries:
         """factor times the series, for a rational factor or one in

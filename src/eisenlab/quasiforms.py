@@ -22,8 +22,7 @@ from .cyclotomic import (Cyclotomic, _multiplier, _norm_inverse,
                          _reduce_vector, _times, cyclo_embed, euler_phi,
                          prime_divisors)
 from .eisenstein import (EisIndex, QSeries, _bernoulli_row, _integral,
-                         constant_term, cusps, eis_qseries, eis_sum,
-                         sturm_truncation)
+                         constant_term, cusps, eis_qseries, eis_sum)
 from .value import Value
 
 MAX_DEPTH = 2
@@ -74,25 +73,6 @@ class QuasiForm:
         if self.level != other.level or self.truncation != other.truncation:
             raise ValueError("level/truncation mismatch")
 
-    def __add__(self, other: QuasiForm) -> QuasiForm:
-        self._check(other)
-        if self.weight != other.weight:
-            raise ValueError("cannot add forms of different weights")
-        d = max(self.depth, other.depth)
-        comps = tuple(self.component(j) + other.component(j) for j in range(d + 1))
-        return QuasiForm(self.weight, self.level, self.truncation, comps)
-
-    def __neg__(self) -> QuasiForm:
-        return QuasiForm(self.weight, self.level, self.truncation,
-                         tuple(-h for h in self.components))
-
-    def __sub__(self, other: QuasiForm) -> QuasiForm:
-        return self + (-other)
-
-    def scale(self, factor) -> QuasiForm:
-        return QuasiForm(self.weight, self.level, self.truncation,
-                         tuple(h.scale(factor) for h in self.components))
-
     def __eq__(self, other):
         if not isinstance(other, QuasiForm):
             return NotImplemented
@@ -140,7 +120,7 @@ def delta(f: QuasiForm) -> QuasiForm:
 
 
 @lru_cache(maxsize=1024)
-def eis_series(idx: EisIndex, truncation: int | None = None) -> QuasiForm:
+def eis_series(idx: EisIndex, truncation: int) -> QuasiForm:
     """Normalized Eisenstein series as a QuasiForm.
 
     Weight 2 carries the Hecke-summation completion: its Y-component is
@@ -150,13 +130,12 @@ def eis_series(idx: EisIndex, truncation: int | None = None) -> QuasiForm:
     first index of each +- pair (`verifiers.canonical_sum`), and the
     basis holds only those (`EisBasis`), so one series per pair is built.
     """
-    b = sturm_truncation(idx.weight, idx.level) if truncation is None else truncation
-    holo = eis_qseries(idx, b)
+    holo = eis_qseries(idx, truncation)
     if idx.weight == 2:
-        comps = (holo, QSeries.const(idx.level, b, 1))
+        comps = (holo, QSeries.const(idx.level, truncation, 1))
     else:
         comps = (holo,)
-    return QuasiForm(idx.weight, idx.level, b, comps)
+    return QuasiForm(idx.weight, idx.level, truncation, comps)
 
 
 def eis_form(coefficients: dict, weight: int, level: int,
@@ -168,7 +147,7 @@ def eis_form(coefficients: dict, weight: int, level: int,
 
     >>> v, w = EisIndex(2, 5, 1, 2), EisIndex(2, 5, 4, 3)
     >>> pair = eis_form({v: 1, w: 1}, 2, 5, 20)
-    >>> pair == eis_series(v, 20).scale(2)
+    >>> pair == combine([(eis_series(v, 20), 2)], 2, 5, 20)
     True
     >>> pair.component(1) == QSeries.const(5, 20, 2)
     True
@@ -623,11 +602,10 @@ class SpanSolution(Value):
     """Outcome of projecting a form onto an Eisenstein basis.
 
     coefficients holds only the nonzero entries, keyed by basis index,
-    in basis enumeration order.  Equal only to itself.
+    in basis enumeration order.
     """
 
     __slots__ = ("coefficients", "residual")
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, coefficients: dict, residual: QuasiForm):
         self._set(coefficients, residual)
@@ -852,17 +830,17 @@ def eval_at(f: QuasiForm, z, digits: int = EVAL_DIGITS) -> mpmath.mpc:
         return total
 
 
-def check_s_transform(idx: EisIndex, truncation: int | None = None,
-                      tol: float = 1e-10) -> tuple[bool, float]:
+def check_s_transform(idx: EisIndex) -> tuple[bool, float]:
     """Numeric consistency check at the fixed point i of z -> -1/z:
-    the series at (c1, c2) must equal i^weight times the series at
-    (c2, -c1) there.  Returns (within_tol, absolute_error)."""
+    the series at (c1, c2), truncated at 40 N, must equal i^weight times
+    the series at (c2, -c1) there.  Returns (error <= 1e-10,
+    absolute_error)."""
     import mpmath
 
-    b = 40 * idx.level if truncation is None else truncation
+    b = 40 * idx.level
     left = eval_at(eis_series(idx, b), 1j)
     right = eval_at(eis_series(idx.s_transform(), b), 1j)
     with mpmath.workdps(EVAL_DIGITS):
         # unary plus rounds the guarded value to EVAL_DIGITS
         err = float(abs(+left - mpmath.mpc(1j) ** idx.weight * right))
-    return err <= tol, err
+    return err <= 1e-10, err

@@ -100,12 +100,6 @@ class MultiPoly:
             return NotImplemented
         return self.den == o.den and self.ints == o.ints
 
-    def __hash__(self):
-        # a constant equals, so hashes as, the Fraction it is
-        if self.is_constant():
-            return hash(Fraction(self.ints.get(_ZERO_EXP, 0), self.den))
-        return hash((self.den, frozenset(self.ints.items())))
-
     @property
     def terms(self) -> dict[Exponent, Fraction]:
         """The coefficients as Fractions, a new dict on every read."""
@@ -133,9 +127,6 @@ class MultiPoly:
     def __sub__(self, other):
         return self.__add__(other, -1)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = _as_poly(other)
         if o is None:
@@ -144,16 +135,7 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        return _power(self, n, MultiPoly.constant(1))
-
-    # -- structure ---------------------------------------------------------
-
-    def degree(self, var: int) -> int:
-        """Degree in variable index var; -1 for the zero polynomial."""
-        return _degree(self.ints, var) if self.ints else -1
+    # -- evaluation and display -------------------------------------------
 
     def substitute(self, values: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -196,18 +178,6 @@ def _as_poly(other) -> MultiPoly | None:
     if isinstance(other, (int, Fraction)):
         return MultiPoly.constant(other)
     return other if isinstance(other, MultiPoly) else None
-
-
-def _power(base, n: int, one):
-    """base ** n for n >= 0 by repeated squaring, none past the top bit."""
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
 
 
 # -- integer polynomials ---------------------------------------------------
@@ -455,13 +425,6 @@ class RatFunc:
             return NotImplemented
         return self.numer == o.numer and self.denom == o.denom
 
-    def __hash__(self):
-        # a normalized constant denominator is 1: hash as the numerator,
-        # so that a constant hashes as the Fraction it equals
-        if self.denom.is_constant():
-            return hash(self.numer)
-        return hash((self.numer, self.denom))
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -494,9 +457,6 @@ class RatFunc:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -520,11 +480,19 @@ class RatFunc:
         return o / self
 
     def __pow__(self, n: int):
+        """self ** n by repeated squaring, none past the top bit."""
         if n < 0:
             if self.is_zero():
                 raise ZeroDenominator("negative power of zero")
             return (RatFunc.constant(1) / self) ** (-n)
-        return _power(self, n, RatFunc.constant(1))
+        result, base = RatFunc.constant(1), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
 
     # -- evaluation and display -------------------------------------------
 

@@ -1,9 +1,10 @@
 """Composite-expression builders and the verification entry points.
 
 Every verifier writes its claim once, as a formal sum of Eisenstein
-products, reduces it to canonical products with `canonical_sum`,
-expands that with `build_L`, runs the cusp-orthogonality certifier on
-the same canonical sum, and wraps the outcome in a VerificationReport.
+products, and hands it to one pipeline (`_verify`): it reduces the sum
+to canonical products with `canonical_sum`, expands that with
+`build_L`, runs the cusp-orthogonality certifier on the same canonical
+sum, and wraps the outcome in a VerificationReport.
 A claim whose canonical sum is empty holds formally: its form is zero,
 and no series is expanded.  Statuses:
 
@@ -13,7 +14,6 @@ and no series is expanded.  Statuses:
 """
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd
@@ -117,20 +117,17 @@ class LParams(Value):
 class VerificationReport(Value):
     """Outcome of one claim.  Each certificate entry (idx, scale) says that
     scale * delta(eis_series(idx, truncation)) was peeled off the claim's
-    form before its holomorphic remainder was solved as the defect.
-    Mutable, so unhashable."""
+    form before its holomorphic remainder was solved as the defect."""
 
     __slots__ = ("claim_id", "parameters", "status", "defect", "certificate",
-                 "truncation", "level", "elapsed_ms")
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
-    __hash__ = None
+                 "truncation", "level")
 
     def __init__(self, claim_id: str, parameters: dict, status: str,
                  defect: SpanSolution,
                  certificate: list[tuple[EisIndex, Cyclotomic]],
-                 truncation: int, level: int, elapsed_ms: float):
+                 truncation: int, level: int):
         self._set(claim_id, parameters, status, defect, certificate,
-                  truncation, level, elapsed_ms)
+                  truncation, level)
 
 
 def L_terms(params: LParams, n_work: int) -> list[tuple[Fraction, EisIndex, EisIndex]]:
@@ -184,86 +181,74 @@ def canonical_sum(terms) -> list[tuple]:
     return [(scale, *product) for product, scale in merged.items() if scale]
 
 
-def build_L(terms, weight: int, level: int, truncation: int | None) -> QuasiForm:
+def build_L(terms, weight: int, level: int, truncation: int) -> QuasiForm:
     """The form of a formal sum: scale times the product of the series
-    eis_series(idx, B) over each term (scale, idx, ...), summed by one
-    `combine`, B the truncation or, for None, `sturm_truncation`.  The
-    verifiers pass the `canonical_sum` of their claim, so each product
-    is expanded once; an empty sum is the zero form, built from no
-    series.
+    eis_series(idx, truncation) over each term (scale, idx, ...), summed
+    by one `combine`.  The verifiers pass the `canonical_sum` of their
+    claim, so each product is expanded once; an empty sum is the zero
+    form, built from no series.
 
     >>> build_L([], 2, 3, 12).is_zero()
     True
     """
+    return combine([(reduce(quasi_mul, (eis_series(idx, truncation)
+                                        for idx in factors)), scale)
+                    for scale, *factors in terms], weight, level, truncation)
+
+
+def _verify(claim_id: str, params: dict, raw_terms, weight: int, level: int,
+            truncation: int | None, refuse: bool = False) -> VerificationReport:
+    """The one pipeline of every verifier: reduce the claim's formal sum
+    raw_terms with `canonical_sum`, expand it with `build_L` at the
+    truncation, or for None at `sturm_truncation`, and certify it.  A
+    certified claim is VERIFIED iff its exact residual is 0, and
+    INCONCLUSIVE otherwise, a Y-component the certificate leaves included.
+    A VERIFIED below `proven_truncation` proves nothing and becomes
+    INCONCLUSIVE.  refuse (only `verify_three_term_w2`'s zero point)
+    records INCONCLUSIVE with the whole form as the residual."""
+    terms = canonical_sum(raw_terms)
     b = sturm_truncation(weight, level) if truncation is None else truncation
-    return combine([(reduce(quasi_mul, (eis_series(idx, b) for idx in factors)),
-                     scale) for scale, *factors in terms], weight, level, b)
-
-
-def _report(claim_id: str, parameters: dict, total: QuasiForm, terms: list,
-            started: float, status: str | None = None) -> VerificationReport:
-    """Certify the claim's total form, whose formal sum is terms, or,
-    given a status (only `verify_three_term_w2`'s refusal at a zero
-    point), record it with the whole form as the residual.  A certified
-    claim is VERIFIED iff its exact residual is 0, and INCONCLUSIVE
-    otherwise, a Y-component the certificate leaves included.  A VERIFIED below `proven_truncation`
-    proves nothing and becomes INCONCLUSIVE.  The report's truncation and
-    level are the form's."""
-    defect, certificate = SpanSolution(coefficients={}, residual=total), []
-    if status is None:
+    total = build_L(terms, weight, level, b)
+    if refuse:
+        defect, certificate = SpanSolution({}, total), []
+    else:
         defect, certificate = certify_orthogonal(total, terms)
-        status = VERIFIED if defect.in_span else INCONCLUSIVE
-    if status == VERIFIED and total.truncation < proven_truncation(
-            total.weight, total.level):
-        status = INCONCLUSIVE
-    return VerificationReport(
-        claim_id=claim_id,
-        parameters=parameters,
-        status=status,
-        defect=defect,
-        certificate=certificate,
-        truncation=total.truncation,
-        level=total.level,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    status = (VERIFIED if not refuse and defect.in_span
+              and b >= proven_truncation(weight, level) else INCONCLUSIVE)
+    return VerificationReport(claim_id, params, status, defect, certificate,
+                              b, level)
 
 
 def verify_two_term(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
                     truncation: int | None = None) -> VerificationReport:
     """Certify the weight-2 two-term relation E_{1,lam} E_{1,mu} +
     E_{1,mu} E_{1,-lam} = 0: its canonical sum is empty, its form 0."""
-    started = time.perf_counter()
     lam_w = lam.rescale(n_work)
     mu_w = mu.rescale(n_work)
-    terms = canonical_sum([(1, lam_w.to_index(1), mu_w.to_index(1)),
-                           (1, mu_w.to_index(1), (-lam_w).to_index(1))])
-    return _report(
-        "two_term",
-        {"lam": lam.label(), "mu": mu.label(), "n_work": n_work},
-        build_L(terms, 2, n_work, truncation), terms, started)
+    return _verify(
+        "two_term", {"lam": lam.label(), "mu": mu.label(), "n_work": n_work},
+        [(1, lam_w.to_index(1), mu_w.to_index(1)),
+         (1, mu_w.to_index(1), (-lam_w).to_index(1))],
+        2, n_work, truncation)
 
 
 def verify_three_term_w2(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
                          truncation: int | None = None) -> VerificationReport:
     """Certify the weight-2 three-term relation
     E_{1,lam} E_{1,mu} + E_{1,mu} E_{1,nu} + E_{1,nu} E_{1,lam} == 0
-    modulo the weight-2 Eisenstein space, where nu = -lam-mu."""
-    started = time.perf_counter()
+    modulo the weight-2 Eisenstein space, where nu = -lam-mu.  A vanishing
+    torsion point collapses the claim to a statement the relation does
+    not make, so it is refused, INCONCLUSIVE, rather than certified."""
     lam_w = lam.rescale(n_work)
     mu_w = mu.rescale(n_work)
     nu_w = -(lam_w + mu_w)
-    params = {"lam": lam.label(), "mu": mu.label(), "n_work": n_work}
-    terms = canonical_sum([(1, x.to_index(1), y.to_index(1)) for x, y in
-                           ((lam_w, mu_w), (mu_w, nu_w), (nu_w, lam_w))])
-    total = build_L(terms, 2, n_work, truncation)
-
-    if lam_w.is_zero() or mu_w.is_zero() or nu_w.is_zero():
-        # a vanishing torsion point collapses the claim to a statement
-        # the relation does not make; refuse to certify rather than
-        # report a misleading verdict either way
-        return _report("three_term_w2", params, total, terms, started,
-                       INCONCLUSIVE)
-    return _report("three_term_w2", params, total, terms, started)
+    return _verify(
+        "three_term_w2",
+        {"lam": lam.label(), "mu": mu.label(), "n_work": n_work},
+        [(1, x.to_index(1), y.to_index(1))
+         for x, y in ((lam_w, mu_w), (mu_w, nu_w), (nu_w, lam_w))],
+        2, n_work, truncation,
+        refuse=lam_w.is_zero() or mu_w.is_zero() or nu_w.is_zero())
 
 
 def verify_prop21(params: LParams, n_work: int,
@@ -274,22 +259,20 @@ def verify_prop21(params: LParams, n_work: int,
     if params.weight == 2:
         # the weighted sum degenerates to the bare three-term relation
         return verify_three_term_w2(params.lam, params.mu, n_work, truncation)
-    started = time.perf_counter()
     k = params.weight
     lam = params.lam.rescale(n_work)
     mu = params.mu.rescale(n_work)
     nu = -(lam + mu)
     p, q = params.p, params.q
     r = -p - q
-    terms = canonical_sum(
-        t for part in (LParams(lam, mu, p, q, k), LParams(mu, nu, q, r, k),
-                       LParams(nu, lam, r, p, k))
-        for t in L_terms(part, n_work))
-    return _report(
+    return _verify(
         "prop21",
         {"lam": params.lam.label(), "mu": params.mu.label(),
          "p": str(params.p), "q": str(params.q), "k": k, "n_work": n_work},
-        build_L(terms, k, n_work, truncation), terms, started)
+        (t for part in (LParams(lam, mu, p, q, k), LParams(mu, nu, q, r, k),
+                        LParams(nu, lam, r, p, k))
+         for t in L_terms(part, n_work)),
+        k, n_work, truncation)
 
 
 def torsion_translates(n_sub: int, m: int) -> list[TorsionPoint]:
@@ -312,7 +295,6 @@ def verify_hecke_trace(n_sub: int, shear: int, lam: TorsionPoint,
         raise NonCoprimeShear(f"gcd({shear}, {n_sub}) != 1")
     if lam.denominator != mu.denominator:
         raise ValueError("lam and mu must share a denominator")
-    started = time.perf_counter()
     m = lam.denominator
     n_work = n_sub * m
     k = weight
@@ -326,13 +308,11 @@ def verify_hecke_trace(n_sub: int, shear: int, lam: TorsionPoint,
     rhs = [LParams(a * lam_w + bb * mu_w, c * lam_w + d * mu_w,
                    a * p + bb * q, c * p + d * q, k)
            for (a, bb), (c, d) in hull_chain(n_sub, shear).pairs()]
-    terms = canonical_sum(
-        [(s / n_sub, x, y) for part in lhs for s, x, y in L_terms(part, n_work)]
-        + [(-s, x, y) for part in rhs for s, x, y in L_terms(part, n_work)])
-
-    return _report(
+    return _verify(
         "hecke_trace",
         {"n_sub": n_sub, "shear": shear % n_sub, "lam": lam.label(),
          "mu": mu.label(), "p": str(p), "q": str(q), "k": k,
          "n_work": n_work},
-        build_L(terms, k, n_work, truncation), terms, started)
+        [(s / n_sub, x, y) for part in lhs for s, x, y in L_terms(part, n_work)]
+        + [(-s, x, y) for part in rhs for s, x, y in L_terms(part, n_work)],
+        k, n_work, truncation)

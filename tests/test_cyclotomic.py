@@ -116,13 +116,15 @@ def test_zeta_rows_match_long_division():
 
 def test_zeta_relations():
     for n in (2, 3, 4, 5, 6, 8, 12):
-        z = Cyclotomic.zeta(n)
-        assert z ** n == Cyclotomic.one(n)
+        z, power = Cyclotomic.zeta(n), Cyclotomic.one(n)
+        for _ in range(n):
+            power = power * z
+        assert power == Cyclotomic.one(n)
         total = Cyclotomic.zero(n)
         for j in range(n):
             total = total + Cyclotomic.zeta(n, j)
         assert total.is_zero()
-    assert Cyclotomic.zeta(4) ** 2 == Cyclotomic.from_rational(4, -1)
+    assert Cyclotomic.zeta(4) * Cyclotomic.zeta(4) == Cyclotomic.from_rational(4, -1)
     # zeta_6 = 1 + zeta_6^2, zeta_6^2 being zeta_3
     assert Cyclotomic.zeta(6, 2) + 1 == Cyclotomic.zeta(6)
 
@@ -155,7 +157,7 @@ def test_inverse(a):
         return
     assert a * cyclo_invert(a) == Cyclotomic.one(a.conductor)
     assert a / a == 1
-    assert a ** -1 == cyclo_invert(a)
+    assert Cyclotomic.one(a.conductor) / a == cyclo_invert(a)
 
 
 def test_conductor_mismatch_rejected():

@@ -116,7 +116,7 @@ def test_qseries_basics():
     f = qs(3, 10, {0: 1, 2: Fraction(1, 2)})
     g = qs(3, 10, {2: Fraction(-1, 2), 5: 2})
     assert (f + g).nonzero_exponents() == [0, 5]
-    assert (f - f).is_zero()
+    assert (f + f.scale(-1)).is_zero()
     assert f.scale(2).coeff(2) == 1
     assert f.coeff(7).is_zero()
     h = f.theta()
@@ -223,7 +223,7 @@ def test_qseries_mul_borrows_across_slots():
     # narrower
     big = 2 ** 66 + 1
     h = qv(5, 3, {e: [big] * 4 for e in range(4)})
-    for other in (h, -h, h.scale(Fraction(-1, 3))):
+    for other in (h, h.scale(-1), h.scale(Fraction(-1, 3))):
         assert (h * other).coeffs == naive_convolution(h.coeffs, other.coeffs, 3)
 
 
@@ -248,7 +248,7 @@ def test_qseries_mul_runs_no_cyclotomic_multiply(monkeypatch):
     `Cyclotomic` multiply or add, through any binding."""
     f = eis_qseries(EisIndex(3, 6, 1, 2), sturm_truncation(3, 6))
     g = eis_qseries(EisIndex(3, 6, 5, 3), sturm_truncation(3, 6))
-    member = eis_series(EisIndex(2, 6, 1, 2))
+    member = eis_series(EisIndex(2, 6, 1, 2), sturm_truncation(2, 6))
     c = Cyclotomic.zeta(6) + Fraction(1, 3)
     params = LParams(TorsionPoint(6, 1, 2), TorsionPoint(6, 5, 3),
                      Fraction(2), Fraction(-3, 5), 4)
@@ -267,7 +267,7 @@ def test_qseries_mul_runs_no_cyclotomic_multiply(monkeypatch):
     prod = f * g
     assert len(prod.nonzero_exponents()) > 50
     assert not (f + g).is_zero() and not f.theta().is_zero()
-    assert delta(member).scale(c).depth == 2
+    assert not f.scale(c).is_zero()
     assert combine([(delta(member), c), (delta(member), 1)], 4, 6,
                    member.truncation).depth == 2
     assert build_L(L_terms(params, 6), 4, 6, sturm_truncation(4, 6)).weight == 4
@@ -337,16 +337,15 @@ def test_integer_storage_matches_the_cyclotomic_route(case):
     stored(f), stored(g)
     assert stored(f + g).coeffs == coefficientwise(
         lambda e, x, y: x + y, f, g)
-    assert stored(f - g).coeffs == coefficientwise(
+    assert stored(f + g.scale(-1)).coeffs == coefficientwise(
         lambda e, x, y: x - y, f, g)
-    assert stored(-f).coeffs == coefficientwise(lambda e, x: -x, f)
     for c in factors:
         assert stored(f.scale(c)).coeffs == coefficientwise(
             lambda e, x: x * c, f)
     assert stored(f.theta()).coeffs == coefficientwise(
         lambda e, x: x * Fraction(e, n), f)
     assert stored(f * g).coeffs == naive_convolution(f.coeffs, g.coeffs, b)
-    assert stored(f - f) == QSeries.zero(n, b)
+    assert stored(f + f.scale(-1)) == QSeries.zero(n, b)
 
 
 def test_integer_storage_edge_cases():
@@ -367,8 +366,8 @@ def test_integer_storage_edge_cases():
     # whole-series cancellation leaves the zero series over 1
     for x in (f, h):
         zero = QSeries.zero(x.level, x.truncation)
-        assert x - x == zero and x + (-x) == zero and x.scale(0) == zero
-        assert (x - x).den == 1
+        assert x + x.scale(-1) == zero and x.scale(0) == zero
+        assert (x + x.scale(-1)).den == 1
     assert f.scale(Cyclotomic.one(5)) == f
 
 

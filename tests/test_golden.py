@@ -27,8 +27,9 @@ from eisenlab import acceptance
 from eisenlab.cli import emit_report
 from eisenlab.eisenstein import proven_truncation
 from eisenlab.verifiers import (INCONCLUSIVE, LParams, TorsionPoint,
-                                verify_hecke_trace, verify_prop21,
-                                verify_three_term_w2, verify_two_term)
+                                VerificationReport, verify_hecke_trace,
+                                verify_prop21, verify_three_term_w2,
+                                verify_two_term)
 
 GOLDEN = Path(__file__).parent / "golden"
 SHOWCASE = Path(__file__).parents[1] / "scripts" / "verify_showcase.py"
@@ -94,9 +95,10 @@ def test_showcase_exits_one_on_a_claim_not_verified(monkeypatch):
     real = eisenlab.verify_prop21
 
     def inconclusive(*args):
-        report = real(*args)  # a fresh report, so the real one is untouched
-        report.status = INCONCLUSIVE
-        return report
+        report = real(*args)
+        return VerificationReport(
+            report.claim_id, report.parameters, INCONCLUSIVE, report.defect,
+            report.certificate, report.truncation, report.level)
 
     monkeypatch.setattr(eisenlab, "verify_prop21", inconclusive)
     with pytest.raises(SystemExit) as exit_:

@@ -39,13 +39,24 @@ from eisenlab.quasiforms import (
     span_solve,
     theta,
 )
-from eisenlab.verifiers import (L_terms, LParams, TorsionPoint, _report, build_L,
+from eisenlab.verifiers import (L_terms, LParams, TorsionPoint, build_L,
                                 verify_hecke_trace, verify_prop21,
                                 verify_three_term_w2)
 
 
 def const_series(level, b, value):
     return QSeries.const(level, b, value)
+
+
+def reference_sum(parts, weight, level, truncation):
+    """sum(scale * form) over the (form, scale) of parts, component by
+    component in the QSeries + and scale arithmetic, apart from
+    `combine`."""
+    comps = [QSeries.zero(level, truncation)] * (MAX_DEPTH + 1)
+    for form, scale in parts:
+        for j, h in enumerate(form.components):
+            comps[j] = comps[j] + h.scale(scale)
+    return QuasiForm(weight, level, truncation, tuple(comps))
 
 
 def test_quasiform_trims_and_depth():
@@ -65,7 +76,7 @@ def test_quasiform_add_requires_same_weight():
     f = QuasiForm(2, 1, b, (const_series(1, b, 1),))
     g = QuasiForm(4, 1, b, (const_series(1, b, 1),))
     with pytest.raises(ValueError):
-        f + g
+        quasiforms.combine([(f, 1), (g, 1)], 2, 1, b)
 
 
 def test_quasi_mul_is_y_polynomial_product():
@@ -122,7 +133,8 @@ def test_delta_leibniz(kl):
     f = eis_series(EisIndex(k, 3, 1, 0), b)
     g = eis_series(EisIndex(l, 3, 1, 2), b)
     lhs = delta(quasi_mul(f, g))
-    rhs = quasi_mul(delta(f), g) + quasi_mul(f, delta(g))
+    rhs = reference_sum([(quasi_mul(delta(f), g), 1),
+                         (quasi_mul(f, delta(g)), 1)], k + l + 2, 3, b)
     assert lhs == rhs
 
 
@@ -569,7 +581,7 @@ def test_eis_series_shares_each_pm_pair():
     for k in range(1, 5):
         first = eis_series(EisIndex(k, 5, 1, 2), 20)
         other = eis_series(EisIndex(k, 5, 4, 3), 20)
-        assert other == (-first if k % 2 else first)
+        assert other == reference_sum([(first, (-1) ** k)], k, 5, 20)
         assert other.component(0) == row_sum_expansion(EisIndex(k, 5, 4, 3), 20)
 
 
@@ -635,10 +647,8 @@ def test_span_solve_recovers_a_member():
     sol = span_solve(target, basis, values_of([(1, basis.indices[2])], 3),
                      [])
     assert sol.in_span
-    rebuilt = None
-    for idx, c in sol.coefficients.items():
-        term = eis_series(idx, 20).scale(c)
-        rebuilt = term if rebuilt is None else rebuilt + term
+    rebuilt = reference_sum([(eis_series(idx, 20), c)
+                             for idx, c in sol.coefficients.items()], 2, 3, 20)
     assert rebuilt == target
 
 
@@ -664,18 +674,17 @@ small_coeffs = st.lists(
 def test_span_solve_soundness(coeffs, perturb):
     """target = sum(coefficients * members) + residual, exactly."""
     basis = eis_basis(1, 3, 15)
-    target = QuasiForm(1, 3, 15, ())
-    for c, member in zip(coeffs, members(basis)):
-        if c:
-            target = target + member.scale(c)
+    parts = list(zip(members(basis), coeffs))
     values = values_of(list(zip(coeffs, basis.indices)), 3)
     if perturb:
         bump = QSeries(3, 15, {11: Cyclotomic.zeta(3)})
-        target = target + QuasiForm(1, 3, 15, (bump,))
+        parts.append((QuasiForm(1, 3, 15, (bump,)), 1))
+    target = reference_sum(parts, 1, 3, 15)
     sol = span_solve(target, basis, values, [])
-    recon = QuasiForm(1, 3, 15, (sol.residual.component(0),))
-    for idx, c in sol.coefficients.items():
-        recon = recon + eis_series(idx, 15).scale(c)
+    recon = reference_sum(
+        [(QuasiForm(1, 3, 15, (sol.residual.component(0),)), 1)]
+        + [(eis_series(idx, 15), c) for idx, c in sol.coefficients.items()],
+        1, 3, 15)
     assert recon == target
     assert sol.in_span != perturb
 
@@ -714,19 +723,19 @@ def random_target(basis, rng, in_span):
     random entries at two random keys of Y-degree 0 or 1, which the
     formal sum leaves out."""
     k, n, b = basis.weight, basis.level, basis.truncation
-    target, terms = QuasiForm(k, n, b, ()), []
+    parts, terms = [], []
     for idx, member in zip(basis.indices, members(basis)):
         if rng.random() < 0.5:
             c = small_number(n, rng)
-            target = target + member.scale(c)
+            parts.append((member, c))
             terms.append((c, idx))
     if not in_span:
         for _ in range(2):
             comps = [QSeries.zero(n, b), QSeries.zero(n, b)]
             comps[rng.randint(0, 1)] = QSeries(n, b, {rng.randint(0, b):
                                                       small_number(n, rng)})
-            target = target + QuasiForm(k, n, b, tuple(comps))
-    return target, terms
+            parts.append((QuasiForm(k, n, b, tuple(comps)), 1))
+    return reference_sum(parts, k, n, b), terms
 
 
 @pytest.mark.parametrize("weight, level", GRID)
@@ -742,10 +751,7 @@ def test_span_solve_matches_the_gauss_jordan_oracle(weight, level):
         if in_span:
             want = exact_span_solve(target, basis, oracle_rows(weight, level))
             assert sol.coefficients == want.coefficients
-        rebuilt = sol.residual
-        for idx, c in sol.coefficients.items():
-            rebuilt = rebuilt + eis_series(idx, basis.truncation).scale(c)
-        assert rebuilt == target
+        assert rebuild(sol, [], basis.truncation) == target
 
 
 def test_span_solve_makes_no_cyclotomic_products(monkeypatch):
@@ -772,13 +778,14 @@ def test_span_solve_makes_no_cyclotomic_products(monkeypatch):
 
 
 def rebuild(sol, cert, truncation):
-    """residual + sum(c * E) + sum(s * delta(E)), in QuasiForm arithmetic."""
-    out = sol.residual
-    for idx, c in sol.coefficients.items():
-        out = out + eis_series(idx, truncation).scale(c)
-    for idx, scale in cert:
-        out = out + delta(eis_series(idx, truncation)).scale(scale)
-    return out
+    """residual + sum(c * E) + sum(s * delta(E)), by `reference_sum`."""
+    res = sol.residual
+    return reference_sum(
+        [(res, 1)]
+        + [(eis_series(idx, truncation), c)
+           for idx, c in sol.coefficients.items()]
+        + [(delta(eis_series(idx, truncation)), s) for idx, s in cert],
+        res.weight, res.level, truncation)
 
 
 def test_peel_passthrough_depth_zero():
@@ -857,10 +864,11 @@ def test_peel_unsupported_weights():
     assert peel(QuasiForm(2, 1, b, (zero, one)), values) == []
 
 
-def test_peel_rejects_foreign_components():
+def test_peel_rejects_foreign_components(monkeypatch):
     # a Y^2 part that is not constant, or a Y part outside the weight-1
     # span: no delta term explains it, so it stays in the residual, and
-    # the report is INCONCLUSIVE with the whole form as the residual
+    # the verifiers' pipeline, given it as a claim's form, reports
+    # INCONCLUSIVE with the whole form as the residual
     b = 14
     zero = QSeries.zero(1, b)
     q1 = QSeries(1, b, {1: Cyclotomic.one(1)})
@@ -869,7 +877,8 @@ def test_peel_rejects_foreign_components():
         sol, cert = certify_orthogonal(f, [])
         assert not sol.in_span and sol.residual.depth > 0
         assert cert == [] and sol.residual == f
-        report = _report("foreign", {}, f, [], 0.0)
+        monkeypatch.setattr(verifiers, "build_L", lambda *_, form=f: form)
+        report = verifiers._verify("foreign", {}, [], f.weight, 1, b)
         assert report.status == "INCONCLUSIVE"
         assert report.certificate == [] and not report.defect.coefficients
         assert report.defect.residual == f
@@ -908,14 +917,6 @@ def test_certify_orthogonal_subtracts_once(monkeypatch):
 # -- one integer linear combination ----------------------------------------
 
 
-def reference_sum(parts, weight, level, truncation):
-    """sum(scale * form) in the QuasiForm + and scale arithmetic."""
-    out = QuasiForm(weight, level, truncation, ())
-    for form, scale in parts:
-        out = out + form.scale(scale)
-    return out
-
-
 def random_form(weight, level, b, depth, rng):
     """Random entries at a few exponents of each Y-degree up to depth."""
     return QuasiForm(weight, level, b, tuple(
@@ -946,7 +947,7 @@ def test_combine_cancels_to_the_zero_form():
     f = random_form(4, 5, b, 2, rng)
     c = small_number(5, rng)
     for parts in ([(f, Fraction(1, 3))] * 3 + [(f, -1)],
-                  [(f, c), (f.scale(2), -c / 2)]):
+                  [(f, c), (reference_sum([(f, 2)], 4, 5, b), -c / 2)]):
         assert quasiforms.combine(parts, 4, 5, b) == QuasiForm(4, 5, b, ())
 
 
@@ -1022,7 +1023,7 @@ def test_eis_sum_rejects_a_frame_mismatch():
 
 def test_build_L_expands_products_by_the_reference_arithmetic():
     # the level-6 trace (2, 1) at weight 3: translates at 1/2 less the
-    # chain, each product in QuasiForm arithmetic, against one combine
+    # chain, each product summed by `reference_sum`, against one combine
     lam, mu = TorsionPoint(6, 1, 0), TorsionPoint(6, 0, 1)
     b = 12
     terms = [(Fraction(s, 2), x, y) for s, x, y in
@@ -1050,16 +1051,17 @@ def test_certificate_and_defect_rebuild_the_target(weight, level):
     for in_span in (True, False, True, False):
         target, terms = random_target(basis, rng, in_span)
         values = [[x, zero, zero] for x in values_of(terms, level)]
-        holomorphic = target
+        holomorphic, parts = target, [(target, 1)]
         for idx in source.indices:
             if rng.random() < 0.5:
                 s = small_number(n, rng)
-                target = target + delta(eis_series(idx, b)).scale(s)
+                parts.append((delta(eis_series(idx, b)), s))
                 # delta_w E has the constants (0, -w c0(E|gamma), -[w = 2])
                 row = cusp_constants(w, n)[idx.c1, idx.c2]
                 for col, v in enumerate(values):
                     v[1] = v[1] - s * w * row.get(col, zero)
                     v[2] = v[2] - s * (w == 2)
+        target = reference_sum(parts, weight, n, b)
         cert = peel(target, values)
         sol = span_solve(target, basis, [v[0] for v in values], cert)
         assert rebuild(sol, cert, b) == target

@@ -28,15 +28,21 @@ A = MultiPoly.variable("A")
 B = MultiPoly.variable("B")
 
 
+def power(f, n):
+    """f ** n as n - 1 products."""
+    out = f
+    for _ in range(n - 1):
+        out = out * f
+    return out
+
+
 def test_multipoly_basics():
     f = (P + Q) * (P - Q)
     assert f == P * P - Q * Q
-    assert f.degree(0) == 2
     assert str(P * P - Q) == "p^2 - q"
     point = {"p": Fraction(3), "q": Fraction(2), "A": Fraction(0), "B": Fraction(0)}
     assert f.substitute(point) == 5
     assert MultiPoly.constant(0).is_zero()
-    assert (P ** 0) == MultiPoly.constant(1)
 
 
 def test_divide_exact():
@@ -62,8 +68,8 @@ def test_poly_gcd_examples():
 def test_poly_gcd_of_shared_factor(i, j):
     # gcd((A+2B)^i * p, (A+2B)^j * q) = (A+2B)^min(i,j)
     base = A + 2 * B
-    g = poly_gcd(base ** i * P, base ** j * Q)
-    assert g == base ** min(i, j)
+    g = poly_gcd(power(base, i) * P, power(base, j) * Q)
+    assert g == power(base, min(i, j))
 
 
 def test_ratfunc_normal_form():
@@ -138,7 +144,7 @@ def test_integer_storage_stays_in_lowest_terms(f_terms, g_terms, scalar):
     assert (f * g).terms == _schoolbook(f, g)
     assert (f * scalar).terms == _schoolbook(f, MultiPoly.constant(scalar))
     results = [f, g, f + g, f - g, -f, f * g, f * scalar, f + scalar, f - f,
-               scalar - f, f ** 2, poly_gcd(f, g)]
+               -f + scalar, f * f, poly_gcd(f, g)]
     if not g.is_zero():
         assert divide_exact(f * g, g) == f
         r = RatFunc(f, g)
@@ -217,14 +223,16 @@ def test_ratfunc_arithmetic():
         RatFunc.var("r")
 
 
-def test_constants_hash_as_the_numbers_they_equal():
-    # objects that compare equal must hash equal
+def test_constants_equal_the_numbers_they_are():
+    # equal values compare equal; neither type hashes, as nothing keys
+    # a set or a dict by one
     for value in (3, Fraction(1, 2), 0):
         for x in (MultiPoly.constant(value), RatFunc.constant(value)):
-            assert x == value
-            assert len({x, value}) == 1
+            assert x == value and value == x
+            with pytest.raises(TypeError):
+                hash(x)
     a, b = RatFunc.var("A"), RatFunc.var("B")
-    assert len({(a + 1) / (b + 1), (2 * a + 2) / (2 * b + 2)}) == 1
+    assert (a + 1) / (b + 1) == (2 * a + 2) / (2 * b + 2)
 
 
 def test_normalize_tree():

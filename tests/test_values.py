@@ -1,7 +1,8 @@
 """The value types keep the contract of the frozen dataclasses they
 replace: constructors and keyword calls, reduction mod N and its errors,
-field equality and hashing (identity for SpanSolution), repr text, and
-AttributeError on assignment to every type but VerificationReport."""
+field equality and hashing, repr text, and AttributeError on assignment
+to every type.  SpanSolution and VerificationReport hold dicts, so they
+compare by their fields but do not hash."""
 import copy
 import pickle
 from fractions import Fraction
@@ -22,7 +23,7 @@ FIELDS = {
     TorsionPoint: ("denominator", "c1", "c2"),
     LParams: ("lam", "mu", "p", "q", "weight"),
     VerificationReport: ("claim_id", "parameters", "status", "defect",
-                         "certificate", "truncation", "level", "elapsed_ms"),
+                         "certificate", "truncation", "level"),
 }
 
 IDS = ["EisIndex", "HullChain", "TorsionPoint", "LParams"]
@@ -119,22 +120,35 @@ def test_repr_names_every_field():
         "p=Fraction(1, 1), q=Fraction(2, 1), weight=4)")
 
 
-def test_span_solution_is_equal_only_to_itself():
+def test_span_solution_compares_by_fields():
     zero = QuasiForm(2, 3, 5, ())
     a, b = SpanSolution({}, zero), SpanSolution(coefficients={}, residual=zero)
-    assert a == a and a != b and len({a, b}) == 2
-    assert a.in_span
-    with pytest.raises(AttributeError):
-        a.residual = zero
+    assert a is not b and a == b and a.in_span
+    assert a != SpanSolution({EisIndex(2, 3, 0, 1): 1}, zero)
+    assert a != SpanSolution({}, QuasiForm(2, 3, 6, ()))
+    with pytest.raises(TypeError):
+        hash(a)
+    for name in ("coefficients", "residual"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+    assert repr(a).startswith("SpanSolution(coefficients={}, residual=")
 
 
-def test_verification_report_is_mutable_and_unhashable():
+def test_verification_report_compares_by_fields_and_is_frozen():
     report = verify_two_term(TorsionPoint(3, 1, 0), TorsionPoint(3, 0, 1), 3)
-    same = VerificationReport(
-        *(getattr(report, name) for name in FIELDS[VerificationReport]))
-    assert same == report
-    same.status = "INCONCLUSIVE"
-    assert same != report and report.status == "VERIFIED"
+    fields = [getattr(report, name) for name in FIELDS[VerificationReport]]
+    same = VerificationReport(*fields)
+    assert same is not report and same == report
+    assert copy.deepcopy(report) == report
+    assert pickle.loads(pickle.dumps(report)) == report
+    fields[2] = "INCONCLUSIVE"
+    assert VerificationReport(*fields) != report
+    for name in FIELDS[VerificationReport]:
+        with pytest.raises(AttributeError):
+            setattr(report, name, getattr(same, name))
+        with pytest.raises(AttributeError):
+            delattr(report, name)
+    assert report.status == "VERIFIED"
     with pytest.raises(TypeError):
         hash(report)
     assert repr(report).startswith("VerificationReport(claim_id=")
