@@ -4,9 +4,11 @@ zeta_N means e^{2 pi i / N}.  An element is a vector of rationals on the
 power basis 1, zeta, ..., zeta^{phi(N)-1}, reduced modulo the N-th
 cyclotomic polynomial, and stored as one denominator and an integer
 vector, as a `QSeries` coefficient is, so that every field operation runs
-in integers, inversion too: over the norm.  Fractions appear only at the
-rational edges: input, comparison and hashing against rationals, the
-`coeffs` view and the numeric embedding.
+in integers, inversion too: over the norm (`cyclo_invert`; `/` divides
+only by rationals).  Fractions appear only at the rational edges: input,
+comparison against rationals, the `coeffs` view and the numeric
+embedding.  Nothing keys a set or a dict by an element, so it does not
+hash.
 """
 from __future__ import annotations
 
@@ -270,10 +272,7 @@ class Cyclotomic:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * Fraction(1, other)  # raises ZeroDivisionError at 0
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * cyclo_invert(o)
+        return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -282,12 +281,6 @@ class Cyclotomic:
             return (self.conductor == other.conductor and self.den == other.den
                     and self.vec == other.vec)
         return NotImplemented
-
-    def __hash__(self):
-        # a rational element equals, so hashes as, the Fraction it is
-        if self.is_rational():
-            return hash(Fraction(self.vec[0], self.den))
-        return hash((self.conductor, self.den, self.vec))
 
     # -- display -----------------------------------------------------------
 

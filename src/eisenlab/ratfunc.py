@@ -1,12 +1,15 @@
-"""Exact multivariate rational functions in p, q, A, B over Q, and the
-six denominator-kernel identities used by the product relations.
+"""Exact multivariate polynomials and rational functions in p, q, A, B
+over Q, and the six denominator-kernel identities used by the product
+relations.
 
 The linear constraints are eliminated up front: r stands for -p-q and C
 for -A-B, so every expression lives in the free polynomial ring on the
-remaining four variables.  Normal form: numerator and denominator are
-coprime with integer primitive coefficients, and the denominator's
-leading coefficient (lexicographic term order, p most significant) is
-positive.
+remaining four variables.  K16, K24 and K33 are proved as polynomial
+identities: the difference of their two sides times a known nonzero
+denominator.  K23, K32 and K34 are normalized as `RatFunc`s, whose
+normal form has coprime numerator and denominator with integer primitive
+coefficients, and a denominator whose leading coefficient (lexicographic
+term order, p most significant) is positive.
 """
 from __future__ import annotations
 
@@ -378,7 +381,12 @@ def _gcd_primitive(f: Ints, g: Ints) -> Ints:
 
 
 class RatFunc:
-    """numer/denom in canonical normal form; construction normalizes."""
+    """numer/denom in canonical normal form; construction normalizes.
+
+    Normalizing runs `poly_gcd`, whose cost has no useful bound on dense
+    inputs: minutes for products of dense quartics.  Only K23, K32, K34
+    and users' own expressions reach it.
+    """
 
     __slots__ = ("numer", "denom")
 
@@ -524,37 +532,68 @@ def constrained_vars() -> dict[str, RatFunc]:
 
 # -- kernel identities -----------------------------------------------------
 
+# p, q, r, A, B, C as polynomials, with r = -p-q and C = -A-B
+_POLYS = {name: MultiPoly.variable(name) for name in VARS}
+_POLYS.update(r=-_POLYS["p"] - _POLYS["q"], C=-_POLYS["A"] - _POLYS["B"])
 
-def k33_identity(a: int, b: int, c: int, d: int) -> tuple[bool, RatFunc]:
-    """Partial-fraction split of 1/((aA+bB)(cA+dB)) for ad - bc != 0."""
+
+def _k33_numerator(a: int, b: int, c: int, d: int, det: int) -> MultiPoly:
+    """det*B - a*(cA+dB) + c*(aA+bB), the K33 difference times
+    det*B*(aA+bB)*(cA+dB)."""
+    A, B = _POLYS["A"], _POLYS["B"]
+    return det * B - a * (c * A + d * B) + c * (a * A + b * B)
+
+
+def k33_identity(a: int, b: int, c: int, d: int) -> tuple[bool, MultiPoly]:
+    """Partial-fraction split of 1/((aA+bB)(cA+dB)) for det = ad - bc != 0:
+
+        1/((aA+bB)(cA+dB)) = a/(det*B*(aA+bB)) - c/(det*B*(cA+dB)).
+
+    Returns (holds, witness); the witness is the difference of the two
+    sides times det*B*(aA+bB)*(cA+dB), a `MultiPoly`.  That denominator
+    is nonzero: det != 0 leaves neither row (a, b), (c, d) zero, and
+    Q[A, B] has no zero divisors.
+    """
     det = a * d - b * c
     if det == 0:
         raise ZeroDenominator("ad - bc = 0 leaves no partial-fraction split")
-    A, B = RatFunc.var("A"), RatFunc.var("B")
-    da = a * A + b * B
-    db = c * A + d * B
-    if da.is_zero() or db.is_zero():
-        raise ZeroDenominator("degenerate linear form aA+bB")
-    lhs = 1 / (da * db)
-    rhs = (Fraction(a, det) / B) / da - (Fraction(c, det) / B) / db
-    w = lhs - rhs
+    w = _k33_numerator(a, b, c, d, det)
     return w.is_zero(), w
 
 
 def check_kernel(identity_id: str, k: int | None = None,
-                 chain: HullChain | None = None) -> tuple[bool, RatFunc]:
-    """Prove one of the kernel identities by exact normalization.
+                 chain: HullChain | None = None
+                 ) -> tuple[bool, MultiPoly | RatFunc]:
+    """Prove one of the kernel identities.
 
-    Returns (holds, witness); the witness is the normalized difference,
-    identically 0 exactly when the identity holds.  K23/K34 need the
-    weight k >= 2; K32/K33/K34 need a hull chain.
+    Returns (holds, witness), with a witness that is identically 0
+    exactly when the identity holds.  For K16, K24 and K33 it is a
+    `MultiPoly`, the difference of the two sides times a nonzero
+    denominator:
+    - K16, 1/(AB) + 1/(BC) + 1/(CA) = 0: A + B + C, over ABC, which is
+      nonzero as a product of nonzero polynomials;
+    - K24: the first nonzero of its two polynomial differences, which
+      have no denominator;
+    - K33: the first nonzero numerator of `k33_identity` over the chain's
+      pairs.
+    For K23, K32 and K34 it is the normalized difference, a `RatFunc`.
+    K23/K34 need the weight k >= 2; K32/K33/K34 need a hull chain.
     """
-    v = constrained_vars()
-    p, q, A, B, C = v["p"], v["q"], v["A"], v["B"], v["C"]
-
     if identity_id == "K16":
-        w = 1 / (A * B) + 1 / (B * C) + 1 / (C * A)
+        w = _POLYS["A"] + _POLYS["B"] + _POLYS["C"]
         return w.is_zero(), w
+
+    if identity_id == "K24":
+        p, q, r = _POLYS["p"], _POLYS["q"], _POLYS["r"]
+        A, B, C = _POLYS["A"], _POLYS["B"], _POLYS["C"]
+        d1 = (p * B - q * A) - (q * C - r * B)
+        if not d1.is_zero():
+            return False, d1
+        d2 = (q * C - r * B) - (r * A - p * C)
+        return d2.is_zero(), d2
+
+    v = constrained_vars()
+    p, q, A, B = v["p"], v["q"], v["A"], v["B"]
 
     if identity_id == "K23":
         if k is None or k < 2:
@@ -566,14 +605,6 @@ def check_kernel(identity_id: str, k: int | None = None,
         rhs = ((p / A) ** (k - 1) - (q / B) ** (k - 1)) / (p * B - q * A)
         w = lhs - rhs
         return w.is_zero(), w
-
-    if identity_id == "K24":
-        r = v["r"]
-        d1 = (p * B - q * A) - (q * C - r * B)
-        if not d1.is_zero():
-            return False, d1
-        d2 = (q * C - r * B) - (r * A - p * C)
-        return d2.is_zero(), d2
 
     if identity_id in ("K32", "K33", "K34"):
         if chain is None:
@@ -597,7 +628,7 @@ def check_kernel(identity_id: str, k: int | None = None,
                 ok, w = k33_identity(a1, b1, a2, b2)
                 if not ok:
                     return False, w
-            return True, RatFunc.constant(0)
+            return True, MultiPoly()
 
         # K34: one walk over the pairs.  Each pair's cross-difference
         # n1 e2 - n2 e1 must equal det (pB - qA), and it is the

@@ -22,7 +22,7 @@ from eisenlab.cli import (
 from eisenlab.cyclotomic import Cyclotomic
 from eisenlab.eisenstein import EisIndex
 from eisenlab.hull import sublattice_points
-from eisenlab import quasiforms
+from eisenlab import quasiforms, ratfunc
 from eisenlab.quasiforms import eis_series
 from eisenlab.verifiers import TorsionPoint, verify_two_term
 
@@ -273,6 +273,16 @@ def test_symbolic_unread_option_is_a_usage_error(args, option, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {option} ")
+
+
+def test_symbolic_fail_prints_the_polynomial_witness(monkeypatch, capsys):
+    # det + 1 as the coefficient of B in K33's cleared numerator
+    numerator = ratfunc._k33_numerator
+    monkeypatch.setattr(ratfunc, "_k33_numerator",
+                        lambda a, b, c, d, det: numerator(a, b, c, d, det + 1))
+    assert run_cli(["symbolic", "--identity", "K33"]) == 2
+    assert capsys.readouterr().out == (
+        "K33: FAIL at (a,b,c,d)=(6, -3, -4, 0); witness = B\n")
 
 
 def test_symbolic_chain_kernel_single(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from eisenlab import ratfunc
 from eisenlab.hull import HullChain, hull_chain
 from eisenlab.ratfunc import (
     MultiPoly,
@@ -308,6 +309,54 @@ def test_chain_kernel_negative_control():
     assert not ok
     assert str(witness) == ("(-2/5*p*A - 2/5*p*B - 2/5*q*A)"
                             "/(A^4 + 4*A^3*B + 4*A^2*B^2)")
+
+
+def test_polynomial_kernels_run_no_gcd(monkeypatch):
+    # K16, K24 and K33 clear their denominators: not one gcd in all 202
+    # instances, while a kernel that normalizes reaches the patch
+    def no_gcd(f, g):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", no_gcd)
+    proofs = [proof for ident in ("K16", "K24", "K33")
+              for _, proof in kernel_scope(ident)]
+    assert len(proofs) == 202
+    for proof in proofs:
+        ok, witness = proof()
+        assert ok and isinstance(witness, MultiPoly) and witness.is_zero()
+    with pytest.raises(AssertionError, match="poly_gcd called"):
+        check_kernel("K32", chain=hull_chain(5, 3))
+
+
+def test_k33_on_a_chain_has_a_zero_witness():
+    ok, witness = check_kernel("K33", chain=hull_chain(5, 3))
+    assert ok and witness == MultiPoly() and str(witness) == "0"
+
+
+@pytest.mark.parametrize("ident, name, perturbed, text", [
+    # A + B + C with C = -A - 2B
+    ("K16", "C", -A - 2 * B, "-B"),
+    # (pB - qA) - (qC - rB) with r = -p - 2q
+    ("K24", "r", -P - 2 * Q, "-q*B"),
+])
+def test_a_perturbed_polynomial_kernel_fails(monkeypatch, ident, name,
+                                             perturbed, text):
+    monkeypatch.setitem(ratfunc._POLYS, name, perturbed)
+    ok, witness = check_kernel(ident)
+    assert not ok and isinstance(witness, MultiPoly)
+    # `eisenlab symbolic` prints this witness on failure
+    assert str(witness) == text
+
+
+def test_a_perturbed_k33_fails(monkeypatch):
+    # det + 1 as the coefficient of B leaves B in the numerator
+    numerator = ratfunc._k33_numerator
+    monkeypatch.setattr(ratfunc, "_k33_numerator",
+                        lambda a, b, c, d, det: numerator(a, b, c, d, det + 1))
+    for ok, witness in (k33_identity(1, 2, 3, 4),
+                        check_kernel("K33", chain=hull_chain(5, 3))):
+        assert not ok and isinstance(witness, MultiPoly)
+        assert str(witness) == "B"
 
 
 def test_chain_required():
