@@ -96,7 +96,8 @@ def criterion_04_expansion() -> tuple[bool, str]:
             for c1 in range(n):
                 for c2 in range(n):
                     # both indices expanded, to check the parity that
-                    # `canonical_sum` applies by `EisIndex.representative`
+                    # `canonical_sum` and `EisIndex.representative` apply
+                    # by `pm_representative`
                     idx = EisIndex(k, n, c1, c2)
                     sign, first = idx.representative()
                     series = eis_qseries(idx, 3 * n)

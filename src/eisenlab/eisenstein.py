@@ -41,6 +41,17 @@ class NotDivisible(ValueError):
     """A rescale target is not a multiple of the current denominator."""
 
 
+def pm_representative(weight: int, level: int, c1: int, c2: int) -> tuple:
+    """(sign, r1, r2) with E_{k,(c1,c2)} = sign * E_{k,(r1,r2)}, k = weight
+    and c1, c2 reduced mod level: (r1, r2) is the one of {v, -v} first in
+    (c1, c2) order, as E_{k,-v} = (-1)^k E_{k,v}, and sign is 0 at odd k
+    with v = -v, where the series is its own negative."""
+    n1, n2 = -c1 % level, -c2 % level
+    if (n1, n2) < (c1, c2):
+        return (-1 if weight % 2 else 1), n1, n2
+    return (0 if (n1, n2) == (c1, c2) and weight % 2 else 1), c1, c2
+
+
 class EisIndex(Value):
     """Weight plus a level-N torsion index, stored reduced mod N."""
 
@@ -60,22 +71,16 @@ class EisIndex(Value):
         return EisIndex(self.weight, self.level, -self.c1, -self.c2)
 
     def representative(self) -> tuple[int, EisIndex]:
-        """(sign, first) with E_self = sign * E_first, first the index of
-        the +- pair {v, -v} that comes first in (c1, c2) order:
-        E_{k,-v} = (-1)^k E_{k,v}.  At odd k with v = -v the series is its
-        own negative, so zero, and sign is 0.
+        """(sign, first) with E_self = sign * E_first, by `pm_representative`.
 
         >>> EisIndex(3, 5, 4, 3).representative()
         (-1, EisIndex(weight=3, level=5, c1=1, c2=2))
         >>> EisIndex(3, 4, 2, 0).representative()[0]
         0
         """
-        neg = self.negate()
-        if (neg.c1, neg.c2) < (self.c1, self.c2):
-            return (-1) ** self.weight, neg
-        if neg == self and self.weight % 2:
-            return 0, self
-        return 1, self
+        sign, c1, c2 = pm_representative(self.weight, self.level, self.c1,
+                                         self.c2)
+        return sign, EisIndex(self.weight, self.level, c1, c2)
 
     def s_transform(self) -> EisIndex:
         return EisIndex(self.weight, self.level, self.c2, -self.c1)

@@ -19,8 +19,8 @@ from functools import reduce
 from math import factorial, gcd
 
 from .cyclotomic import Cyclotomic, Rational
-from .eisenstein import (EisIndex, NotDivisible, proven_truncation,
-                         sturm_truncation)
+from .eisenstein import (EisIndex, NotDivisible, pm_representative,
+                         proven_truncation, sturm_truncation)
 from .hull import NonCoprimeShear, hull_chain
 from .quasiforms import (
     QuasiForm,
@@ -46,8 +46,8 @@ def pq_samples(k: int) -> list[tuple[Fraction, Fraction]]:
     (Lagrange) combination of the sample forms.  VERIFIED, at or above
     `proven_truncation`, puts each sample form in the span of Eisenstein
     series and their delta images, a vector space, so every F_i and every
-    F(p, q) lies there too.  At k < 2 one pair is left, for LParams to
-    reject."""
+    F(p, q) lies there too.  At k < 2 one pair is left, for the verifier
+    to reject."""
     pairs = [(1, 1), (2, -1), (3, 5)] + [(1, j) for j in range(2, k - 2)]
     return [(Fraction(p), Fraction(q)) for p, q in pairs[:max(k - 1, 1)]]
 
@@ -80,14 +80,6 @@ class TorsionPoint(Value):
     def __neg__(self) -> TorsionPoint:
         return TorsionPoint(self.denominator, -self.c1, -self.c2)
 
-    def __sub__(self, other: TorsionPoint) -> TorsionPoint:
-        return self + (-other)
-
-    def __mul__(self, n: int) -> TorsionPoint:
-        return TorsionPoint(self.denominator, n * self.c1, n * self.c2)
-
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         return self.c1 == 0 and self.c2 == 0
 
@@ -107,11 +99,7 @@ class LParams(Value):
                  q: Rational, weight: int):
         if weight < 2:
             raise ValueError("weight must be >= 2")
-        _setattr(self, "lam", lam)
-        _setattr(self, "mu", mu)
-        _setattr(self, "p", Fraction(p))
-        _setattr(self, "q", Fraction(q))
-        _setattr(self, "weight", weight)
+        self._set(lam, mu, Fraction(p), Fraction(q), weight)
 
 
 class VerificationReport(Value):
@@ -130,34 +118,46 @@ class VerificationReport(Value):
                   truncation, level)
 
 
+def _scale_table(p: Fraction, q: Fraction, k: int, unit: Rational = 1) -> list:
+    """(l, m, unit * p^(l-1) q^(m-1) / ((l-1)! (m-1)!)) for each splitting
+    l + m = k whose scale is not zero, built once per (p, q, k) of a claim."""
+    scales = ((ell, k - ell, p ** (ell - 1) * q ** (k - ell - 1)
+               / (factorial(ell - 1) * factorial(k - ell - 1)))
+              for ell in range(1, k))
+    return [(ell, m, unit * s) for ell, m, s in scales if s]
+
+
+def _splitting_terms(table, level: int, x: tuple, y: tuple) -> list[tuple]:
+    """The terms (scale, E_{l,x}, E_{m,y}) of the points x, y, integer
+    pairs at level, one per entry (l, m, scale) of a `_scale_table`."""
+    return [(s, EisIndex(ell, level, *x), EisIndex(m, level, *y))
+            for ell, m, s in table]
+
+
 def L_terms(params: LParams, n_work: int) -> list[tuple[Fraction, EisIndex, EisIndex]]:
     """The formal sum of the weighted sum over splittings l + m = k of
-    p^{l-1} q^{m-1} / ((l-1)! (m-1)!) * E_{l,lam} * E_{m,mu}, both
-    torsion points rescaled to denominator n_work: one (scale, index l,
-    index m) term for each splitting whose scale is not zero."""
-    k = params.weight
-    lam = params.lam.rescale(n_work)
-    mu = params.mu.rescale(n_work)
-    terms = []
-    for ell in range(1, k):
-        m = k - ell
-        scale = (params.p ** (ell - 1)) * (params.q ** (m - 1))
-        scale /= factorial(ell - 1) * factorial(m - 1)
-        if scale:
-            terms.append((scale, lam.to_index(ell), mu.to_index(m)))
-    return terms
+    p^{l-1} q^{m-1} / ((l-1)! (m-1)!) * E_{l,lam} * E_{m,mu}, lam and mu
+    at denominator n_work: one (scale, index l, index m) term per entry of
+    the `_scale_table` of (p, q, k).  `canonical_sum` builds an `EisIndex`
+    only for a surviving product."""
+    lam, mu = params.lam.rescale(n_work), params.mu.rescale(n_work)
+    return _splitting_terms(_scale_table(params.p, params.q, params.weight),
+                            n_work, (lam.c1, lam.c2), (mu.c1, mu.c2))
 
 
 def canonical_sum(terms) -> list[tuple]:
     """The formal sum terms [(scale, idx, ...)], scales rational or in
-    Q(zeta_N), reduced to canonical products with the same form.
+    Q(zeta_N) and each term's factors at one level, reduced to canonical
+    products with the same form.
 
-    Each factor becomes the first index of its +- pair and the scale
-    takes its sign (`EisIndex.representative`); a term with a zero
-    factor, odd weight at v = -v, is dropped; the factors, which
-    commute, are sorted; equal products are merged and zero scales
-    dropped.  Products keep the order of their first term.  The
-    two-term relation cancels, E_{1,-lam} = -E_{1,lam}:
+    Each factor is normalized on its integer key (weight, c1, c2) by
+    `pm_representative`, the rule of `EisIndex.representative`: the key
+    becomes that of the first index of its +- pair and the scale takes
+    the sign, and a zero factor, odd weight at v = -v, drops the term.
+    A product's keys are sorted, as its factors commute; equal products
+    merge, zero scales drop, and products keep the order of their first
+    term.  An `EisIndex` is built only for a product that survives.
+    E_{1,-lam} = -E_{1,lam} cancels the two-term relation:
 
     >>> lam, mu = TorsionPoint(3, 1, 0), TorsionPoint(3, 0, 1)
     >>> canonical_sum([(1, lam.to_index(1), mu.to_index(1)),
@@ -166,19 +166,20 @@ def canonical_sum(terms) -> list[tuple]:
     """
     merged: dict[tuple, object] = {}
     for scale, *factors in terms:
+        level = factors[0].level
         product = []
         for idx in factors:
-            sign, first = idx.representative()
+            sign, c1, c2 = pm_representative(idx.weight, level, idx.c1, idx.c2)
             if not sign:
                 break
             if sign < 0:
                 scale = -scale
-            product.append(first)
+            product.append((idx.weight, c1, c2))
         else:
-            product.sort(key=lambda idx: (idx.weight, idx.c1, idx.c2))
-            key = tuple(product)
-            merged[key] = merged.get(key, 0) + scale
-    return [(scale, *product) for product, scale in merged.items() if scale]
+            key = (level, *sorted(product))
+            merged[key] = merged[key] + scale if key in merged else scale
+    return [(scale, *(EisIndex(w, level, c1, c2) for w, c1, c2 in product))
+            for (level, *product), scale in merged.items() if scale]
 
 
 def build_L(terms, weight: int, level: int, truncation: int) -> QuasiForm:
@@ -288,7 +289,11 @@ def verify_hecke_trace(n_sub: int, shear: int, lam: TorsionPoint,
     """Certify the trace identity: the averaged translate sum
     (1/n_sub) * sum over tau of L(lam+tau, mu-shear*tau, p, q)
     equals the hull-chain sum of L(a*lam+b*mu, c*lam+d*mu, ap+bq, cp+dq)
-    modulo the weight-k Eisenstein space at level n_sub * M."""
+    modulo the weight-k Eisenstein space at level n_sub * M.  The n_sub^2
+    translates share one `_scale_table`, each chain pair has its own, and
+    `canonical_sum` builds an `EisIndex` only for a surviving product."""
+    if weight < 2:
+        raise ValueError("weight must be >= 2")
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
     if gcd(shear % n_sub, n_sub) != 1:
@@ -297,22 +302,20 @@ def verify_hecke_trace(n_sub: int, shear: int, lam: TorsionPoint,
         raise ValueError("lam and mu must share a denominator")
     m = lam.denominator
     n_work = n_sub * m
-    k = weight
-    p = Fraction(p)
-    q = Fraction(q)
-    lam_w = lam.rescale(n_work)
-    mu_w = mu.rescale(n_work)
-
-    lhs = [LParams(lam_w + tau, mu_w - shear * tau, p, q, k)
-           for tau in torsion_translates(n_sub, m)]
-    rhs = [LParams(a * lam_w + bb * mu_w, c * lam_w + d * mu_w,
-                   a * p + bb * q, c * p + d * q, k)
-           for (a, bb), (c, d) in hull_chain(n_sub, shear).pairs()]
+    p, q = Fraction(p), Fraction(q)
+    # lam and mu at level n_work, by integer coordinates
+    l1, l2, m1, m2 = (n_sub * c for c in (lam.c1, lam.c2, mu.c1, mu.c2))
+    lhs = _scale_table(p, q, weight, Fraction(1, n_sub))
+    raw = [t for tau in torsion_translates(n_sub, m) for t in _splitting_terms(
+        lhs, n_work, (l1 + tau.c1, l2 + tau.c2),
+        (m1 - shear * tau.c1, m2 - shear * tau.c2))]
+    for (a, b), (c, d) in hull_chain(n_sub, shear).pairs():
+        rhs = _scale_table(a * p + b * q, c * p + d * q, weight, -1)
+        raw += _splitting_terms(rhs, n_work, (a * l1 + b * m1, a * l2 + b * m2),
+                                (c * l1 + d * m1, c * l2 + d * m2))
     return _verify(
         "hecke_trace",
         {"n_sub": n_sub, "shear": shear % n_sub, "lam": lam.label(),
-         "mu": mu.label(), "p": str(p), "q": str(q), "k": k,
+         "mu": mu.label(), "p": str(p), "q": str(q), "k": weight,
          "n_work": n_work},
-        [(s / n_sub, x, y) for part in lhs for s, x, y in L_terms(part, n_work)]
-        + [(-s, x, y) for part in rhs for s, x, y in L_terms(part, n_work)],
-        k, n_work, truncation)
+        raw, weight, n_work, truncation)

@@ -229,6 +229,17 @@ def test_hecke_cli(capsys):
     assert capsys.readouterr().out.startswith("hecke_trace: VERIFIED")
 
 
+@pytest.mark.parametrize("weight", ["1", "0"])
+def test_hecke_weight_below_two_is_a_usage_error(weight, capsys):
+    rc = run_cli(["hecke", "--sub-level", "2", "--shear", "1",
+                  "--weight", weight, "--lam", "0,0@1", "--mu", "0,0@1",
+                  "--p", "1", "--q", "1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weight must be >= 2\n"
+
+
 def test_symbolic_k16(capsys):
     assert run_cli(["symbolic", "--identity", "K16"]) == 0
     assert capsys.readouterr().out == "K16: PASS (1 instance)\n"

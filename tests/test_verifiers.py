@@ -2,11 +2,11 @@
 formal sums, and the four verification entry points."""
 import importlib.util
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eisenlab import quasiforms, verifiers
@@ -44,10 +44,8 @@ def test_torsion_point_reduction_and_algebra():
     assert t.label() == "2,3@5"
     u = TorsionPoint(5, 4, 4)
     assert (t + u) == TorsionPoint(5, 1, 2)
-    assert (t - u) == TorsionPoint(5, 3, 4)
+    assert (t + -u) == TorsionPoint(5, 3, 4)
     assert -t == TorsionPoint(5, 3, 2)
-    assert 3 * t == TorsionPoint(5, 6, 9)
-    assert t * 3 == 3 * t
     assert TorsionPoint(5, 0, 0).is_zero() and not t.is_zero()
     assert t.to_index(4) == EisIndex(4, 5, 2, 3)
 
@@ -238,6 +236,73 @@ def test_certificate_leaves_no_y_part(case, data):
     assert sol.residual.depth == 0
 
 
+def reference_representative(idx):
+    """(sign, first) with E_idx = sign * E_first, written on `EisIndex`
+    values: E_{k,-v} = (-1)^k E_{k,v}, and E_{k,v} = 0 at odd k, v = -v."""
+    neg = idx.negate()
+    if (neg.c1, neg.c2) < (idx.c1, idx.c2):
+        return (-1) ** idx.weight, neg
+    if neg == idx and idx.weight % 2:
+        return 0, idx
+    return 1, idx
+
+
+def test_representative_is_the_pm_rule():
+    for n in range(1, 8):
+        for k in range(1, 6):
+            for c1 in range(n):
+                for c2 in range(n):
+                    idx = EisIndex(k, n, c1, c2)
+                    assert idx.representative() == reference_representative(idx)
+
+
+def reference_canonical_sum(terms):
+    """The canonical sum by way of `reference_representative` on every
+    factor, merged on tuples of `EisIndex`: the rule that `canonical_sum`
+    applies to integer keys."""
+    merged = {}
+    for scale, *factors in terms:
+        product = []
+        for idx in factors:
+            sign, first = reference_representative(idx)
+            if not sign:
+                break
+            if sign < 0:
+                scale = -scale
+            product.append(first)
+        else:
+            product.sort(key=lambda idx: (idx.weight, idx.c1, idx.c2))
+            key = tuple(product)
+            merged[key] = merged.get(key, 0) + scale
+    return [(scale, *product) for product, scale in merged.items() if scale]
+
+
+def typed(terms):
+    return [(type(scale), scale, *factors) for scale, *factors in terms]
+
+
+N6, Z6 = 6, Cyclotomic.zeta(6)
+A6, B6 = EisIndex(3, N6, 1, 2), EisIndex(2, N6, 4, 3)
+HALF6 = EisIndex(3, N6, 3, 0)  # odd weight at v = -v: the zero series
+
+
+@settings(max_examples=200)
+@given(formal_sums(weights=(1, 6)))
+@example(([(Fraction(1, 3), A6, B6), (Fraction(2, 3), B6.negate(), A6.negate())],
+          5, N6))
+@example(([(Z6, A6, B6), (-Z6, B6, A6), (Fraction(1, 2), A6.negate(), B6)],
+          5, N6))
+@example(([(2, HALF6, B6), (Fraction(-1, 5), A6)], 5, N6))
+@example(([(1, B6, A6), (Z6 + 1, A6.negate()), (-1, A6, B6), (Fraction(7), A6)],
+          5, N6))
+def test_canonical_sum_matches_the_representative_rule(case):
+    # the same terms in the same order, with equal scales of one type:
+    # rational and Q(zeta_N) scales, repeated and cancelling products,
+    # and odd-weight factors at v = -v
+    terms, _, _ = case
+    assert typed(canonical_sum(terms)) == typed(reference_canonical_sum(terms))
+
+
 def test_canonical_sum_folds_pairs_and_drops_zero_factors():
     lam, mu = EisIndex(1, 4, 1, 0), EisIndex(2, 4, 0, 1)
     half = EisIndex(1, 4, 2, 0)
@@ -273,6 +338,104 @@ def sweep_batch(seed):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.sweep_batch(seed)
+
+
+class _Recorded(Exception):
+    pass
+
+
+def raw_terms_of(claim, monkeypatch):
+    """The raw formal sum claim() hands to `canonical_sum`; the claim
+    stops there, with no series and no certificate."""
+    seen = []
+
+    def record(terms):
+        seen.append(list(terms))
+        raise _Recorded
+
+    monkeypatch.setattr(verifiers, "canonical_sum", record)
+    with pytest.raises(_Recorded):
+        claim()
+    monkeypatch.undo()
+    return seen[0]
+
+
+def reference_L_terms(params, n_work):
+    """One weighted sum's terms, each scale computed on its own."""
+    k = params.weight
+    lam = params.lam.rescale(n_work)
+    mu = params.mu.rescale(n_work)
+    terms = []
+    for ell in range(1, k):
+        m = k - ell
+        scale = (params.p ** (ell - 1)) * (params.q ** (m - 1))
+        scale /= factorial(ell - 1) * factorial(m - 1)
+        if scale:
+            terms.append((scale, lam.to_index(ell), mu.to_index(m)))
+    return terms
+
+
+def times(n, t):
+    return TorsionPoint(t.denominator, n * t.c1, n * t.c2)
+
+
+def reference_hecke_terms(n_sub, shear, lam, mu, k, p, q):
+    """The trace's raw sum from one `LParams` per translate and per
+    hull-chain pair, in `TorsionPoint` arithmetic."""
+    m = lam.denominator
+    n_work = n_sub * m
+    p, q = Fraction(p), Fraction(q)
+    lam_w, mu_w = lam.rescale(n_work), mu.rescale(n_work)
+    lhs = [LParams(lam_w + tau, mu_w + -times(shear, tau), p, q, k)
+           for tau in torsion_translates(n_sub, m)]
+    rhs = [LParams(times(a, lam_w) + times(b, mu_w),
+                   times(c, lam_w) + times(d, mu_w), a * p + b * q,
+                   c * p + d * q, k)
+           for (a, b), (c, d) in hull_chain(n_sub, shear).pairs()]
+    return ([(s / n_sub, x, y) for part in lhs
+             for s, x, y in reference_L_terms(part, n_work)]
+            + [(-s, x, y) for part in rhs
+               for s, x, y in reference_L_terms(part, n_work)])
+
+
+PQ = [(1, 1), (0, 1), (1, 0), (0, 0), (-2, 1), (Fraction(3, 2), Fraction(-1, 3)),
+      (Fraction(-1, 3), 4)]
+POINTS = [(TorsionPoint(1, 0, 0), TorsionPoint(1, 0, 0)),
+          (TorsionPoint(2, 1, 0), TorsionPoint(2, 0, 1)),
+          (TorsionPoint(3, 2, 1), TorsionPoint(3, 1, 1))]
+
+
+@pytest.mark.parametrize("n_sub, shear", [
+    (1, 0), (1, -3), (2, 1), (2, -1), (2, 5), (3, 2), (3, -2), (3, 4),
+    (5, 3), (5, -1), (5, 7)])
+def test_hecke_raw_sum_is_the_per_translate_construction(n_sub, shear,
+                                                         monkeypatch):
+    for lam, mu in POINTS:
+        for k in range(2, 6):
+            for p, q in PQ:
+                got = raw_terms_of(lambda: verify_hecke_trace(
+                    n_sub, shear, lam, mu, k, p, q), monkeypatch)
+                want = reference_hecke_terms(n_sub, shear, lam, mu, k, p, q)
+                assert typed(got) == typed(want), (lam, mu, k, p, q)
+
+
+def test_prop21_raw_sum_is_the_three_weighted_sums(monkeypatch):
+    for n, (lam, mu) in ((2, POINTS[1]), (3, POINTS[2]), (4, POINTS[1]),
+                         (5, (TorsionPoint(5, 1, 0), TorsionPoint(5, 2, 3)))):
+        for k in range(3, 7):
+            for p, q in PQ + [(1, -1), (Fraction(-3, 2), Fraction(3, 2))]:
+                params = LParams(lam, mu, p, q, k)
+                got = raw_terms_of(lambda: verify_prop21(params, n),
+                                   monkeypatch)
+                lam_w, mu_w = lam.rescale(n), mu.rescale(n)
+                nu_w = -(lam_w + mu_w)
+                p, q = params.p, params.q
+                r = -p - q
+                want = [t for part in (LParams(lam_w, mu_w, p, q, k),
+                                       LParams(mu_w, nu_w, q, r, k),
+                                       LParams(nu_w, lam_w, r, p, k))
+                        for t in reference_L_terms(part, n)]
+                assert typed(got) == typed(want), (n, k, p, q)
 
 
 @pytest.mark.parametrize("claim, want", [
@@ -502,7 +665,7 @@ def test_torsion_translates_enumeration():
     assert len(set(ts)) == 9
     assert all(t.denominator == 6 for t in ts)
     # each translate is killed by multiplication with n_sub
-    assert all((3 * t).is_zero() for t in ts)
+    assert all(3 * t.c1 % 6 == 3 * t.c2 % 6 == 0 for t in ts)
 
 
 def test_hecke_rejects_bad_inputs():
@@ -514,6 +677,9 @@ def test_hecke_rejects_bad_inputs():
                            2, 1, 1)
     with pytest.raises(ValueError):
         verify_hecke_trace(0, 1, lam, lam, 2, 1, 1)
+    for weight in (1, 0, -1):
+        with pytest.raises(ValueError, match="weight must be >= 2"):
+            verify_hecke_trace(2, 1, lam, lam, weight, 1, 1)
 
 
 def test_hecke_small_instances():
@@ -524,19 +690,39 @@ def test_hecke_small_instances():
         assert report.level == n_sub
 
 
+HECKE_L10_PAYLOAD = {
+    "claim_id": "hecke_trace",
+    "parameters": {"n_sub": 5, "shear": 3, "lam": "1,0@2",
+                   "mu": "0,1@2", "p": "1", "q": "1", "k": 3,
+                   "n_work": 10},
+    "status": "VERIFIED",
+    "defect": {"coefficients": [], "certificate": [],
+               "residual_nonzero_exponents": []},
+    "truncation": 91, "level": 10, "elapsed_ms": 0}
+
+
 def test_hecke_level_ten_zero_target_builds_no_basis(basis_builds):
     report = verify_hecke_trace(5, 3, TorsionPoint(2, 1, 0),
                                 TorsionPoint(2, 0, 1), 3, 1, 1, truncation=91)
     assert basis_builds == []
-    assert report_payload(report) == {
-        "claim_id": "hecke_trace",
-        "parameters": {"n_sub": 5, "shear": 3, "lam": "1,0@2",
-                       "mu": "0,1@2", "p": "1", "q": "1", "k": 3,
-                       "n_work": 10},
-        "status": "VERIFIED",
-        "defect": {"coefficients": [], "certificate": [],
-                   "residual_nonzero_exponents": []},
-        "truncation": 91, "level": 10, "elapsed_ms": 0}
+    assert report_payload(report) == HECKE_L10_PAYLOAD
+
+
+def test_hecke_level_ten_builds_one_scale_table_per_pair(monkeypatch):
+    # one table shared by the 25 translates, not one for each, and one per
+    # pair of hull_chain(5, 3), ((5, 0), (3, 1), (1, 2), (0, 5)), at its
+    # (ap + bq, cp + dq)
+    tables = []
+
+    def counting(p, q, k, *unit, _real=verifiers._scale_table):
+        tables.append((p, q, k))
+        return _real(p, q, k, *unit)
+
+    monkeypatch.setattr(verifiers, "_scale_table", counting)
+    report = verify_hecke_trace(5, 3, TorsionPoint(2, 1, 0),
+                                TorsionPoint(2, 0, 1), 3, 1, 1, truncation=91)
+    assert tables == [(1, 1, 3), (5, 4, 3), (4, 3, 3), (3, 5, 3)]
+    assert report_payload(report) == HECKE_L10_PAYLOAD
 
 
 def test_hecke_flagship_instance():
