@@ -57,7 +57,6 @@ from .verifiers import (
     VerificationReport,
     build_L,
     canonical_sum,
-    torsion_translates,
     verify_hecke_trace,
     verify_prop21,
     verify_three_term_w2,

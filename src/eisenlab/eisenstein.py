@@ -373,7 +373,10 @@ def sturm_truncation(k: int, n: int) -> int:
     default because the warm-up of `perfbench/child.py` calls it by
     name, and because a faster default fits more claims into a timed
     `sweep_warm` run, whose worker keeps every outcome, so its peak
-    memory would rise.
+    memory would rise.  Measured with this function returning
+    `proven_truncation` (2-core Xeon VM, two 30 s runs each):
+    `claims_cold` 33.0 -> 18.1 ref at 18.5 MB either way, `sweep_warm`
+    234 -> 68 ref but 26 -> 43 MB.
 
     >>> sturm_truncation(3, 10), proven_truncation(3, 10)
     (910, 90)

@@ -535,6 +535,8 @@ def constrained_vars() -> dict[str, RatFunc]:
 # p, q, r, A, B, C as polynomials, with r = -p-q and C = -A-B
 _POLYS = {name: MultiPoly.variable(name) for name in VARS}
 _POLYS.update(r=-_POLYS["p"] - _POLYS["q"], C=-_POLYS["A"] - _POLYS["B"])
+# and as the RatFunc atoms of K23, K32 and K34, built once
+_ATOMS = constrained_vars()
 
 
 def _k33_numerator(a: int, b: int, c: int, d: int, det: int) -> MultiPoly:
@@ -592,8 +594,7 @@ def check_kernel(identity_id: str, k: int | None = None,
         d2 = (q * C - r * B) - (r * A - p * C)
         return d2.is_zero(), d2
 
-    v = constrained_vars()
-    p, q, A, B = v["p"], v["q"], v["A"], v["B"]
+    p, q, A, B = _ATOMS["p"], _ATOMS["q"], _ATOMS["A"], _ATOMS["B"]
 
     if identity_id == "K23":
         if k is None or k < 2:

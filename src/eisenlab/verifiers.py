@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 from .cyclotomic import Cyclotomic, Rational
 from .eisenstein import (EisIndex, NotDivisible, pm_representative,
@@ -118,68 +118,57 @@ class VerificationReport(Value):
                   truncation, level)
 
 
-def _scale_table(p: Fraction, q: Fraction, k: int, unit: Rational = 1) -> list:
-    """(l, m, unit * p^(l-1) q^(m-1) / ((l-1)! (m-1)!)) for each splitting
-    l + m = k whose scale is not zero, built once per (p, q, k) of a claim."""
-    scales = ((ell, k - ell, p ** (ell - 1) * q ** (k - ell - 1)
-               / (factorial(ell - 1) * factorial(k - ell - 1)))
-              for ell in range(1, k))
-    return [(ell, m, unit * s) for ell, m, s in scales if s]
+def _scale_table(P: int, Q: int, k: int, unit: int = 1) -> list:
+    """(l, m, unit * C(k-2, l-1) P^(l-1) Q^(m-1)) for each splitting
+    l + m = k whose entry is not zero, built once per (p, q, k) of a
+    claim.  For p = P/D and q = Q/D the entry is unit (k-2)! D^(k-2)
+    times the scale p^(l-1) q^(m-1) / ((l-1)! (m-1)!) of E_l E_m."""
+    return [(ell, k - ell, s) for ell in range(1, k)
+            if (s := unit * comb(k - 2, ell - 1) * P ** (ell - 1)
+                * Q ** (k - ell - 1))]
 
 
-def _splitting_terms(table, level: int, x: tuple, y: tuple) -> list[tuple]:
-    """The terms (scale, E_{l,x}, E_{m,y}) of the points x, y, integer
-    pairs at level, one per entry (l, m, scale) of a `_scale_table`."""
-    return [(s, EisIndex(ell, level, *x), EisIndex(m, level, *y))
-            for ell, m, s in table]
+def L_terms(table, x: tuple, y: tuple) -> list[tuple]:
+    """The terms (numerator, (l, *x), (m, *y)) of the points x, y, integer
+    pairs, one per entry (l, m, numerator) of a `_scale_table`: the
+    weighted sum over splittings l + m = k of
+    p^{l-1} q^{m-1} / ((l-1)! (m-1)!) * E_{l,x} * E_{m,y}, over the
+    claim's denominator."""
+    return [(s, (ell, *x), (m, *y)) for ell, m, s in table]
 
 
-def L_terms(params: LParams, n_work: int) -> list[tuple[Fraction, EisIndex, EisIndex]]:
-    """The formal sum of the weighted sum over splittings l + m = k of
-    p^{l-1} q^{m-1} / ((l-1)! (m-1)!) * E_{l,lam} * E_{m,mu}, lam and mu
-    at denominator n_work: one (scale, index l, index m) term per entry of
-    the `_scale_table` of (p, q, k).  `canonical_sum` builds an `EisIndex`
-    only for a surviving product."""
-    lam, mu = params.lam.rescale(n_work), params.mu.rescale(n_work)
-    return _splitting_terms(_scale_table(params.p, params.q, params.weight),
-                            n_work, (lam.c1, lam.c2), (mu.c1, mu.c2))
+def canonical_sum(terms, level: int, d: int) -> list[tuple]:
+    """The formal sum terms [(n, (weight, c1, c2), ...)], each term
+    n / d times the product of its factors E_{weight,(c1,c2)} at level,
+    reduced to canonical products [(scale, idx, ...)] with the same form.
 
+    Each factor is normalized on its integer key by `pm_representative`,
+    the rule of `EisIndex.representative`: the key becomes that of the
+    first index of its +- pair and the numerator takes the sign, and a
+    zero factor, odd weight at v = -v, drops the term.  A product's keys
+    are sorted, as its factors commute; equal products merge, zero
+    numerators drop, and products keep the order of their first term.
+    A scale Fraction(n, d) and an `EisIndex` are built only for a product
+    that survives.  E_{1,-lam} = -E_{1,lam} cancels the two-term relation:
 
-def canonical_sum(terms) -> list[tuple]:
-    """The formal sum terms [(scale, idx, ...)], scales rational or in
-    Q(zeta_N) and each term's factors at one level, reduced to canonical
-    products with the same form.
-
-    Each factor is normalized on its integer key (weight, c1, c2) by
-    `pm_representative`, the rule of `EisIndex.representative`: the key
-    becomes that of the first index of its +- pair and the scale takes
-    the sign, and a zero factor, odd weight at v = -v, drops the term.
-    A product's keys are sorted, as its factors commute; equal products
-    merge, zero scales drop, and products keep the order of their first
-    term.  An `EisIndex` is built only for a product that survives.
-    E_{1,-lam} = -E_{1,lam} cancels the two-term relation:
-
-    >>> lam, mu = TorsionPoint(3, 1, 0), TorsionPoint(3, 0, 1)
-    >>> canonical_sum([(1, lam.to_index(1), mu.to_index(1)),
-    ...                (1, mu.to_index(1), (-lam).to_index(1))])
+    >>> canonical_sum([(1, (1, 1, 0), (1, 0, 1)),
+    ...                (1, (1, 0, 1), (1, -1, 0))], 3, 1)
     []
     """
-    merged: dict[tuple, object] = {}
-    for scale, *factors in terms:
-        level = factors[0].level
+    merged: dict[tuple, int] = {}
+    for n, *factors in terms:
         product = []
-        for idx in factors:
-            sign, c1, c2 = pm_representative(idx.weight, level, idx.c1, idx.c2)
+        for w, c1, c2 in factors:
+            sign, c1, c2 = pm_representative(w, level, c1 % level, c2 % level)
             if not sign:
                 break
-            if sign < 0:
-                scale = -scale
-            product.append((idx.weight, c1, c2))
+            n *= sign
+            product.append((w, c1, c2))
         else:
-            key = (level, *sorted(product))
-            merged[key] = merged[key] + scale if key in merged else scale
-    return [(scale, *(EisIndex(w, level, c1, c2) for w, c1, c2 in product))
-            for (level, *product), scale in merged.items() if scale]
+            key = tuple(sorted(product))
+            merged[key] = merged.get(key, 0) + n
+    return [(Fraction(n, d), *(EisIndex(w, level, c1, c2) for w, c1, c2 in key))
+            for key, n in merged.items() if n]
 
 
 def build_L(terms, weight: int, level: int, truncation: int) -> QuasiForm:
@@ -197,17 +186,19 @@ def build_L(terms, weight: int, level: int, truncation: int) -> QuasiForm:
                     for scale, *factors in terms], weight, level, truncation)
 
 
-def _verify(claim_id: str, params: dict, raw_terms, weight: int, level: int,
-            truncation: int | None, refuse: bool = False) -> VerificationReport:
+def _verify(claim_id: str, params: dict, raw_terms, d: int, weight: int,
+            level: int, truncation: int | None,
+            refuse: bool = False) -> VerificationReport:
     """The one pipeline of every verifier: reduce the claim's formal sum
-    raw_terms with `canonical_sum`, expand it with `build_L` at the
+    raw_terms, integer numerators over its one denominator d, with
+    `canonical_sum`, expand it with `build_L` at the
     truncation, or for None at `sturm_truncation`, and certify it.  A
     certified claim is VERIFIED iff its exact residual is 0, and
     INCONCLUSIVE otherwise, a Y-component the certificate leaves included.
     A VERIFIED below `proven_truncation` proves nothing and becomes
     INCONCLUSIVE.  refuse (only `verify_three_term_w2`'s zero point)
     records INCONCLUSIVE with the whole form as the residual."""
-    terms = canonical_sum(raw_terms)
+    terms = canonical_sum(raw_terms, level, d)
     b = sturm_truncation(weight, level) if truncation is None else truncation
     total = build_L(terms, weight, level, b)
     if refuse:
@@ -226,11 +217,11 @@ def verify_two_term(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
     E_{1,mu} E_{1,-lam} = 0: its canonical sum is empty, its form 0."""
     lam_w = lam.rescale(n_work)
     mu_w = mu.rescale(n_work)
+    x, y = (1, lam_w.c1, lam_w.c2), (1, mu_w.c1, mu_w.c2)
     return _verify(
         "two_term", {"lam": lam.label(), "mu": mu.label(), "n_work": n_work},
-        [(1, lam_w.to_index(1), mu_w.to_index(1)),
-         (1, mu_w.to_index(1), (-lam_w).to_index(1))],
-        2, n_work, truncation)
+        [(1, x, y), (1, y, (1, -lam_w.c1, -lam_w.c2))], 1, 2, n_work,
+        truncation)
 
 
 def verify_three_term_w2(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
@@ -246,9 +237,9 @@ def verify_three_term_w2(lam: TorsionPoint, mu: TorsionPoint, n_work: int,
     return _verify(
         "three_term_w2",
         {"lam": lam.label(), "mu": mu.label(), "n_work": n_work},
-        [(1, x.to_index(1), y.to_index(1))
+        [(1, (1, x.c1, x.c2), (1, y.c1, y.c2))
          for x, y in ((lam_w, mu_w), (mu_w, nu_w), (nu_w, lam_w))],
-        2, n_work, truncation,
+        1, 2, n_work, truncation,
         refuse=lam_w.is_zero() or mu_w.is_zero() or nu_w.is_zero())
 
 
@@ -260,27 +251,20 @@ def verify_prop21(params: LParams, n_work: int,
     if params.weight == 2:
         # the weighted sum degenerates to the bare three-term relation
         return verify_three_term_w2(params.lam, params.mu, n_work, truncation)
-    k = params.weight
-    lam = params.lam.rescale(n_work)
-    mu = params.mu.rescale(n_work)
-    nu = -(lam + mu)
-    p, q = params.p, params.q
-    r = -p - q
+    k, p, q = params.weight, params.p, params.q
+    lam, mu = params.lam.rescale(n_work), params.mu.rescale(n_work)
+    x, y, z = ((t.c1, t.c2) for t in (lam, mu, -(lam + mu)))
+    # p, q and r = -p-q are P/D, Q/D and R/D
+    D = lcm(p.denominator, q.denominator)
+    P, Q = int(p * D), int(q * D)
+    R = -P - Q
     return _verify(
         "prop21",
         {"lam": params.lam.label(), "mu": params.mu.label(),
-         "p": str(params.p), "q": str(params.q), "k": k, "n_work": n_work},
-        (t for part in (LParams(lam, mu, p, q, k), LParams(mu, nu, q, r, k),
-                        LParams(nu, lam, r, p, k))
-         for t in L_terms(part, n_work)),
-        k, n_work, truncation)
-
-
-def torsion_translates(n_sub: int, m: int) -> list[TorsionPoint]:
-    """The n_sub-torsion points expressed at denominator n_sub * m."""
-    n_work = n_sub * m
-    return [TorsionPoint(n_work, a * m, b * m)
-            for a in range(n_sub) for b in range(n_sub)]
+         "p": str(p), "q": str(q), "k": k, "n_work": n_work},
+        [t for a, b, u, v in ((P, Q, x, y), (Q, R, y, z), (R, P, z, x))
+         for t in L_terms(_scale_table(a, b, k), u, v)],
+        factorial(k - 2) * D ** (k - 2), k, n_work, truncation)
 
 
 def verify_hecke_trace(n_sub: int, shear: int, lam: TorsionPoint,
@@ -290,8 +274,8 @@ def verify_hecke_trace(n_sub: int, shear: int, lam: TorsionPoint,
     (1/n_sub) * sum over tau of L(lam+tau, mu-shear*tau, p, q)
     equals the hull-chain sum of L(a*lam+b*mu, c*lam+d*mu, ap+bq, cp+dq)
     modulo the weight-k Eisenstein space at level n_sub * M.  The n_sub^2
-    translates share one `_scale_table`, each chain pair has its own, and
-    `canonical_sum` builds an `EisIndex` only for a surviving product."""
+    translates share one `_scale_table`, each chain pair has its own, all
+    over the one denominator n_sub (k-2)! D^(k-2), D that of p and q."""
     if weight < 2:
         raise ValueError("weight must be >= 2")
     if n_sub < 1:
@@ -303,19 +287,23 @@ def verify_hecke_trace(n_sub: int, shear: int, lam: TorsionPoint,
     m = lam.denominator
     n_work = n_sub * m
     p, q = Fraction(p), Fraction(q)
-    # lam and mu at level n_work, by integer coordinates
+    D = lcm(p.denominator, q.denominator)
+    P, Q = int(p * D), int(q * D)
+    # lam and mu at level n_work, by integer coordinates; the translates
+    # tau are (i, j) for i, j in 0, m, ..., n_work - m
     l1, l2, m1, m2 = (n_sub * c for c in (lam.c1, lam.c2, mu.c1, mu.c2))
-    lhs = _scale_table(p, q, weight, Fraction(1, n_sub))
-    raw = [t for tau in torsion_translates(n_sub, m) for t in _splitting_terms(
-        lhs, n_work, (l1 + tau.c1, l2 + tau.c2),
-        (m1 - shear * tau.c1, m2 - shear * tau.c2))]
+    lhs = _scale_table(P, Q, weight)
+    raw = [t for i in range(0, n_work, m) for j in range(0, n_work, m)
+           for t in L_terms(lhs, (l1 + i, l2 + j),
+                            (m1 - shear * i, m2 - shear * j))]
     for (a, b), (c, d) in hull_chain(n_sub, shear).pairs():
-        rhs = _scale_table(a * p + b * q, c * p + d * q, weight, -1)
-        raw += _splitting_terms(rhs, n_work, (a * l1 + b * m1, a * l2 + b * m2),
-                                (c * l1 + d * m1, c * l2 + d * m2))
+        rhs = _scale_table(a * P + b * Q, c * P + d * Q, weight, -n_sub)
+        raw += L_terms(rhs, (a * l1 + b * m1, a * l2 + b * m2),
+                       (c * l1 + d * m1, c * l2 + d * m2))
     return _verify(
         "hecke_trace",
         {"n_sub": n_sub, "shear": shear % n_sub, "lam": lam.label(),
          "mu": mu.label(), "p": str(p), "q": str(q), "k": weight,
          "n_work": n_work},
-        raw, weight, n_work, truncation)
+        raw, n_sub * factorial(weight - 2) * D ** (weight - 2), weight, n_work,
+        truncation)

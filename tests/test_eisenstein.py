@@ -40,7 +40,7 @@ from eisenlab.oracles import (
     sigma,
 )
 from eisenlab.quasiforms import combine, delta, eis_series
-from eisenlab.verifiers import L_terms, LParams, TorsionPoint, build_L
+from eisenlab.verifiers import L_terms, _scale_table, build_L, canonical_sum
 
 
 # -- constants -------------------------------------------------------------
@@ -256,8 +256,9 @@ def test_qseries_mul_runs_no_cyclotomic_multiply(monkeypatch):
     g = eis_qseries(EisIndex(3, 6, 5, 3), sturm_truncation(3, 6))
     member = eis_series(EisIndex(2, 6, 1, 2), sturm_truncation(2, 6))
     c = Cyclotomic.zeta(6) + Fraction(1, 3)
-    params = LParams(TorsionPoint(6, 1, 2), TorsionPoint(6, 5, 3),
-                     Fraction(2), Fraction(-3, 5), 4)
+    # L((1, 2), (5, 3), p = 2, q = -3/5) at weight 4, over 2! 5^2
+    terms = canonical_sum(L_terms(_scale_table(10, -3, 4), (1, 2), (5, 3)),
+                          6, 50)
     calls = []
 
     def counting(real):
@@ -276,7 +277,7 @@ def test_qseries_mul_runs_no_cyclotomic_multiply(monkeypatch):
     assert not f.scale(c).is_zero()
     assert combine([(delta(member), c), (delta(member), 1)], 4, 6,
                    member.truncation).depth == 2
-    assert build_L(L_terms(params, 6), 4, 6, sturm_truncation(4, 6)).weight == 4
+    assert build_L(terms, 4, 6, sturm_truncation(4, 6)).weight == 4
     assert calls == []
 
 

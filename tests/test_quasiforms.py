@@ -39,7 +39,7 @@ from eisenlab.quasiforms import (
     span_solve,
     theta,
 )
-from eisenlab.verifiers import (L_terms, LParams, TorsionPoint, build_L,
+from eisenlab.verifiers import (LParams, TorsionPoint, build_L,
                                 verify_hecke_trace, verify_prop21,
                                 verify_three_term_w2)
 
@@ -878,7 +878,7 @@ def test_peel_rejects_foreign_components(monkeypatch):
         assert not sol.in_span and sol.residual.depth > 0
         assert cert == [] and sol.residual == f
         monkeypatch.setattr(verifiers, "build_L", lambda *_, form=f: form)
-        report = verifiers._verify("foreign", {}, [], f.weight, 1, b)
+        report = verifiers._verify("foreign", {}, [], 1, f.weight, 1, b)
         assert report.status == "INCONCLUSIVE"
         assert report.certificate == [] and not report.defect.coefficients
         assert report.defect.residual == f
@@ -1022,14 +1022,15 @@ def test_eis_sum_rejects_a_frame_mismatch():
 
 
 def test_build_L_expands_products_by_the_reference_arithmetic():
-    # the level-6 trace (2, 1) at weight 3: translates at 1/2 less the
-    # chain, each product summed by `reference_sum`, against one combine
-    lam, mu = TorsionPoint(6, 1, 0), TorsionPoint(6, 0, 1)
+    # the level-6 trace (2, 1) at weight 3: L(lam, mu, 1, 1) at 1/2 less
+    # L(lam + mu, mu, 2, 1), each product summed by `reference_sum`,
+    # against one combine
+    lam, mu, lam_mu = (6, 1, 0), (6, 0, 1), (6, 1, 1)
+    terms = [(Fraction(1, 2), EisIndex(1, *lam), EisIndex(2, *mu)),
+             (Fraction(1, 2), EisIndex(2, *lam), EisIndex(1, *mu)),
+             (-1, EisIndex(1, *lam_mu), EisIndex(2, *mu)),
+             (-2, EisIndex(2, *lam_mu), EisIndex(1, *mu))]
     b = 12
-    terms = [(Fraction(s, 2), x, y) for s, x, y in
-             L_terms(LParams(lam, mu, 1, 1, 3), 6)]
-    terms += [(-s, x, y) for s, x, y in
-              L_terms(LParams(lam + mu, mu, 2, 1, 3), 6)]
     want = reference_sum([(quasi_mul(eis_series(x, b), eis_series(y, b)), s)
                           for s, x, y in terms], 3, 6, b)
     assert build_L(terms, 3, 6, b) == want

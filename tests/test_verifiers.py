@@ -2,7 +2,7 @@
 formal sums, and the four verification entry points."""
 import importlib.util
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from eisenlab import quasiforms, verifiers
 from eisenlab.cli import report_payload
-from eisenlab.cyclotomic import Cyclotomic, euler_phi
 from eisenlab.eisenstein import (EisIndex, NotDivisible, QSeries,
                                  proven_truncation, sturm_truncation)
 from eisenlab.hull import NonCoprimeShear, hull_chain
@@ -27,7 +26,6 @@ from eisenlab.verifiers import (
     build_L,
     canonical_sum,
     pq_samples,
-    torsion_translates,
     verify_hecke_trace,
     verify_prop21,
     verify_three_term_w2,
@@ -77,8 +75,14 @@ def test_lparams_validation():
 
 
 def L_form(params, n_work, b):
-    """The form of one weighted sum, expanded from its formal sum."""
-    return build_L(L_terms(params, n_work), params.weight, n_work, b)
+    """The form of one weighted sum, expanded from its canonical sum."""
+    k, p, q = params.weight, params.p, params.q
+    D = lcm(p.denominator, q.denominator)
+    lam, mu = params.lam.rescale(n_work), params.mu.rescale(n_work)
+    terms = L_terms(verifiers._scale_table(int(p * D), int(q * D), k),
+                    (lam.c1, lam.c2), (mu.c1, mu.c2))
+    return build_L(canonical_sum(terms, n_work, factorial(k - 2) * D ** (k - 2)),
+                   k, n_work, b)
 
 
 def test_build_L_weight_two_ignores_pq():
@@ -165,51 +169,59 @@ def raw_sum(terms, weight, level, b):
     return QuasiForm(weight, level, b, tuple(comps))
 
 
+def indexed(terms, level, d):
+    """The integer terms [(n, (weight, c1, c2), ...)] over d as
+    [(Fraction(n, d), EisIndex, ...)], with no +- fold."""
+    return [(Fraction(n, d), *(EisIndex(w, level, c1, c2) for w, c1, c2 in keys))
+            for n, *keys in terms]
+
+
 @st.composite
 def formal_sums(draw, weights=(1, 4)):
-    """(terms, weight, level): a formal sum at level 1-8 and a weight in
-    the closed range weights, of products of at most two series that
-    share a few points, odd-weight 2-torsion points among them, with
-    rational and Q(zeta_N) scales; some terms come back with factors
-    negated and permuted, repeated, cancelled or rescaled."""
+    """(terms, d, weight, level): a formal sum of integer numerators over
+    the denominator d, at level 1-8 and a weight in the closed range
+    weights, of products of at most two series that share a few points,
+    odd-weight 2-torsion points among them; some terms come back with
+    factors negated (coordinates left unreduced) and permuted, repeated,
+    cancelled or rescaled."""
     n = draw(st.integers(1, 8))
     k = draw(st.integers(*weights))
+    d = draw(st.integers(1, 12))
     any_point = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     halves = [0, n // 2] if n % 2 == 0 else [0]
     two_torsion = st.tuples(st.sampled_from(halves), st.sampled_from(halves))
     pool = draw(st.lists(st.one_of(any_point, two_torsion), min_size=1,
                          max_size=4))
-    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    scales = st.one_of(small, st.lists(small, min_size=euler_phi(n),
-                                       max_size=euler_phi(n)).map(
-        lambda c: Cyclotomic(n, tuple(c))))
+    numerators = st.integers(-12, 12)
     splits = [(k,)] + [(ell, k - ell) for ell in range(1, k)]
     terms = []
     for _ in range(draw(st.integers(1, 4))):
-        factors = [EisIndex(w, n, *draw(st.sampled_from(pool)))
+        factors = [(w, *draw(st.sampled_from(pool)))
                    for w in draw(st.sampled_from(splits))]
-        terms.append((draw(scales), *factors))
-    for scale, *factors in list(terms):
+        terms.append((draw(numerators), *factors))
+    for num, *factors in list(terms):
         how = draw(st.sampled_from(("none", "repeat", "cancel", "rescale")))
         if how == "none":
             continue
         flips = [draw(st.booleans()) for _ in factors]
-        sign = prod((-1) ** f.weight for f, flip in zip(factors, flips) if flip)
-        moved = [f.negate() if flip else f for f, flip in zip(factors, flips)]
-        new = {"repeat": scale * sign, "cancel": -scale * sign,
-               "rescale": draw(scales)}[how]
+        sign = prod((-1) ** w for (w, _, _), flip in zip(factors, flips) if flip)
+        moved = [(w, -c1, -c2) if flip else (w, c1, c2)
+                 for (w, c1, c2), flip in zip(factors, flips)]
+        new = {"repeat": num * sign, "cancel": -num * sign,
+               "rescale": draw(numerators)}[how]
         terms.append((new, *draw(st.permutations(moved))))
-    return draw(st.permutations(terms)), k, n
+    return draw(st.permutations(terms)), d, k, n
 
 
 @settings(max_examples=40)
 @given(formal_sums())
 def test_canonical_sum_is_exact(case):
-    terms, k, n = case
+    terms, d, k, n = case
     b = 2 * n + 3
-    canonical = canonical_sum(terms)
-    assert build_L(canonical, k, n, b) == raw_sum(terms, k, n, b)
-    assert cusp_values(canonical, n) == cusp_values(terms, n)
+    canonical = canonical_sum(terms, n, d)
+    raw = indexed(terms, n, d)
+    assert build_L(canonical, k, n, b) == raw_sum(raw, k, n, b)
+    assert cusp_values(canonical, n) == cusp_values(raw, n)
     # canonical: first of each +- pair, sorted, distinct, nonzero
     products = [tuple(factors) for _, *factors in canonical]
     assert len(set(products)) == len(products)
@@ -227,10 +239,11 @@ def test_certificate_leaves_no_y_part(case, data):
     # two series the certificate explains the whole Y-part, so the
     # residual is holomorphic, whether the claim is in the span or not;
     # one more term with a weight-2 factor makes sure there is a Y-part
-    terms, k, n = case
+    terms, d, k, n = case
     point = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    y_term = [EisIndex(w, n, *data.draw(point)) for w in (2, k - 2) if w]
-    terms = canonical_sum(terms + [(data.draw(st.integers(-3, 3)), *y_term)])
+    y_term = [(w, *data.draw(point)) for w in (2, k - 2) if w]
+    terms = canonical_sum(
+        terms + [(data.draw(st.integers(-3, 3)) * d, *y_term)], n, d)
     b = proven_truncation(k, n)
     sol, _ = quasiforms.certify_orthogonal(build_L(terms, k, n, b), terms)
     assert sol.residual.depth == 0
@@ -281,47 +294,51 @@ def typed(terms):
     return [(type(scale), scale, *factors) for scale, *factors in terms]
 
 
-N6, Z6 = 6, Cyclotomic.zeta(6)
-A6, B6 = EisIndex(3, N6, 1, 2), EisIndex(2, N6, 4, 3)
-HALF6 = EisIndex(3, N6, 3, 0)  # odd weight at v = -v: the zero series
+N6 = 6
+A6, B6 = (3, 1, 2), (2, 4, 3)
+HALF6 = (3, 3, 0)  # odd weight at v = -v: the zero series
+
+
+def neg(key):
+    w, c1, c2 = key
+    return w, -c1, -c2
 
 
 @settings(max_examples=200)
 @given(formal_sums(weights=(1, 6)))
-@example(([(Fraction(1, 3), A6, B6), (Fraction(2, 3), B6.negate(), A6.negate())],
-          5, N6))
-@example(([(Z6, A6, B6), (-Z6, B6, A6), (Fraction(1, 2), A6.negate(), B6)],
-          5, N6))
-@example(([(2, HALF6, B6), (Fraction(-1, 5), A6)], 5, N6))
-@example(([(1, B6, A6), (Z6 + 1, A6.negate()), (-1, A6, B6), (Fraction(7), A6)],
-          5, N6))
+@example(([(1, A6, B6), (2, neg(B6), neg(A6))], 3, 5, N6))
+@example(([(2, A6, B6), (-2, B6, A6), (1, neg(A6), B6)], 2, 5, N6))
+@example(([(10, HALF6, B6), (-1, A6)], 5, 5, N6))
+@example(([(1, B6, A6), (3, neg(A6)), (-1, A6, B6), (7, A6)], 1, 5, N6))
 def test_canonical_sum_matches_the_representative_rule(case):
     # the same terms in the same order, with equal scales of one type:
-    # rational and Q(zeta_N) scales, repeated and cancelling products,
-    # and odd-weight factors at v = -v
-    terms, _, _ = case
-    assert typed(canonical_sum(terms)) == typed(reference_canonical_sum(terms))
+    # repeated and cancelling products, odd-weight factors at v = -v,
+    # and unreduced coordinates
+    terms, d, _, n = case
+    assert (typed(canonical_sum(terms, n, d))
+            == typed(reference_canonical_sum(indexed(terms, n, d))))
 
 
 def test_canonical_sum_folds_pairs_and_drops_zero_factors():
-    lam, mu = EisIndex(1, 4, 1, 0), EisIndex(2, 4, 0, 1)
-    half = EisIndex(1, 4, 2, 0)
-    z = Cyclotomic.zeta(4)
-    terms = [(1, lam, mu), (2, mu.negate(), lam), (5, half, mu),
-             (z, mu, lam.negate()), (Fraction(1, 2), lam.negate(), mu)]
-    # 1 + 2 - z - 1/2 on lam * mu; the 2-torsion weight-1 factor is zero
-    assert canonical_sum(terms) == [(-z + Fraction(5, 2), lam, mu)]
-    assert canonical_sum([(1, lam, mu), (-1, mu, lam)]) == []
-    assert canonical_sum([(3, half)]) == []
+    lam, mu = (1, 1, 0), (2, 0, 1)
+    half = (1, 2, 0)
+    terms = [(1, lam, mu), (2, neg(mu), lam), (5, half, mu),
+             (3, mu, neg(lam)), (1, (1, 3, 4), mu)]
+    # (1 + 2 - 3 - 1) / 2 on lam * mu, (3, 4) being -lam at level 4; the
+    # 2-torsion weight-1 factor is zero
+    assert canonical_sum(terms, 4, 2) == [
+        (Fraction(-1, 2), EisIndex(1, 4, 1, 0), EisIndex(2, 4, 0, 1))]
+    assert canonical_sum([(1, lam, mu), (-1, mu, lam)], 4, 1) == []
+    assert canonical_sum([(3, half)], 4, 1) == []
 
 
 def sizes_of(claim, monkeypatch):
     """(raw, canonical) term counts of every canonical sum claim() forms."""
     sizes = []
 
-    def recording(terms, _real=verifiers.canonical_sum):
+    def recording(terms, level, d, _real=verifiers.canonical_sum):
         terms = list(terms)
-        out = _real(terms)
+        out = _real(terms, level, d)
         sizes.append((len(terms), len(out)))
         return out
 
@@ -345,12 +362,13 @@ class _Recorded(Exception):
 
 
 def raw_terms_of(claim, monkeypatch):
-    """The raw formal sum claim() hands to `canonical_sum`; the claim
-    stops there, with no series and no certificate."""
+    """(terms, level, d), the raw formal sum claim() hands to
+    `canonical_sum`; the claim stops there, with no series and no
+    certificate."""
     seen = []
 
-    def record(terms):
-        seen.append(list(terms))
+    def record(terms, level, d):
+        seen.append((list(terms), level, d))
         raise _Recorded
 
     monkeypatch.setattr(verifiers, "canonical_sum", record)
@@ -386,8 +404,10 @@ def reference_hecke_terms(n_sub, shear, lam, mu, k, p, q):
     n_work = n_sub * m
     p, q = Fraction(p), Fraction(q)
     lam_w, mu_w = lam.rescale(n_work), mu.rescale(n_work)
+    translates = [TorsionPoint(n_work, a * m, b * m)
+                  for a in range(n_sub) for b in range(n_sub)]
     lhs = [LParams(lam_w + tau, mu_w + -times(shear, tau), p, q, k)
-           for tau in torsion_translates(n_sub, m)]
+           for tau in translates]
     rhs = [LParams(times(a, lam_w) + times(b, mu_w),
                    times(c, lam_w) + times(d, mu_w), a * p + b * q,
                    c * p + d * q, k)
@@ -396,6 +416,12 @@ def reference_hecke_terms(n_sub, shear, lam, mu, k, p, q):
              for s, x, y in reference_L_terms(part, n_work)]
             + [(-s, x, y) for part in rhs
                for s, x, y in reference_L_terms(part, n_work)])
+
+
+def claim_denominator(p, q, k):
+    """(k-2)! D^(k-2), D the common denominator of p and q."""
+    D = lcm(Fraction(p).denominator, Fraction(q).denominator)
+    return factorial(k - 2) * D ** (k - 2)
 
 
 PQ = [(1, 1), (0, 1), (1, 0), (0, 0), (-2, 1), (Fraction(3, 2), Fraction(-1, 3)),
@@ -413,10 +439,12 @@ def test_hecke_raw_sum_is_the_per_translate_construction(n_sub, shear,
     for lam, mu in POINTS:
         for k in range(2, 6):
             for p, q in PQ:
-                got = raw_terms_of(lambda: verify_hecke_trace(
+                got, level, d = raw_terms_of(lambda: verify_hecke_trace(
                     n_sub, shear, lam, mu, k, p, q), monkeypatch)
                 want = reference_hecke_terms(n_sub, shear, lam, mu, k, p, q)
-                assert typed(got) == typed(want), (lam, mu, k, p, q)
+                assert d == n_sub * claim_denominator(p, q, k)
+                assert typed(indexed(got, level, d)) == typed(want), (
+                    lam, mu, k, p, q)
 
 
 def test_prop21_raw_sum_is_the_three_weighted_sums(monkeypatch):
@@ -425,8 +453,8 @@ def test_prop21_raw_sum_is_the_three_weighted_sums(monkeypatch):
         for k in range(3, 7):
             for p, q in PQ + [(1, -1), (Fraction(-3, 2), Fraction(3, 2))]:
                 params = LParams(lam, mu, p, q, k)
-                got = raw_terms_of(lambda: verify_prop21(params, n),
-                                   monkeypatch)
+                got, level, d = raw_terms_of(lambda: verify_prop21(params, n),
+                                             monkeypatch)
                 lam_w, mu_w = lam.rescale(n), mu.rescale(n)
                 nu_w = -(lam_w + mu_w)
                 p, q = params.p, params.q
@@ -435,7 +463,70 @@ def test_prop21_raw_sum_is_the_three_weighted_sums(monkeypatch):
                                        LParams(mu_w, nu_w, q, r, k),
                                        LParams(nu_w, lam_w, r, p, k))
                         for t in reference_L_terms(part, n)]
-                assert typed(got) == typed(want), (n, k, p, q)
+                assert d == claim_denominator(p, q, k)
+                assert typed(indexed(got, level, d)) == typed(want), (n, k, p, q)
+
+
+def reference_scale_table(p, q, k, unit):
+    """(l, m, unit * p^(l-1) q^(m-1) / ((l-1)! (m-1)!)) in Fraction
+    arithmetic, for each splitting l + m = k whose scale is not zero."""
+    scales = ((ell, k - ell, p ** (ell - 1) * q ** (k - ell - 1)
+               / (factorial(ell - 1) * factorial(k - ell - 1)))
+              for ell in range(1, k))
+    return [(ell, m, unit * s) for ell, m, s in scales if s]
+
+
+RATIONALS = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-9, max_value=9,
+                                   max_denominator=12))
+
+
+@given(RATIONALS, RATIONALS, st.integers(2, 12),
+       st.integers(-6, 6).filter(bool),
+       st.sampled_from([(1, 0), (2, 1), (3, 2), (5, 3), (7, 4)]))
+@example(Fraction(0), Fraction(0), 2, 1, (5, 3))
+@example(Fraction(0), Fraction(-1, 4), 5, -5, (5, 3))
+def test_scale_table_is_the_fraction_formula(p, q, k, unit, chain):
+    # over the one claim denominator (k-2)! D^(k-2): the same entries in
+    # the same order, zero scales dropped, for (p, q), the prop21 parts
+    # (q, r) and (r, p), and every hull-chain pair (ap + bq, cp + dq)
+    D = lcm(p.denominator, q.denominator)
+    P, Q = int(p * D), int(q * D)
+    d = claim_denominator(p, q, k)
+    pairs = [(P, Q), (Q, -P - Q), (-P - Q, P)] + [
+        (a * P + b * Q, c * P + e * Q)
+        for (a, b), (c, e) in hull_chain(*chain).pairs()]
+    for x, y in pairs:
+        table = verifiers._scale_table(x, y, k, unit)
+        assert all(type(s) is int for _, _, s in table)
+        assert ([(ell, m, Fraction(s, d)) for ell, m, s in table]
+                == reference_scale_table(Fraction(x, D), Fraction(y, D), k,
+                                         unit))
+
+
+@pytest.mark.parametrize("claim", [
+    lambda: verify_two_term(TorsionPoint(5, 1, 0), TorsionPoint(5, 0, 1), 5),
+    lambda: verify_hecke_trace(5, 3, TorsionPoint(2, 1, 0),
+                               TorsionPoint(2, 0, 1), 3, 1, 1, 91),
+    lambda: verify_hecke_trace(5, 3, TorsionPoint(2, 1, 0),
+                               TorsionPoint(2, 0, 1), 3, 1, 1),
+    lambda: verify_hecke_trace(5, 3, TorsionPoint(1, 0, 0),
+                               TorsionPoint(1, 0, 0), 2, 1, 1),
+], ids=["two_term", "hecke_l10_91", "hecke_l10", "hecke_5_3_k2"])
+def test_formally_zero_claims_build_no_index(claim, monkeypatch):
+    # an empty canonical sum leaves nothing to index: no `EisIndex` is
+    # built, for a factor, a sign flip or a certificate
+    built = []
+    real_init = EisIndex.__init__
+
+    def init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(EisIndex, "__init__", init)
+    report = claim()
+    assert built == []
+    assert report.status == VERIFIED
 
 
 @pytest.mark.parametrize("claim, want", [
@@ -478,8 +569,8 @@ def test_two_term_cancels_at_every_pair():
         points = [TorsionPoint(n, a, b) for a in range(n) for b in range(n)]
         for lam in points:
             for mu in points:
-                assert canonical_sum([(1, lam.to_index(1), mu.to_index(1)),
-                                      (1, mu.to_index(1), (-lam).to_index(1))]) == []
+                x, y = (1, lam.c1, lam.c2), (1, mu.c1, mu.c2)
+                assert canonical_sum([(1, x, y), (1, y, neg(x))], n, 1) == []
                 report = verify_two_term(lam, mu, n)
                 assert report.status == VERIFIED
                 assert report.defect.residual.is_zero()
@@ -657,15 +748,6 @@ def test_prop21_samples_interpolate_every_pair(k, n, monkeypatch):
 
 
 # -- the trace identity ----------------------------------------------------
-
-
-def test_torsion_translates_enumeration():
-    ts = torsion_translates(3, 2)
-    assert len(ts) == 9
-    assert len(set(ts)) == 9
-    assert all(t.denominator == 6 for t in ts)
-    # each translate is killed by multiplication with n_sub
-    assert all(3 * t.c1 % 6 == 3 * t.c2 % 6 == 0 for t in ts)
 
 
 def test_hecke_rejects_bad_inputs():
